@@ -85,7 +85,6 @@ class RunConfig:
     figure: str = ""
     output: str = ""
     fmt: str = "csv"
-    workers: int = 1
     svg: bool = False
 
     def canonical_string(self) -> str:
@@ -167,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=1e-3)
         p.add_argument("--output", default="")
         p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"), default="csv")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
 
     for name in ("scan-phi", "scan-alpha", "threshold", "chsh", "bound"):
@@ -217,7 +215,6 @@ def parse_args(argv) -> RunConfig:
         figure=getattr(ns, "figure", ""),
         output=pick("output"),
         fmt=pick("fmt"),
-        workers=int(pick("workers", int)),
         svg=bool(pick("svg", bool)),
     )
 
@@ -312,7 +309,7 @@ def _task(cfg: RunConfig, alpha: float | None = None, phi: float | None = None) 
 def _cmd_scan_phi(cfg: RunConfig):
     grid = parse_range(cfg.phi or "0:1.2:0.05")
     alpha = float(cfg.alpha) if cfg.alpha else None
-    records = scan("phi", grid, _task(cfg, alpha=alpha), workers=cfg.workers)
+    records = scan("phi", grid, _task(cfg, alpha=alpha))
     outputs = _write_records(cfg, records, "scan_phi")
     best = max(records, key=lambda r: r.margin)
     return {
@@ -329,7 +326,7 @@ def _cmd_scan_alpha(cfg: RunConfig):
     grid = parse_range(cfg.alpha or "0.5:10:0.5")
     phi = float(cfg.phi) if cfg.phi else DEFAULT_THRESHOLD_PHI.get(cfg.layout, 0.5)
     task = _task(cfg, phi=phi)
-    records = scan("alpha", grid, task, workers=cfg.workers)
+    records = scan("alpha", grid, task)
     outputs = _write_records(cfg, records, "scan_alpha")
     best = max(records, key=lambda r: r.margin)
     return {
@@ -447,10 +444,6 @@ def _cmd_bound(cfg: RunConfig):
 # -- figure presets ----------------------------------------------------------------
 
 
-def _preset_records(cfg: RunConfig, task: ScanTask, variable: str, grid):
-    return scan(variable, grid, task, workers=cfg.workers)
-
-
 def _cmd_reproduce(cfg: RunConfig):
     outdir = cfg.output or "."
     os.makedirs(outdir, exist_ok=True)
@@ -492,7 +485,7 @@ def _cmd_reproduce(cfg: RunConfig):
                 starts=cfg.starts,
                 seed=cfg.seed,
             )
-            emit(f"fig3_alpha{alpha:g}.csv", _preset_records(cfg, task, "phi", phis))
+            emit(f"fig3_alpha{alpha:g}.csv", scan("phi", phis, task))
     elif cfg.figure == "fig4":
         phis = parse_range(cfg.phi) if cfg.phi else parse_range("0.02:1.0:0.02")
         for alpha in alphas or [5.0, 50.0]:
@@ -505,7 +498,7 @@ def _cmd_reproduce(cfg: RunConfig):
                 starts=cfg.starts,
                 seed=cfg.seed,
             )
-            emit(f"fig4_alpha{alpha:g}.csv", _preset_records(cfg, task, "phi", phis))
+            emit(f"fig4_alpha{alpha:g}.csv", scan("phi", phis, task))
     elif cfg.figure == "fig5":
         grid = alphas or parse_range("0.4:10:0.4")
         phi = float(cfg.phi) if cfg.phi else DEFAULT_THRESHOLD_PHI["threeplus7"]
@@ -523,7 +516,7 @@ def _cmd_reproduce(cfg: RunConfig):
                     starts=cfg.starts,
                     seed=cfg.seed,
                 )
-                emit(f"fig5_{tag}_{opt_tag}.csv", _preset_records(cfg, task, "alpha", grid))
+                emit(f"fig5_{tag}_{opt_tag}.csv", scan("alpha", grid, task))
     elif cfg.figure == "fig6":
         phis = parse_range(cfg.phi) if cfg.phi else parse_range("0.02:1.4:0.02")
         for alpha in alphas or [5.0, 50.0]:
@@ -536,7 +529,7 @@ def _cmd_reproduce(cfg: RunConfig):
                 starts=cfg.starts,
                 seed=cfg.seed,
             )
-            emit(f"fig6_phiscan_alpha{alpha:g}.csv", _preset_records(cfg, task, "phi", phis))
+            emit(f"fig6_phiscan_alpha{alpha:g}.csv", scan("phi", phis, task))
         grid = alphas or parse_range("0.4:10:0.4")
         task = ScanTask(
             "threeplus6",
@@ -548,7 +541,7 @@ def _cmd_reproduce(cfg: RunConfig):
             starts=cfg.starts,
             seed=cfg.seed,
         )
-        emit("fig6_alphascan.csv", _preset_records(cfg, task, "alpha", grid))
+        emit("fig6_alphascan.csv", scan("alpha", grid, task))
     return {
         "command": cfg.command,
         "figure": cfg.figure,
@@ -592,3 +585,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -130,11 +130,14 @@ def gram_expectation(coeffs_bra, elements: np.ndarray, coeffs_ket, alpha: float)
 # -- log-domain series ---------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
 def _log_even_series(alpha: float) -> float:
     """log of S(a) = sum_n a^{4n} / ((2n)! sqrt(2n+1)).
 
     Terms evaluated in the log domain; the grid of n extends far enough past
     the peak (2n ~ a^2) that dropped terms sit > 60 nats below the maximum.
+    Cached per amplitude: a sweep asks for K(a) and m(a) at every grid point
+    but at few distinct amplitudes.
     """
     x = alpha * alpha
     peak = max(1.0, 0.5 * x)

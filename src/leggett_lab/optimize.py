@@ -3,13 +3,22 @@
 One Nelder-Mead engine serves every optimization task in the package:
 hidden-vector bound minimization, CHSH setting maximization, rigid-rotation
 optimization of inequality values, parameter scans, and amplitude-threshold
-bisection.
+bisection.  The engine runs in lockstep: it advances every start of a
+search as one (S, d+1, d) simplex array, and a start leaves the active set
+when it converges.  Objectives take a (k, d) array of points and return a
+(k,) array of values.
 
 Determinism contract: identical config and objective give bit-identical
 results.  Starts come from a seeded Sobol sequence, start 0 is the range
 midpoint (the identity rotation for rigid searches), and the reduction picks
-the best value with start-index tie-break, so any execution order or worker
-count yields the same answer.
+the best value with start-index tie-break.  Each start keeps its own
+reflection, expansion, contraction and shrink decisions and its own stable
+vertex sort.  No row of an objective's result depends on which other rows
+share its batch: the kernels are elementwise, and their small matrix and
+vector products are stacked per row (np.matmul over a leading batch axis),
+never one BLAS product across the batch axis, which can round a row
+differently depending on the rows around it.  So every start follows
+exactly the trajectory it would follow alone.
 """
 
 from __future__ import annotations
@@ -71,52 +80,72 @@ class SimplexResult:
 
 
 def _nelder_mead(f, x0, step, fatol, maxiter):
-    """Standard reflection/expansion/contraction/shrink simplex descent.
+    """Reflection/expansion/contraction/shrink simplex descent of S starts in lockstep.
 
-    Returns (x_best, f_best, converged, n_evaluations).  Fully deterministic:
-    ties are broken by vertex order and the initial simplex is x0 plus one
-    step along each coordinate.
+    x0 is an (S, n) array of start points and f maps a (k, n) array of
+    points to a (k,) array of values.  Each start's initial simplex is its
+    point plus one step along each coordinate; its vertices are sorted
+    stably every iteration, so ties go to vertex order.  A start stops when
+    its simplex value spread is at most fatol.  Returns per start
+    (x_best, f_best, converged, n_evaluations) as arrays of length S.
     """
-    n = len(x0)
-    pts = np.repeat(np.asarray(x0, dtype=float)[None, :], n + 1, axis=0)
-    for k in range(n):
-        pts[k + 1, k] += step[k]
-    vals = np.array([f(p) for p in pts])
-    nfev = n + 1
+    x0 = np.asarray(x0, dtype=float)
+    S, n = x0.shape
+    pts = np.repeat(x0[:, None, :], n + 1, axis=1)
+    diag = np.arange(n)
+    pts[:, diag + 1, diag] += np.asarray(step, dtype=float)
+    vals = f(pts.reshape(-1, n)).reshape(S, n + 1)
+    nfev = np.full(S, n + 1)
+    best_x = np.empty((S, n))
+    best_f = np.empty(S)
+    converged = np.zeros(S, dtype=bool)
+    live = np.arange(S)  # start index of each row of pts and vals
+    rows = live[:, None]
     for _ in range(maxiter):
-        order = np.argsort(vals, kind="stable")
-        pts, vals = pts[order], vals[order]
-        if vals[-1] - vals[0] <= fatol:
-            return pts[0], vals[0], True, nfev
-        centroid = pts[:-1].mean(axis=0)
-        xr = centroid + (centroid - pts[-1])
+        order = np.argsort(vals, axis=1, kind="stable")
+        pts = pts[rows, order]
+        vals = vals[rows, order]
+        done = vals[:, -1] - vals[:, 0] <= fatol
+        if done.any():
+            best_x[live[done]] = pts[done, 0]
+            best_f[live[done]] = vals[done, 0]
+            converged[live[done]] = True
+            live, pts, vals = live[~done], pts[~done], vals[~done]
+            if not live.size:
+                return best_x, best_f, converged, nfev
+            rows = np.arange(live.size)[:, None]
+        centroid = pts[:, :-1].sum(axis=1) / n
+        worst = pts[:, -1]
+        xr = centroid + (centroid - worst)
         fr = f(xr)
-        nfev += 1
-        if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - pts[-1])
-            fe = f(xe)
-            nfev += 1
-            if fe < fr:
-                pts[-1], vals[-1] = xe, fe
-            else:
-                pts[-1], vals[-1] = xr, fr
-        elif fr < vals[-2]:
-            pts[-1], vals[-1] = xr, fr
-        else:
-            if fr < vals[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid + 0.5 * (pts[-1] - centroid)
-            fc = f(xc)
-            nfev += 1
-            if fc < min(fr, vals[-1]):
-                pts[-1], vals[-1] = xc, fc
-            else:  # shrink toward the best vertex
-                pts[1:] = pts[0] + 0.5 * (pts[1:] - pts[0])
-                vals[1:] = [f(p) for p in pts[1:]]
-                nfev += n
-    order = np.argsort(vals, kind="stable")
-    return pts[order[0]], vals[order[0]], False, nfev
+        nfev[live] += 1
+        expand = fr < vals[:, 0]
+        contract = ~expand & ~(fr < vals[:, -2])
+        # one more trial point for each start that expands or contracts
+        toward = np.where((fr < vals[:, -1])[:, None], xr, worst)
+        trial = np.where(
+            expand[:, None], centroid + 2.0 * (centroid - worst), centroid + 0.5 * (toward - centroid)
+        )
+        probe = expand | contract
+        ft = fr.copy()
+        if probe.any():
+            ft[probe] = f(trial[probe])
+            nfev[live[probe]] += 1
+        inside = contract & (ft < np.where(vals[:, -1] < fr, vals[:, -1], fr))
+        take = (expand & (ft < fr)) | inside
+        shrink = contract & ~inside
+        keep = ~shrink
+        pts[keep, -1] = np.where(take[:, None], trial, xr)[keep]
+        vals[keep, -1] = np.where(take, ft, fr)[keep]
+        if shrink.any():  # shrink toward the best vertex
+            best = pts[shrink, :1]
+            pts[shrink, 1:] = best + 0.5 * (pts[shrink, 1:] - best)
+            vals[shrink, 1:] = f(pts[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+            nfev[live[shrink]] += n
+    first = np.argsort(vals, axis=1, kind="stable")[:, :1]
+    best_x[live] = pts[rows, first][:, 0]
+    best_f[live] = vals[rows, first][:, 0]
+    return best_x, best_f, converged, nfev
 
 
 def _start_points(config: SearchConfig) -> np.ndarray:
@@ -134,13 +163,13 @@ def _start_points(config: SearchConfig) -> np.ndarray:
     return pts
 
 
-def _run_starts(objective, config: SearchConfig) -> list[SimplexResult]:
+def _run_starts(objective, config: SearchConfig, starts=None) -> list[SimplexResult]:
+    """All starts of a search in one lockstep batch (the Sobol starts by default)."""
+    if starts is None:
+        starts = _start_points(config)
     steps = [0.15 * (hi - lo) for lo, hi in config.ranges]
-    out = []
-    for idx, x0 in enumerate(_start_points(config)):
-        x, v, ok, nfev = _nelder_mead(objective, x0, steps, config.tolerance, config.max_iterations)
-        out.append(SimplexResult(x, float(v), ok, nfev, idx))
-    return out
+    x, v, ok, nfev = _nelder_mead(objective, starts, steps, config.tolerance, config.max_iterations)
+    return [SimplexResult(x[i], float(v[i]), bool(ok[i]), int(nfev[i]), i) for i in range(len(v))]
 
 
 def _best_of(results: list[SimplexResult]) -> SimplexResult:
@@ -148,20 +177,35 @@ def _best_of(results: list[SimplexResult]) -> SimplexResult:
 
 
 def _polish(objective, x0, fatol=1e-15, maxiter=5000):
-    step = np.full(len(x0), 1e-3)
-    x, v, _, nfev = _nelder_mead(objective, x0, step, fatol, maxiter)
-    return x, float(v), nfev
+    """Small-step descent from each row of x0, as one batch; (points, values, evaluations)."""
+    x0 = np.atleast_2d(x0)
+    x, v, _, nfev = _nelder_mead(objective, x0, np.full(x0.shape[1], 1e-3), fatol, maxiter)
+    return x, v, nfev
+
+
+def _polish_best(objective, best: SimplexResult) -> tuple[SimplexResult, int]:
+    """best, replaced by its polished point when that is lower; and the polish evaluations."""
+    px, pval, pn = _polish(objective, best.point)
+    if pval[0] < best.value:
+        best = replace(best, point=px[0], value=float(pval[0]))
+    return best, int(pn[0])
+
+
+def _rowwise(objective):
+    """A batched objective that evaluates a scalar objective on each row."""
+    return lambda points: np.array([objective(x) for x in points], dtype=float)
 
 
 def simplex_minimize(objective, config: SearchConfig) -> SimplexResult:
     """Best point over seeded multi-start simplex descent.
 
-    A start that exhausts max_iterations without meeting the tolerance is
-    still used but flags the result as unconverged.
+    objective maps one point to a float; the engine evaluates it row by
+    row.  A start that exhausts max_iterations without meeting the
+    tolerance is still used but flags the result as unconverged.
     """
     if config.dim < 1:
         raise ValueError("objective must have at least one coordinate")
-    return _best_of(_run_starts(objective, config))
+    return _best_of(_run_starts(_rowwise(objective), config))
 
 
 def simplex_maximize(objective, config: SearchConfig) -> SimplexResult:
@@ -169,12 +213,39 @@ def simplex_maximize(objective, config: SearchConfig) -> SimplexResult:
     return replace(res, value=-res.value)
 
 
-# -- fast local-average and correlation kernels -----------------------------------
+# -- batched local-average and correlation kernels --------------------------------
 #
-# The generic CorrelationModel methods are exact but slow inside a simplex
-# loop.  For the four families shipped here the same math is precompiled
-# into closed-over numpy/complex kernels; the generic path remains as the
-# fallback (and the tests assert both paths agree).
+# Each kernel maps a batch of angles to a batch of values and keeps the
+# determinism contract above: elementwise arithmetic, and np.matmul over a
+# leading batch axis, which applies the unbatched product to each row.  The
+# tests check every kernel against the CorrelationModel facade.
+
+
+def _unit_vectors(theta, phi):
+    """(sin t cos p, sin t sin p, cos t) on a new last axis."""
+    st = np.sin(theta)
+    out = np.empty(np.shape(theta) + (3,))
+    out[..., 0] = st * np.cos(phi)
+    out[..., 1] = st * np.sin(phi)
+    out[..., 2] = np.cos(theta)
+    return out
+
+
+def _row_dots(x, y):
+    """x_r . y_r for rows of x (k, n) and y (k, n) or (n,), one dot product per row.
+
+    Rows are made contiguous first: the dot kernel rounds a strided vector
+    differently from a contiguous one, and the stride of a row can depend on
+    the batch size.
+    """
+    x = np.ascontiguousarray(x)[:, None, :]
+    y = np.ascontiguousarray(y)[..., None]
+    return np.matmul(x, y)[:, 0, 0]
+
+
+def _settings_dot(S, u):
+    """S u_r for the settings S (n, 3) and each row u_r of u (k, 3): (k, n)."""
+    return np.matmul(S, u[:, :, None])[:, :, 0]
 
 
 def _conjugated_pair(model: CorrelationModel, d: Direction):
@@ -186,83 +257,83 @@ def _conjugated_pair(model: CorrelationModel, d: Direction):
     return u.conj().T @ m @ u, u.conj().T @ g @ u
 
 
+def _hermitian_quad(h, x):
+    """Re sum_xy h_xy conj(c_x) c_y in real arithmetic, summed in the order
+    and rounded as the complex products h_xy * (conj(c_x) c_y) are, so it
+    equals the complex evaluation bit for bit.
+
+    h holds the settings' entries (re h00, re h01, im h01, re h10, im h10,
+    re h11) as arrays over the settings; x holds the products conj(c_x) c_y
+    of each row as (x00, re x01, im x01, re x10, im x10, x11), as (k, 1)
+    columns.  Returns (k, n_settings).
+    """
+    r00, r01, i01, r10, i10, r11 = h
+    x00, x01r, x01i, x10r, x10i, x11 = x
+    return ((r00 * x00 + (r01 * x01r - i01 * x01i)) + (r10 * x10r - i10 * x10i)) + r11 * x11
+
+
 def _local_avg_kernels(model: CorrelationModel, a_dirs, b_dirs):
     """Batched A(u; a_i) over a_dirs and B(v; b_j) over b_dirs.
 
-    Returns (abar(u_angles) -> array, bbar(v_angles) -> array).
+    Returns (abar, bbar); each maps angle arrays theta, phi of shape (k,) to
+    a (k, len(dirs)) array.
     """
-    if model.family == "qubit_projective":
+    if model.family in ("qubit_projective", "pseudo_spin"):
         A = np.array([to_cartesian(d) for d in a_dirs])
         B = np.array([to_cartesian(d) for d in b_dirs])
+        if model.family == "qubit_projective":  # A(u; a) = a . u
+            return (
+                lambda t, p: _settings_dot(A, _unit_vectors(t, p)),
+                lambda t, p: _settings_dot(B, _unit_vectors(t, p)),
+            )
 
-        def abar(t, p):
-            st = math.sin(t)
-            u = (st * math.cos(p), st * math.sin(p), math.cos(t))
-            return A @ u
+        def kernel(S, m):  # A(u; a) = a . (2 (u.m) u - m)
+            Sm = S @ m
 
-        def bbar(t, p):
-            st = math.sin(t)
-            v = (st * math.cos(p), st * math.sin(p), math.cos(t))
-            return B @ v
+            def local(t, p):
+                u = _unit_vectors(t, p)
+                return 2.0 * _settings_dot(S, u) * _row_dots(u, m)[:, None] - Sm
 
-        return abar, bbar
+            return local
 
-    if model.family == "pseudo_spin":
-        m = pseudospin_bloch(model.ecs.alpha)
-        mb = m * np.array([-1.0, 1.0, 1.0])
-        A = np.array([to_cartesian(d) for d in a_dirs])
-        B = np.array([to_cartesian(d) for d in b_dirs])
-        Am, Bm = A @ m, B @ mb
+        # party B holds |-alpha>, whose Bloch vector has its x component flipped
+        m_a = pseudospin_bloch(model.ecs.alpha)
+        return kernel(A, m_a), kernel(B, m_a * np.array([-1.0, 1.0, 1.0]))
 
-        def abar(t, p):
-            st = math.sin(t)
-            u = np.array([st * math.cos(p), st * math.sin(p), math.cos(t)])
-            return 2.0 * (A @ u) * float(u @ m) - Am
-
-        def bbar(t, p):
-            st = math.sin(t)
-            v = np.array([st * math.cos(p), st * math.sin(p), math.cos(t)])
-            return 2.0 * (B @ v) * float(v @ mb) - Bm
-
-        return abar, bbar
-
-    # on_off / parity: A(u; a) = <c|M'|c> / <c|G'|c> with c = U(u) e_party
+    # on_off / parity: A(u; a) = <c|M'|c> / <c|G'|c> with c = U(u) e_party,
+    # that is c = (s, e^{-ip} c) for party A and (e^{ip} c, -s) for party B,
+    # s = sin(t/2), c = cos(t/2); x below are the products conj(c_x) c_y
     pairs_a = [_conjugated_pair(model, d) for d in a_dirs]
     pairs_b = [_conjugated_pair(model, d) for d in b_dirs]
     normalize = model.normalize
 
-    def _coeff(t, p, first: bool):
-        s, c = math.sin(0.5 * t), math.cos(0.5 * t)
-        ph = complex(math.cos(p), math.sin(p))
-        if first:
-            return s, ph.conjugate() * c  # U(u) @ (1, 0)
-        return ph * c, -s  # U(u) @ (0, 1)
+    def entries(h):
+        h = np.array(h)
+        return tuple(
+            np.ascontiguousarray(e)
+            for e in (h[:, 0, 0].real, h[:, 0, 1].real, h[:, 0, 1].imag, h[:, 1, 0].real, h[:, 1, 0].imag, h[:, 1, 1].real)
+        )
 
-    def _quad(m2, c0, c1):
-        return (
-            m2[0, 0] * (c0.conjugate() * c0)
-            + m2[0, 1] * (c0.conjugate() * c1)
-            + m2[1, 0] * (c1.conjugate() * c0)
-            + m2[1, 1] * (c1.conjugate() * c1)
-        ).real
+    def kernel(pairs, first):
+        m = entries([mp for mp, _ in pairs])
+        g = entries([gp for _, gp in pairs])
 
-    def abar(t, p):
-        c0, c1 = _coeff(t, p, True)
-        out = np.empty(len(pairs_a))
-        for k, (m2, g2) in enumerate(pairs_a):
-            num = _quad(m2, c0, c1)
-            out[k] = num / _quad(g2, c0, c1) if normalize else num
-        return out
+        def local(t, p):
+            t, p = t[:, None], p[:, None]
+            s, c = np.sin(0.5 * t), np.cos(0.5 * t)
+            cp, sp = np.cos(p), np.sin(p)
+            if first:
+                c1r, c1i = cp * c, -sp * c
+                x = (s * s, s * c1r, s * c1i, c1r * s, -c1i * s, c1r * c1r + c1i * c1i)
+            else:
+                c0r, c0i = cp * c, sp * c
+                x = (c0r * c0r + c0i * c0i, -(c0r * s), c0i * s, -(s * c0r), -(s * c0i), s * s)
+            num = _hermitian_quad(m, x)
+            return num / _hermitian_quad(g, x) if normalize else num
 
-    def bbar(t, p):
-        c0, c1 = _coeff(t, p, False)
-        out = np.empty(len(pairs_b))
-        for k, (m2, g2) in enumerate(pairs_b):
-            num = _quad(m2, c0, c1)
-            out[k] = num / _quad(g2, c0, c1) if normalize else num
-        return out
+        return local
 
-    return abar, bbar
+    return kernel(pairs_a, True), kernel(pairs_b, False)
 
 
 def _correlation_tensor(model: CorrelationModel):
@@ -278,79 +349,123 @@ def _correlation_tensor(model: CorrelationModel):
     return None
 
 
-def _leggett_from_tensor(T, A, B, groups):
-    M = A @ T @ B.T
-    total = 0.0
-    for w, terms in groups:
-        s = 0.0
-        for i, j in terms:
-            s += M[i, j]
-        total += w * abs(s)
-    return total
+def _reflection_features(theta, phi):
+    """w = 2 (n.x) n - x for the axis n of rotation_map(theta, phi) = n . sigma,
+    so that U (P + Q sigma_x) U = P + Q w . sigma; shape (..., 3)."""
+    c = np.cos(0.5 * theta)
+    nx, ny, nz = c * np.cos(phi), -c * np.sin(phi), np.sin(0.5 * theta)
+    return np.stack((2.0 * nx * nx - 1.0, 2.0 * nx * ny, 2.0 * nx * nz), axis=-1)
+
+
+def _coefficient_correlation(model: CorrelationModel):
+    """Batched E(a, b) of an on/off or parity model on reflection features.
+
+    The measured operator is P + Q sigma_x and the Gram matrix 1 + kappa
+    sigma_x on the two-ket basis, and the ECS coefficient matrix is a
+    multiple of sigma_x (ECS+) or i sigma_y (ECS-).  Tracing the Pauli
+    expansions gives E = (P^2 + Q^2 s) / (1 + kappa^2 s) with
+    s = sum_c r_c w_c(a) w_c(b), r = (1, 1, -1) for ECS+ and (-1, -1, -1)
+    for ECS-; without Gram normalization E = (P^2 + Q^2 s) / (1 + sign e^{-4 alpha^2}).
+    """
+    name = "onoff" if model.family == "on_off" else "parity"
+    m = operator_elements(name, model.ecs.alpha)
+    p2, q2 = float(m[0, 0].real) ** 2, float(m[0, 1].real) ** 2
+    k2 = float(gram_matrix(model.ecs.alpha)[0, 1]) ** 2
+    r = (1.0, 1.0, -1.0) if model.ecs.sign > 0 else (-1.0, -1.0, -1.0)
+    scale = 2.0 * model.ecs.norm**2
+    normalize = model.normalize
+
+    def corr(wa, wb):
+        s = r[0] * wa[..., 0] * wb[..., 0] + r[1] * wa[..., 1] * wb[..., 1] + r[2] * wa[..., 2] * wb[..., 2]
+        num = p2 + q2 * s
+        return num / (1.0 + k2 * s) if normalize else scale * num
+
+    return corr
+
+
+def _rotations(z1, y, z2):
+    """ZYZ Euler rotation matrices for angle arrays of shape (k,): (k, 3, 3)."""
+    cz, sz = np.cos(z1), np.sin(z1)
+    cy, sy = np.cos(y), np.sin(y)
+    c2, s2 = np.cos(z2), np.sin(z2)
+    r = np.empty(np.shape(z1) + (3, 3))
+    r[..., 0, 0] = cz * cy * c2 - sz * s2
+    r[..., 0, 1] = -cz * cy * s2 - sz * c2
+    r[..., 0, 2] = cz * sy
+    r[..., 1, 0] = sz * cy * c2 + cz * s2
+    r[..., 1, 1] = -sz * cy * s2 + cz * c2
+    r[..., 1, 2] = sz * sy
+    r[..., 2, 0] = -sy * c2
+    r[..., 2, 1] = sy * s2
+    r[..., 2, 2] = cy
+    return r
 
 
 def _make_rigid_objective(model: CorrelationModel, layout: SettingsLayout, shared: bool):
-    """negative inequality value as a function of Euler angles (3 or 6)."""
+    """Batched negative inequality value over Euler angles, (k, 3) or (k, 6)."""
     A0 = np.array([to_cartesian(d) for d in layout.a_list])
     B0 = np.array([to_cartesian(d) for d in layout.b_list])
     T = _correlation_tensor(model)
 
-    def rot(z1, y, z2):
-        cz, sz = math.cos(z1), math.sin(z1)
-        cy, sy = math.cos(y), math.sin(y)
-        c2, s2 = math.cos(z2), math.sin(z2)
-        return np.array(
-            [
-                [cz * cy * c2 - sz * s2, -cz * cy * s2 - sz * c2, cz * sy],
-                [sz * cy * c2 + cz * s2, -sz * cy * s2 + cz * c2, sz * sy],
-                [-sy * c2, sy * s2, cy],
-            ]
-        )
-
     if T is not None:
 
-        def objective(x):
-            ra = rot(x[0], x[1], x[2])
-            rb = ra if shared else rot(x[3], x[4], x[5])
-            return -_leggett_from_tensor(T, A0 @ ra.T, B0 @ rb.T, layout.groups)
+        def terms(A, B):
+            M = np.matmul(np.matmul(A, T), B.transpose(0, 2, 1))
+            return lambda i, j: M[:, i, j]
 
-        return objective
+    else:
+        corr = _coefficient_correlation(model)
 
-    name = "onoff" if model.family == "on_off" else "parity"
-    m2 = operator_elements(name, model.ecs.alpha)
-    g2 = gram_matrix(model.ecs.alpha)
-    C = model.ecs.coefficient_tensor()
-    normalize = model.normalize
+        def features(V):  # back to angles, the parametrization of rotation_map
+            return _reflection_features(np.arccos(np.clip(V[..., 2], -1.0, 1.0)), np.arctan2(V[..., 1], V[..., 0]))
 
-    def corr(av, bv):
-        ta = math.acos(max(-1.0, min(1.0, av[2])))
-        pa = math.atan2(av[1], av[0])
-        tb = math.acos(max(-1.0, min(1.0, bv[2])))
-        pb = math.atan2(bv[1], bv[0])
-        d = rotation_map(ta, pa) @ C @ rotation_map(tb, pb).T
-        num = np.einsum("xy,xu,yv,uv->", d.conj(), m2, m2, d).real
-        if not normalize:
-            return num
-        den = np.einsum("xy,xu,yv,uv->", d.conj(), g2, g2, d).real
-        return num / den
+        def terms(A, B):
+            wa, wb = features(A), features(B)
+            return lambda i, j: corr(wa[:, i], wb[:, j])
 
     def objective(x):
-        ra = rot(x[0], x[1], x[2])
-        rb = ra if shared else rot(x[3], x[4], x[5])
-        A = A0 @ ra.T
-        B = B0 @ rb.T
+        ra = _rotations(x[:, 0], x[:, 1], x[:, 2])
+        rb = ra if shared else _rotations(x[:, 3], x[:, 4], x[:, 5])
+        e = terms(np.matmul(A0, ra.transpose(0, 2, 1)), np.matmul(B0, rb.transpose(0, 2, 1)))
         total = 0.0
-        for w, terms in layout.groups:
-            s = 0.0
-            for i, j in terms:
-                s += corr(A[i], B[j])
-            total += w * abs(s)
+        for w, group in layout.groups:
+            total = total + w * np.abs(sum(e(i, j) for i, j in group))
         return -total
 
     return objective
 
 
 # -- hidden-vector bound minimization ----------------------------------------------
+
+
+def _bound_objectives(model: CorrelationModel, layout: SettingsLayout):
+    """Batched objectives of the state-corrected bound of a searched family.
+
+    direct maps rows (t_u, p_u, t_v, p_v) to sum_groups w * sum_terms
+    |A(u; a_i) - B(v; b_j)|; triangle maps rows (t_v, p_v) to
+    sum w * |B(v; b_j) - B(v; b_j')| over layout.bound_pairs;
+    weighted_terms gives the direct objective's terms, (k, n_terms).
+    """
+    flat = [(w, i, j) for w, group in layout.groups for i, j in group]
+    weights = np.array([w for w, _, _ in flat])
+    ia = np.array([i for _, i, _ in flat])
+    jb = np.array([j for _, _, j in flat])
+    pair_j = np.array([j for j, _, _ in layout.bound_pairs], dtype=int)
+    pair_j2 = np.array([j2 for _, j2, _ in layout.bound_pairs], dtype=int)
+    pair_w = np.array([w for _, _, w in layout.bound_pairs])
+    abar, bbar = _local_avg_kernels(model, layout.a_list, layout.b_list)
+
+    def terms(x):
+        return np.abs(abar(x[:, 0], x[:, 1])[:, ia] - bbar(x[:, 2], x[:, 3])[:, jb])
+
+    def direct(x):
+        return _row_dots(terms(x), weights)
+
+    def triangle(x):
+        vals = bbar(x[:, 0], x[:, 1])
+        return _row_dots(np.abs(vals[:, pair_j] - vals[:, pair_j2]), pair_w)
+
+    return direct, triangle, lambda x: weights * terms(x)
 
 
 def numeric_fmin(
@@ -389,39 +504,21 @@ def numeric_fmin(
     elif config.dim != 4:
         config = replace(config, ranges=_SPHERE * 2)
 
-    flat = [(w, i, j) for w, group in layout.groups for i, j in group]
-    weights = np.array([w for w, _, _ in flat])
-    ia = np.array([i for _, i, _ in flat])
-    jb = np.array([j for _, _, j in flat])
-    abar, bbar = _local_avg_kernels(model, layout.a_list, layout.b_list)
-
-    def direct(x):
-        return float(weights @ np.abs(abar(x[0], x[1])[ia] - bbar(x[2], x[3])[jb]))
-
+    direct, triangle, weighted_terms = _bound_objectives(model, layout)
     results = _run_starts(direct, config)
     best = _best_of(results)
     pn = 0
     if polish:
-        px, pval, pn = _polish(direct, best.point)
-        if pval < best.value:
-            best = replace(best, point=px, value=pval)
+        best, pn = _polish_best(direct, best)
 
     if check_convergence and config.starts >= 4:
         decile = max(2, -(-config.starts // 10))
         top = sorted(results, key=lambda r: r.value)[:decile]
-        vals = sorted(_polish(direct, r.point, fatol=1e-13, maxiter=1500)[1] for r in top)
+        vals = np.sort(_polish(direct, np.array([r.point for r in top]), fatol=1e-13, maxiter=1500)[1])
         if vals[-1] - vals[0] > 1e-6:
             raise ConvergenceError(
                 f"top-decile spread {vals[-1] - vals[0]:.3e} after {config.starts} starts"
             )
-
-    pair_j = np.array([j for j, _, _ in layout.bound_pairs], dtype=int)
-    pair_j2 = np.array([j2 for _, j2, _ in layout.bound_pairs], dtype=int)
-    pair_w = np.array([w for _, _, w in layout.bound_pairs])
-
-    def triangle(x):
-        vals = bbar(x[0], x[1])
-        return float(pair_w @ np.abs(vals[pair_j] - vals[pair_j2]))
 
     tri_cfg = SearchConfig(
         ranges=_SPHERE,
@@ -432,17 +529,16 @@ def numeric_fmin(
     )
     tri_results = _run_starts(triangle, tri_cfg)
     tri_best = _best_of(tri_results)
-    tval, tn = tri_best.value, 0
+    tn = 0
     if polish:
-        _, tp, tn = _polish(triangle, tri_best.point)
-        tval = min(tp, tval)
+        tri_best, tn = _polish_best(triangle, tri_best)
 
     f_direct = max(0.0, best.value)
-    f_triangle = max(0.0, tval)
+    f_triangle = max(0.0, tri_best.value)
     f_min = max(f_direct, f_triangle)
     u = Direction(float(best.point[0]), float(best.point[1]))
     v = Direction(float(best.point[2]), float(best.point[3]))
-    per_term = weights * np.abs(abar(u.theta, u.phi)[ia] - bbar(v.theta, v.phi)[jb])
+    per_term = weighted_terms(best.point[None])[0]
     return BoundResult(
         f_min=f_min,
         bound=4.0 - f_min,
@@ -464,6 +560,30 @@ inequality.register_numeric_fmin(numeric_fmin)
 # -- CHSH setting optimization -------------------------------------------------------
 
 
+def _chsh_objective(model: CorrelationModel):
+    """Batched -B over rows of four (theta, phi) directions (a, a2, b, b2)."""
+    T = _correlation_tensor(model)
+    if T is not None:
+
+        def negative_b(x):
+            vecs = _unit_vectors(x[:, 0::2], x[:, 1::2])
+            ta, ta2 = np.matmul(vecs[:, :1], T)[:, 0], np.matmul(vecs[:, 1:2], T)[:, 0]
+            b, b2 = vecs[:, 2], vecs[:, 3]
+            return -(_row_dots(ta, b) + _row_dots(ta, b2) + _row_dots(ta2, b) - _row_dots(ta2, b2))
+
+        return negative_b
+
+    corr = _coefficient_correlation(model)
+
+    def negative_b(x):
+        w = _reflection_features(x[:, 0::2], x[:, 1::2])
+        a, a2, b, b2 = w[:, 0], w[:, 1], w[:, 2], w[:, 3]
+        return -(corr(a, b) + corr(a, b2) + corr(a2, b) - corr(a2, b2))
+
+    return negative_b
+
+
+
 def optimize_chsh(model: CorrelationModel, config: SearchConfig | None = None) -> ChshEvaluation:
     """Maximize the CHSH combination over all four measurement directions."""
     if config is None:
@@ -471,32 +591,8 @@ def optimize_chsh(model: CorrelationModel, config: SearchConfig | None = None) -
     elif config.dim != 8:
         config = replace(config, ranges=_SPHERE * 4)
 
-    T = _correlation_tensor(model)
-    if T is not None:
-
-        def negative_b(x):
-            st = np.sin(x[0::2])
-            vecs = np.stack([st * np.cos(x[1::2]), st * np.sin(x[1::2]), np.cos(x[0::2])], axis=1)
-            ta = vecs[0] @ T
-            ta2 = vecs[1] @ T
-            return -(ta @ vecs[2] + ta @ vecs[3] + ta2 @ vecs[2] - ta2 @ vecs[3])
-
-    else:
-
-        def negative_b(x):
-            ev = chsh_value(
-                model,
-                Direction(x[0], x[1]),
-                Direction(x[2], x[3]),
-                Direction(x[4], x[5]),
-                Direction(x[6], x[7]),
-            )
-            return -ev.B
-
-    best = simplex_minimize(negative_b, config)
-    px, pval, _ = _polish(negative_b, best.point)
-    if pval < best.value:
-        best = replace(best, point=px, value=pval)
+    negative_b = _chsh_objective(model)
+    best, _ = _polish_best(negative_b, _best_of(_run_starts(negative_b, config)))
     x = best.point
     return chsh_value(
         model,
@@ -537,17 +633,9 @@ def optimize_rigid(
     objective = _make_rigid_objective(model, layout, shared)
 
     # start 0 must be the identity rotation, not the box midpoint
-    results = []
-    steps = [0.15 * (hi - lo) for lo, hi in config.ranges]
     starts = _start_points(config)
     starts[0] = 0.0
-    for idx, x0 in enumerate(starts):
-        x, v, ok, nfev = _nelder_mead(objective, x0, steps, config.tolerance, config.max_iterations)
-        results.append(SimplexResult(x, float(v), ok, nfev, idx))
-    best = _best_of(results)
-    px, pval, _ = _polish(objective, best.point)
-    if pval < best.value:
-        best = replace(best, point=px, value=pval)
+    best, _ = _polish_best(objective, _best_of(_run_starts(objective, config, starts)))
 
     x = best.point
     ra = RigidRotation(float(x[0]), float(x[1]), float(x[2]))
@@ -770,11 +858,11 @@ def _scan_point(task: ScanTask, index: int, alpha: float | None, phi: float) -> 
     )
 
 
-def scan(variable: str, grid, task: ScanTask, workers: int = 1) -> list[SweepRecord]:
+def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
     """Evaluate the task at every grid point.
 
-    Records come back sorted by grid index and are identical for any worker
-    count (each point draws its own seed from the task seed and index)."""
+    Records come back in grid order; each point draws its own seed from the
+    task seed and its index."""
     grid = list(grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be monotone nondecreasing")
@@ -786,12 +874,4 @@ def scan(variable: str, grid, task: ScanTask, workers: int = 1) -> list[SweepRec
         points = [(i, float(g), task.phi) for i, g in enumerate(grid)]
     else:
         raise ValueError("variable must be 'phi' or 'alpha'")
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda p: _scan_point(task, *p), points))
-    else:
-        records = [_scan_point(task, *p) for p in points]
-    return sorted(records, key=lambda r: r.index)
+    return [_scan_point(task, *p) for p in points]

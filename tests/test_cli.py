@@ -1,6 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import leggett_lab
 from leggett_lab import cli
+from leggett_lab.coherent_algebra import _log_even_series
 
 
 def test_reproduce_fig5_exits_zero_and_is_byte_identical(tmp_path, capsys, monkeypatch):
@@ -22,3 +30,55 @@ def test_reproduce_fig5_exits_zero_and_is_byte_identical(tmp_path, capsys, monke
     for data in runs[0].values():
         assert len(data.decode().splitlines()) == 4  # header and three alpha rows
     assert runs[0] == runs[1]
+
+
+def test_reproduce_fig5_csv_is_pinned(tmp_path, capsys):
+    # SHA-256 prefixes of the CSV files written before the lockstep engine
+    pinned = {
+        "fig5_minus_opt.csv": "9e004282a2b5a475",
+        "fig5_minus_unopt.csv": "f4bea040299b9905",
+        "fig5_plus_opt.csv": "c9a271bf321974f5",
+        "fig5_plus_unopt.csv": "7d13f41c4d6cedda",
+    }
+    argv = ["reproduce", "fig5", "--alpha", "0.4:1.2:0.4", "--starts", "8", "--seed", "0", "--output", str(tmp_path)]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in tmp_path.iterdir()}
+    assert got == pinned
+
+
+def test_optimized_threshold_is_pinned(capsys):
+    argv = ["threshold", "--layout", "3p6", "--state", "ecs-", "--optimize", "--seed", "1"]
+    assert cli.run(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["verdict"] == "threshold"
+    assert summary["alpha_star"] == 1.820166015625
+    assert summary["bracket"] == [1.819856770833333, 1.8204752604166665]
+
+
+def test_fig4_sums_the_series_once_per_amplitude(tmp_path, capsys):
+    _log_even_series.cache_clear()
+    assert cli.run(["reproduce", "fig4", "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _log_even_series.cache_info().misses == 2  # alpha 5 and 50
+
+
+def _module_run(module, *args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(leggett_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("LEGGETT_LAB_SEED", None)
+    return subprocess.run(
+        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["leggett_lab", "leggett_lab.cli"])
+def test_python_m_runs_the_cli(module):
+    res = _module_run(module, "bound", "--layout", "3p6", "--state", "ecs-", "--alpha", "2", "--phi", "0.5")
+    assert res.returncode == 0, res.stderr
+    summary = json.loads(res.stdout)
+    assert summary["command"] == "bound"
+    assert summary["f_min_corrected"] > 0.0
+    res = _module_run(module, "bound", "--no-such-flag")
+    assert res.returncode == 2
+    assert "unrecognized arguments" in res.stderr

@@ -128,7 +128,12 @@ def _direct_objective(model, layout):
     ia = np.array([i for _, i, _ in flat])
     jb = np.array([j for _, _, j in flat])
     abar, bbar = _local_avg_kernels(model, layout.a_list, layout.b_list)
-    return lambda x: float(weights @ np.abs(abar(x[0], x[1])[ia] - bbar(x[2], x[3])[jb]))
+
+    def objective(x):
+        t = np.asarray(x, dtype=float)[None, :]
+        return float(weights @ np.abs(abar(t[:, 0], t[:, 1])[0, ia] - bbar(t[:, 2], t[:, 3])[0, jb]))
+
+    return objective
 
 
 def test_pseudospin_fmin_closed_form_below_search():

@@ -5,6 +5,7 @@ import pytest
 
 from leggett_lab import (
     Direction,
+    RigidRotation,
     ScanTask,
     SearchConfig,
     build_layout,
@@ -14,11 +15,14 @@ from leggett_lab import (
     optimize_chsh,
     optimize_rigid,
     pes_model,
+    rotate_settings,
     scan,
     simplex_maximize,
     simplex_minimize,
     threshold_alpha,
 )
+from leggett_lab import chsh_value, optimize
+from conftest import random_direction
 
 
 def _cfg(ranges, starts=16, seed=0, **kw):
@@ -150,9 +154,7 @@ def test_scan_phi_records_sorted_and_deterministic():
     task = ScanTask("threeplus6", alpha=None, starts=16, seed=13)
     grid = [0.2, 0.4, 0.6, 0.8]
     recs1 = scan("phi", grid, task)
-    recs2 = scan("phi", grid, task, workers=3)
     assert [r.index for r in recs1] == [0, 1, 2, 3]
-    assert recs1 == recs2  # schedule independence
     assert all(r.f_min_analytic is not None for r in recs1)
 
 
@@ -177,3 +179,183 @@ def test_scan_alpha_dip_tracks_kappa_dip():
     kgrid = np.arange(0.8, 3.01, 0.05)
     kdip = kgrid[int(np.argmin([kappa_K(a) for a in kgrid]))]
     assert abs(dip - kdip) < 0.3
+
+
+# -- lockstep engine ------------------------------------------------------------------
+
+
+def _scalar_nelder_mead(f, x0, step, fatol, maxiter):
+    """Reference oracle: the one-start scalar simplex descent that the
+    lockstep engine must reproduce for every start, bit for bit.
+
+    Returns (x_best, f_best, converged, n_evaluations).  Ties are broken by
+    vertex order and the initial simplex is x0 plus one step along each
+    coordinate.
+    """
+    n = len(x0)
+    pts = np.repeat(np.asarray(x0, dtype=float)[None, :], n + 1, axis=0)
+    for k in range(n):
+        pts[k + 1, k] += step[k]
+    vals = np.array([f(p) for p in pts])
+    nfev = n + 1
+    for _ in range(maxiter):
+        order = np.argsort(vals, kind="stable")
+        pts, vals = pts[order], vals[order]
+        if vals[-1] - vals[0] <= fatol:
+            return pts[0], vals[0], True, nfev
+        centroid = pts[:-1].mean(axis=0)
+        xr = centroid + (centroid - pts[-1])
+        fr = f(xr)
+        nfev += 1
+        if fr < vals[0]:
+            xe = centroid + 2.0 * (centroid - pts[-1])
+            fe = f(xe)
+            nfev += 1
+            if fe < fr:
+                pts[-1], vals[-1] = xe, fe
+            else:
+                pts[-1], vals[-1] = xr, fr
+        elif fr < vals[-2]:
+            pts[-1], vals[-1] = xr, fr
+        else:
+            if fr < vals[-1]:
+                xc = centroid + 0.5 * (xr - centroid)
+            else:
+                xc = centroid + 0.5 * (pts[-1] - centroid)
+            fc = f(xc)
+            nfev += 1
+            if fc < min(fr, vals[-1]):
+                pts[-1], vals[-1] = xc, fc
+            else:  # shrink toward the best vertex
+                pts[1:] = pts[0] + 0.5 * (pts[1:] - pts[0])
+                vals[1:] = [f(p) for p in pts[1:]]
+                nfev += n
+    order = np.argsort(vals, kind="stable")
+    return pts[order[0]], vals[order[0]], False, nfev
+
+
+def _rosenbrock(x):
+    return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+
+_KINK_W = np.array([0.5, 1.0, 0.25, 2.0])
+_KINK_A = np.array([[1.0, -0.3, 0.2], [0.4, 1.1, -0.7], [-0.2, 0.5, 1.3], [0.9, 0.9, 0.1]])
+
+
+def _kinked(x):
+    return float(_KINK_W @ np.abs(_KINK_A @ x - np.array([0.3, -0.2, 0.8, 0.1])))
+
+
+def _terraced(x):
+    """A staircase bowl: most comparisons between vertices are ties."""
+    return float(np.floor(4.0 * np.sum((x - 0.3) ** 2)) + np.floor(2.0 * abs(x[0])))
+
+
+@pytest.mark.parametrize(
+    "f, cfg",
+    [
+        (_rosenbrock, _cfg([(-2, 2), (-1, 3)], starts=12, seed=21, max_iterations=4000)),
+        (_kinked, _cfg([(-2, 2)] * 3, starts=12, seed=22)),
+        (_kinked, _cfg([(-2, 2)] * 3, starts=6, seed=23, max_iterations=7)),
+        (_terraced, _cfg([(-2, 2)] * 3, starts=12, seed=24)),
+    ],
+    ids=["rosenbrock", "kinked", "exhausted", "ties"],
+)
+def test_lockstep_engine_matches_scalar_oracle(f, cfg):
+    starts = optimize._start_points(cfg)
+    steps = [0.15 * (hi - lo) for lo, hi in cfg.ranges]
+    x, v, ok, nfev = optimize._nelder_mead(
+        optimize._rowwise(f), starts, steps, cfg.tolerance, cfg.max_iterations
+    )
+    for s, x0 in enumerate(starts):
+        rx, rv, rok, rn = _scalar_nelder_mead(f, x0, steps, cfg.tolerance, cfg.max_iterations)
+        assert np.array_equal(x[s], rx)
+        assert v[s] == rv
+        assert ok[s] == rok
+        assert nfev[s] == rn
+    if cfg.max_iterations == 7:
+        assert not ok.any()
+    else:
+        assert ok.all()
+
+
+def _batched_objectives():
+    lay7, lay6 = build_layout("threeplus7", 0.3), build_layout("threeplus6", 0.65)
+    models = {
+        "pes": pes_model(),
+        "ps-": ecs_model(1.4, -1),
+        "ps+": ecs_model(0.9, +1),
+        "on-": ecs_model(3.0, -1, "on_off"),
+        "par+": ecs_model(3.0, +1, "parity"),
+    }
+    out = {}
+    for name, model in models.items():
+        out[f"chsh-{name}"] = (optimize._chsh_objective(model), _SPHERE4)
+        out[f"rigid-shared-{name}"] = (optimize._make_rigid_objective(model, lay7, True), _EULER3)
+        out[f"rigid-independent-{name}"] = (optimize._make_rigid_objective(model, lay6, False), _EULER3 * 2)
+        direct, triangle, _ = optimize._bound_objectives(model, lay7)
+        out[f"direct-{name}"] = (direct, _SPHERE2 * 2)
+        out[f"triangle-{name}"] = (triangle, _SPHERE2)
+    return out
+
+
+_SPHERE2 = ((0.0, np.pi), (-np.pi, np.pi))
+_SPHERE4 = _SPHERE2 * 4
+_EULER3 = ((0.0, 2 * np.pi),) * 3
+
+
+@pytest.mark.parametrize("name", sorted(_batched_objectives()))
+def test_batched_objective_rows_do_not_depend_on_the_batch(name):
+    objective, ranges = _batched_objectives()[name]
+    cfg = _cfg(ranges, starts=6, seed=31, max_iterations=150)
+    starts = optimize._start_points(cfg)
+    steps = [0.15 * (hi - lo) for lo, hi in ranges]
+    batch = optimize._nelder_mead(objective, starts, steps, cfg.tolerance, cfg.max_iterations)
+    for s in range(cfg.starts):
+        alone = optimize._nelder_mead(objective, starts[s : s + 1], steps, cfg.tolerance, cfg.max_iterations)
+        assert np.array_equal(batch[0][s], alone[0][0])
+        assert batch[1][s] == alone[1][0]
+        assert batch[2][s] == alone[2][0]
+        assert batch[3][s] == alone[3][0]
+
+
+_FAMILY_MODELS = (
+    pes_model(),
+    ecs_model(1.3, -1),
+    ecs_model(0.8, +1),
+    ecs_model(2.0, -1, "on_off"),
+    ecs_model(1.1, +1, "on_off", normalize=False),
+    ecs_model(3.0, -1, "parity"),
+    ecs_model(0.7, +1, "parity"),
+)
+
+
+@pytest.mark.parametrize("model", _FAMILY_MODELS, ids=lambda m: m.label)
+def test_batched_kernels_match_facade(model, rng):
+    a_dirs = [random_direction(rng) for _ in range(3)]
+    b_dirs = [random_direction(rng) for _ in range(4)]
+    abar, bbar = optimize._local_avg_kernels(model, a_dirs, b_dirs)
+    hidden = [random_direction(rng) for _ in range(5)]
+    t = np.array([h.theta for h in hidden])
+    p = np.array([h.phi for h in hidden])
+    got_a, got_b = abar(t, p), bbar(t, p)
+    for k, h in enumerate(hidden):
+        for i, a in enumerate(a_dirs):
+            assert got_a[k, i] == pytest.approx(model.local_average_a(h, a), abs=1e-12)
+        for j, b in enumerate(b_dirs):
+            assert got_b[k, j] == pytest.approx(model.local_average_b(h, b), abs=1e-12)
+
+    # E(a, b) through the batched CHSH objective
+    settings = [[random_direction(rng) for _ in range(4)] for _ in range(5)]
+    x = np.array([[c for d in row for c in (d.theta, d.phi)] for row in settings])
+    got = -optimize._chsh_objective(model)(x)
+    for k, row in enumerate(settings):
+        assert got[k] == pytest.approx(chsh_value(model, *row).B, abs=1e-12)
+
+    # E(a, b) on rotated settings through the batched rigid objective
+    lay = build_layout("threeplus7", 0.4)
+    euler = rng.uniform(0.0, 2 * np.pi, (5, 6))
+    got = -optimize._make_rigid_objective(model, lay, shared=False)(euler)
+    for k, e in enumerate(euler):
+        rotated = rotate_settings(lay, RigidRotation(*e[:3]), RigidRotation(*e[3:]))
+        assert got[k] == pytest.approx(leggett_value(model, rotated), abs=1e-12)
