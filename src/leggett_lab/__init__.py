@@ -3,27 +3,15 @@ entangled coherent states and a two-qubit polarization baseline."""
 
 from .coherent_algebra import (
     EcsSpec,
-    LogValue,
-    gram_expectation,
     gram_matrix,
-    gram_norm,
     kappa_K,
     operator_elements,
     pseudospin_bloch,
-    pseudospin_map,
     rotation_map,
 )
 from .correlations import (
     CorrelationModel,
     ecs_model,
-    ecs_onoff_correlation,
-    ecs_onoff_local_avg,
-    ecs_parity_correlation,
-    ecs_parity_local_avg,
-    ecs_pseudospin_correlation,
-    ecs_pseudospin_local_avg,
-    malus_local_avg,
-    pes_correlation,
     pes_model,
 )
 from .errors import CertificationError, ConvergenceError, LeggettLabError, TruncationError

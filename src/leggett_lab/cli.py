@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 from .errors import LeggettLabError
 from .geometry import build_layout
@@ -68,7 +68,7 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed command configuration; canonical_string() round-trips."""
+    """Parsed command configuration."""
 
     command: str
     state: str = "pes"
@@ -86,23 +86,6 @@ class RunConfig:
     output: str = ""
     fmt: str = "csv"
     svg: bool = False
-
-    def canonical_string(self) -> str:
-        parts = [self.command]
-        if self.command == "reproduce":
-            parts.append(self.figure)
-        for f in fields(self):
-            if f.name in ("command", "figure"):
-                continue
-            val = getattr(self, f.name)
-            if val == f.default:
-                continue
-            flag = "--" + f.name.replace("_", "-").replace("fmt", "format")
-            if isinstance(val, bool):
-                parts.append(flag)
-            else:
-                parts.append(f"{flag}={val}")
-        return " ".join(parts)
 
 
 def parse_range(text: str) -> list[float]:
@@ -247,10 +230,7 @@ def write_csv(path: str, records) -> None:
 
 
 def _records_json(records) -> list[dict]:
-    return [
-        {col: getattr(r, "chsh_B" if col == "chsh_B" else col) for col in CSV_COLUMNS}
-        for r in records
-    ]
+    return [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
 
 
 def _write_records(cfg: RunConfig, records, stem: str) -> list[str]:
@@ -280,14 +260,14 @@ def _write_records(cfg: RunConfig, records, stem: str) -> list[str]:
     return outputs
 
 
-def _model_args(cfg: RunConfig, alpha: float | None):
+def _model_args(cfg: RunConfig):
     if cfg.state == "pes":
         return "qubit_projective", 0
     return cfg.family, +1 if cfg.state == "ecs+" else -1
 
 
 def _task(cfg: RunConfig, alpha: float | None = None, phi: float | None = None) -> ScanTask:
-    family, sign = _model_args(cfg, alpha)
+    family, sign = _model_args(cfg)
     return ScanTask(
         layout_name=cfg.layout,
         family=family,
@@ -340,7 +320,7 @@ def _cmd_scan_alpha(cfg: RunConfig):
 
 
 def _cmd_threshold(cfg: RunConfig):
-    family, sign = _model_args(cfg, None)
+    family, sign = _model_args(cfg)
     phi = float(cfg.phi) if cfg.phi else None
     res = threshold_alpha(
         family,
@@ -373,7 +353,7 @@ def _cmd_threshold(cfg: RunConfig):
 
 
 def _cmd_chsh(cfg: RunConfig):
-    family, sign = _model_args(cfg, None)
+    family, sign = _model_args(cfg)
     alpha = float(cfg.alpha) if cfg.alpha else 1.0
     model = pes_model() if cfg.state == "pes" else ecs_model(alpha, sign, cfg.family)
     if cfg.optimize:
@@ -405,7 +385,7 @@ def _cmd_chsh(cfg: RunConfig):
 def _cmd_bound(cfg: RunConfig):
     phi = float(cfg.phi) if cfg.phi else 0.5
     layout = build_layout(cfg.layout, phi)
-    family, sign = _model_args(cfg, None)
+    family, sign = _model_args(cfg)
     alpha = float(cfg.alpha) if cfg.alpha else 1.0
     model = pes_model() if cfg.state == "pes" else ecs_model(alpha, sign, cfg.family)
     summary = {

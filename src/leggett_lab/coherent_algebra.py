@@ -23,52 +23,6 @@ MIN_COEFF_ALPHA = 0.05  # Gram matrix conditioning floor for coefficient algebra
 FAMILIES = ("onoff", "parity", "sx", "sy", "sz")
 
 
-# -- signed log-domain scalars -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A real number stored as sign and natural log of magnitude."""
-
-    sign: int
-    log_magnitude: float
-
-    @staticmethod
-    def from_float(x: float) -> "LogValue":
-        if x == 0.0:
-            return LogValue(0, -math.inf)
-        return LogValue(1 if x > 0 else -1, math.log(abs(x)))
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue(0, -math.inf)
-        return LogValue(self.sign * other.sign, self.log_magnitude + other.log_magnitude)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = self, other
-        if lo.log_magnitude > hi.log_magnitude:
-            hi, lo = lo, hi
-        diff = lo.log_magnitude - hi.log_magnitude
-        if hi.sign == lo.sign:
-            return LogValue(hi.sign, hi.log_magnitude + math.log1p(math.exp(diff)))
-        rest = -math.expm1(diff)  # 1 - exp(diff), exact near diff = 0
-        if rest == 0.0:
-            return LogValue(0, -math.inf)
-        return LogValue(hi.sign, hi.log_magnitude + math.log(rest))
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(-self.sign, self.log_magnitude)
-
-
 # -- ECS bookkeeping -----------------------------------------------------------
 
 
@@ -104,27 +58,6 @@ class EcsSpec:
 def gram_matrix(alpha: float) -> np.ndarray:
     k = math.exp(-2.0 * alpha * alpha)
     return np.array([[1.0, k], [k, 1.0]])
-
-
-def gram_norm(coeffs, alpha: float) -> float:
-    c = np.asarray(coeffs, dtype=complex)
-    val = float(np.real(c.conj() @ gram_matrix(alpha) @ c))
-    return math.sqrt(max(val, 0.0))
-
-
-def gram_expectation(coeffs_bra, elements: np.ndarray, coeffs_ket, alpha: float) -> complex:
-    """Sesquilinear contraction bra_i* M[i,j] ket_j over the two-ket basis.
-
-    Raises when either side has negligible Gram norm (the contraction would
-    be meaningless once normalized downstream).
-    """
-    if alpha < MIN_COEFF_ALPHA:
-        raise ValueError(f"coefficient algebra needs alpha >= {MIN_COEFF_ALPHA}")
-    bra = np.asarray(coeffs_bra, dtype=complex)
-    ket = np.asarray(coeffs_ket, dtype=complex)
-    if gram_norm(bra, alpha) < 1e-12 or gram_norm(ket, alpha) < 1e-12:
-        raise ValueError("coefficient vector has near-zero Gram norm")
-    return complex(bra.conj() @ elements @ ket)
 
 
 # -- log-domain series ---------------------------------------------------------
@@ -173,10 +106,6 @@ def kappa_K(alpha: float) -> float:
     return float(math.exp(log_k))
 
 
-def kappa_K_grid(alphas) -> np.ndarray:
-    return np.array([kappa_K(a) for a in np.asarray(alphas, dtype=float)])
-
-
 def pseudospin_bloch(alpha: float) -> np.ndarray:
     """Bloch vector m = <a| s |a> of a coherent state under pseudo-spin.
 
@@ -203,23 +132,6 @@ def rotation_map(theta: float, phi: float) -> np.ndarray:
     s, c = math.sin(0.5 * theta), math.cos(0.5 * theta)
     ph = np.exp(1j * phi)
     return np.array([[s, ph * c], [np.conj(ph) * c, -s]])
-
-
-def pseudospin_map(theta: float, phi: float) -> np.ndarray:
-    """Asymptotic action of u . s on coefficients for u = (theta, phi):
-    |a>  -> sin t cos p |a> - (cos t - i sin t sin p)|-a>,
-    |-a> -> -(cos t + i sin t sin p)|a> - sin t cos p |-a>.
-    Hermitian, unitary, and involutory (a reflection).  The sign of the
-    imaginary part follows the exact matrix elements of u . s between the
-    coherent kets (certified against the Fock oracle in the tests)."""
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    return np.array(
-        [
-            [st * cp, -(ct + 1j * st * sp)],
-            [-(ct - 1j * st * sp), -st * cp],
-        ]
-    )
 
 
 # -- operator matrix elements ---------------------------------------------------

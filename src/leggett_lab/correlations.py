@@ -1,142 +1,181 @@
 """Correlation functions E(a, b) and local averages for each state/measurement pair.
 
-Four models are covered:
+Four models are covered: the polarization-entangled singlet with projective
+qubit measurements, and entangled coherent states (ECS) with pseudo-spin,
+on/off or parity measurements.  Local averages model one party's
+sub-ensemble mean when the local state is a rotated coherent state: party A
+rotates |alpha>, party B rotates |-alpha>.
 
-* polarization-entangled singlet baseline with projective qubit measurements
-  (E = -a.b, Malus local averages u.a),
-* entangled coherent states with pseudo-spin measurements (closed forms built
-  on K(alpha) and the coherent-state Bloch vector),
-* entangled coherent states with rotated on/off or parity measurements
-  (computed in the two-ket coefficient algebra, Gram-normalized).
+One representation
+------------------
+Every model is the diagonal t of a correlation tensor, three scalars P, Q
+and kappa, a feature map f of a measurement direction and a hidden map h_A,
+h_B of a hidden direction for each party.  Two formulas give every number:
 
-Local averages model one party's sub-ensemble mean when the local state is a
-rotated coherent state: party A rotates |alpha>, party B rotates |-alpha>.
+    E(a, b) = (P^2 + Q^2 s) / (1 + kappa^2 s),  s = sum_c t_c f_c(a) f_c(b),
+    A(u; a) = (P + Q s) / (1 + kappa s),        s = f(a) . h_A(u),
+
+and B(v; b) is A with h_B.
+
+* Singlet: P, Q, kappa = 0, 1, 0, so E = s and A = s.  f(a) is the unit
+  vector of a, t = (-1, -1, -1), and h(u) = u (Malus law) for both parties.
+* Pseudo-spin: P, Q, kappa = 0, 1, 0 and f(a) the unit vector.  t is
+  (-K, -K, -1) for ECS- and (tanh(2 alpha^2) K, tanh(2 alpha^2) K, 1) for
+  ECS+, with K = K(alpha); the ECS+ entries are the raw expectation after
+  relabeling party B's settings by the reflection (bx, by, bz) ->
+  (-bx, by, bz), certified against the Fock oracle in the tests.  The
+  operator identity (u.s)(a.s)(u.s) = (2(u.a)u - a).s makes the local
+  average a . h(u) with h(u) = 2(u.m)u - m, the Bloch vector m(alpha)
+  reflected about u; party B holds |-alpha>, whose m has its x component
+  flipped.
+* On/off and parity: the two-ket basis {|alpha>, |-alpha>}.  The measured
+  operator has the elements P + Q sigma_x, with P = M00 and Q = M01 of
+  :func:`operator_elements`, and the Gram matrix is 1 + kappa sigma_x with
+  kappa = e^{-2 alpha^2}.  rotation_map(theta, phi) is the Hermitian
+  reflection U = n . sigma with n = (cos(theta/2) cos phi,
+  -cos(theta/2) sin phi, sin(theta/2)).  Since
+  (n.sigma) sigma_k (n.sigma) = 2 n_k (n.sigma) - sigma_k,
+
+      U (P + Q sigma_x) U = P + Q w . sigma,  w = 2 (n.x) n - x,
+
+  and likewise U (1 + kappa sigma_x) U = 1 + kappa w . sigma, so f = w.
+  Party A's local state has the coefficients U(a) U(u) e_0, and
+  <e_0| U(u) sigma U(u) |e_0> = 2 n_z n - z for the axis n of U(u) because
+  <e_0| sigma |e_0> = z.  Hence A(u; a) = (P + Q s) / (1 + kappa s) with
+  s = w(a) . h_A(u), h_A(u) = 2 n_z n - z; party B starts from e_1, whose
+  <sigma> is -z, so h_B = -h_A.  The ECS coefficient matrix is a multiple
+  of sigma_x (ECS+) or i sigma_y (ECS-), and tracing the Pauli expansions
+  of numerator and Gram normalization gives E with t = (1, 1, -1) for ECS+
+  and (-1, -1, -1) for ECS-.
+
+  Caveat: rotation_map is the asymptotic (large-alpha) action of the
+  displacement/Kerr composite.  It is unitary on the coefficients but not
+  on span{|alpha>, |-alpha>} with its Gram metric when kappa is not
+  negligible, so at alpha below about 2 E is not a quantum correlation and
+  can exceed quantum bounds: optimized parity CHSH for ECS- reaches
+  B = 3.669 at alpha = 0.3, above Tsirelson's 2 sqrt 2.
+
+Two evaluators
+--------------
+The constants and maps are computed once per model.  The facade methods
+correlation, local_average_a and local_average_b evaluate one point in
+scalar ``math``; the ``batch_*`` methods evaluate arrays of directions in
+numpy for the search objectives of :mod:`leggett_lab.optimize`.  The
+batched s is a per-row np.matmul (with diag(t) for E), never one BLAS
+product across the batch axis, so no row depends on the rows around it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coherent_algebra import (
-    EcsSpec,
-    gram_matrix,
-    kappa_K,
-    operator_elements,
-    pseudospin_bloch,
-    rotation_map,
-)
-from .geometry import Direction, to_cartesian
+from .coherent_algebra import EcsSpec, kappa_K, operator_elements, pseudospin_bloch
+from .geometry import Direction
 
 PES_FAMILY = "qubit_projective"
 ECS_FAMILIES = ("pseudo_spin", "on_off", "parity")
 
 
-def pes_correlation(a: Direction, b: Direction) -> float:
-    """Singlet correlation -a.b."""
-    return -float(np.dot(to_cartesian(a), to_cartesian(b)))
+# -- feature and hidden maps ------------------------------------------------------
+#
+# Each map takes angles theta, phi and a module xp (math for one point, numpy
+# for arrays) and returns the three components of a vector.
 
 
-def malus_local_avg(u: Direction, a: Direction) -> float:
-    """Malus-law local average u.a."""
-    return float(np.dot(to_cartesian(u), to_cartesian(a)))
+def _unit(theta, phi, xp):
+    """Unit vector (sin t cos p, sin t sin p, cos t)."""
+    st = xp.sin(theta)
+    return st * xp.cos(phi), st * xp.sin(phi), xp.cos(theta)
 
 
-def ecs_pseudospin_correlation(spec: EcsSpec, a: Direction, b: Direction) -> float:
-    """Two-mode pseudo-spin correlation of an ECS.
-
-    sign -:  -cos tA cos tB - K(a) sin tA sin tB cos(pA - pB).
-    sign +:  +cos tA cos tB + tanh(2 a^2) K(a) sin tA sin tB cos(pA - pB),
-    which is the raw expectation after relabeling one party's settings by the
-    reflection (bx, by, bz) -> (-bx, by, bz); the relabeling is certified
-    against the Fock oracle in the tests.
-    """
-    K = kappa_K(spec.alpha)
-    ca, cb = math.cos(a.theta), math.cos(b.theta)
-    sa, sb = math.sin(a.theta), math.sin(b.theta)
-    transverse = sa * sb * math.cos(a.phi - b.phi)
-    if spec.sign < 0:
-        return -ca * cb - K * transverse
-    return ca * cb + math.tanh(2.0 * spec.alpha**2) * K * transverse
+def _axis(theta, phi, xp):
+    """Axis n of rotation_map(theta, phi) = n . sigma."""
+    c = xp.cos(0.5 * theta)
+    return c * xp.cos(phi), -c * xp.sin(phi), xp.sin(0.5 * theta)
 
 
-def _reflected(u: Direction, a: Direction) -> np.ndarray:
-    uv, av = to_cartesian(u), to_cartesian(a)
-    return 2.0 * float(np.dot(uv, av)) * uv - av
+def _reflection(theta, phi, xp):
+    """Reflection feature w = 2 (n.x) n - x."""
+    nx, ny, nz = _axis(theta, phi, xp)
+    return 2.0 * nx * nx - 1.0, 2.0 * nx * ny, 2.0 * nx * nz
 
 
-def ecs_pseudospin_local_avg(spec: EcsSpec, u: Direction, a: Direction, party: str = "a") -> float:
-    """<(u.s)(a.s)(u.s)> on one party's coherent component.
-
-    The operator identity (u.s)(a.s)(u.s) = (2(u.a)u - a).s turns this into
-    the reflected direction dotted with the local Bloch vector; party B uses
-    the Bloch vector of |-alpha>, whose transverse component is flipped.
-    """
-    m = pseudospin_bloch(spec.alpha)
-    if party == "b":
-        m = m * np.array([-1.0, 1.0, 1.0])
-    return float(np.dot(_reflected(u, a), m))
+def _reflection_of_vectors(v):
+    """Reflection features of unit vectors v (..., 3), through their angles."""
+    theta = np.arccos(np.clip(v[..., 2], -1.0, 1.0))
+    return _stacked(_reflection(theta, np.arctan2(v[..., 1], v[..., 0]), np))
 
 
-# -- two-ket coefficient algebra models ----------------------------------------
+def _rotated_z(theta, phi, xp):
+    """h_A(u) = 2 n_z n - z: the Bloch vector of e_0 under the reflection about n."""
+    nx, ny, nz = _axis(theta, phi, xp)
+    return 2.0 * nz * nx, 2.0 * nz * ny, 2.0 * nz * nz - 1.0
 
 
-def _family_elements(spec: EcsSpec, family: str) -> np.ndarray:
-    name = {"on_off": "onoff", "parity": "parity"}[family]
-    return operator_elements(name, spec.alpha)
+def _rotated_minus_z(theta, phi, xp):
+    """h_B(u) = -h_A(u): party B starts from e_1, whose Bloch vector is -z."""
+    hx, hy, hz = _rotated_z(theta, phi, xp)
+    return -hx, -hy, -hz
 
 
-def _coeff_correlation(spec: EcsSpec, family: str, a: Direction, b: Direction, normalize: bool) -> float:
-    m = _family_elements(spec, family)
-    c = spec.coefficient_tensor()
-    d = rotation_map(a.theta, a.phi) @ c @ rotation_map(b.theta, b.phi).T
-    num = np.einsum("xy,xu,yv,uv->", d.conj(), m, m, d)
-    if normalize:
-        g = gram_matrix(spec.alpha)
-        den = np.einsum("xy,xu,yv,uv->", d.conj(), g, g, d).real
+def _reflected_bloch(m):
+    """h(u) = 2 (u.m) u - m, the Bloch vector m reflected about u."""
+    mx, my, mz = m
+
+    def hidden(theta, phi, xp):
+        ux, uy, uz = _unit(theta, phi, xp)
+        um2 = 2.0 * (ux * mx + uy * my + uz * mz)
+        return um2 * ux - mx, um2 * uy - my, um2 * uz - mz
+
+    return hidden
+
+
+def _stacked(components):
+    """Three component arrays of one shape as one array with a last axis of 3."""
+    x, y, z = components
+    out = np.empty(np.shape(x) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = x, y, z
+    return out
+
+
+class _Representation(NamedTuple):
+    t: tuple  # diagonal of the correlation tensor
+    t_array: np.ndarray
+    p: float
+    q: float
+    kappa: float
+    feature: Callable  # f(theta, phi, xp)
+    vector_feature: Callable  # f of unit vectors (..., 3), numpy
+    hidden_a: Callable  # h_A(theta, phi, xp)
+    hidden_b: Callable
+
+
+def _representation(family: str, ecs: EcsSpec | None) -> _Representation:
+    p, q, kappa = 0.0, 1.0, 0.0
+    feature, vector_feature = _unit, np.asarray
+    if family == PES_FAMILY:
+        t = (-1.0, -1.0, -1.0)
+        hidden_a = hidden_b = _unit
+    elif family == "pseudo_spin":
+        K = kappa_K(ecs.alpha)
+        if ecs.sign < 0:
+            t = (-K, -K, -1.0)
+        else:
+            kt = math.tanh(2.0 * ecs.alpha**2) * K
+            t = (kt, kt, 1.0)
+        mx, my, mz = (float(c) for c in pseudospin_bloch(ecs.alpha))
+        hidden_a, hidden_b = _reflected_bloch((mx, my, mz)), _reflected_bloch((-mx, my, mz))
     else:
-        den = 1.0
-    return float(num.real / den)
-
-
-def _coeff_local_avg(
-    spec: EcsSpec, family: str, u: Direction, a: Direction, party: str, normalize: bool
-) -> float:
-    m = _family_elements(spec, family)
-    start = np.array([1.0, 0.0], dtype=complex) if party == "a" else np.array([0.0, 1.0], dtype=complex)
-    c = rotation_map(a.theta, a.phi) @ (rotation_map(u.theta, u.phi) @ start)
-    num = (c.conj() @ m @ c).real
-    if normalize:
-        den = float(np.real(c.conj() @ gram_matrix(spec.alpha) @ c))
-    else:
-        den = 1.0
-    return float(num / den)
-
-
-def ecs_onoff_correlation(spec: EcsSpec, a: Direction, b: Direction, normalize: bool = True) -> float:
-    """ECS correlation of rotated on/off measurements, via coefficient maps."""
-    return _coeff_correlation(spec, "on_off", a, b, normalize)
-
-
-def ecs_parity_correlation(spec: EcsSpec, a: Direction, b: Direction, normalize: bool = True) -> float:
-    """ECS correlation of rotated parity measurements, via coefficient maps."""
-    return _coeff_correlation(spec, "parity", a, b, normalize)
-
-
-def ecs_onoff_local_avg(
-    spec: EcsSpec, u: Direction, a: Direction, party: str = "a", normalize: bool = True
-) -> float:
-    """Local average of a rotated on/off measurement on a rotated coherent state."""
-    return _coeff_local_avg(spec, "on_off", u, a, party, normalize)
-
-
-def ecs_parity_local_avg(
-    spec: EcsSpec, u: Direction, a: Direction, party: str = "a", normalize: bool = True
-) -> float:
-    """Parity variant of :func:`ecs_onoff_local_avg`."""
-    return _coeff_local_avg(spec, "parity", u, a, party, normalize)
+        m = operator_elements("onoff" if family == "on_off" else "parity", ecs.alpha)
+        t = (1.0, 1.0, -1.0) if ecs.sign > 0 else (-1.0, -1.0, -1.0)
+        p, q, kappa = float(m[0, 0].real), float(m[0, 1].real), ecs.kappa
+        feature, vector_feature = _reflection, _reflection_of_vectors
+        hidden_a, hidden_b = _rotated_z, _rotated_minus_z
+    return _Representation(t, np.array(t), p, q, kappa, feature, vector_feature, hidden_a, hidden_b)
 
 
 # -- model facade ---------------------------------------------------------------
@@ -148,7 +187,7 @@ class CorrelationModel:
 
     family: str
     ecs: EcsSpec | None = None
-    normalize: bool = field(default=True)
+    _rep: _Representation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family == PES_FAMILY:
@@ -159,6 +198,7 @@ class CorrelationModel:
                 raise ValueError(f"{self.family} needs an EcsSpec")
         else:
             raise ValueError(f"unknown measurement family {self.family!r}")
+        object.__setattr__(self, "_rep", _representation(self.family, self.ecs))
 
     @property
     def label(self) -> str:
@@ -166,37 +206,80 @@ class CorrelationModel:
             return "pes"
         return f"ecs{'+' if self.ecs.sign > 0 else '-'}:{self.family}:a={self.ecs.alpha:g}"
 
+    def _correlation_of(self, s):
+        """E = (P^2 + Q^2 s) / (1 + kappa^2 s) of s = sum_c t_c f_c(a) f_c(b)."""
+        r = self._rep
+        return _ratio(s, r.p * r.p, r.q * r.q, r.kappa * r.kappa)
+
+    def _average_of(self, s):
+        """A = (P + Q s) / (1 + kappa s) of s = f(a) . h(u)."""
+        r = self._rep
+        return _ratio(s, r.p, r.q, r.kappa)
+
+    # one point, scalar math
+
     def correlation(self, a: Direction, b: Direction) -> float:
-        if self.family == PES_FAMILY:
-            return pes_correlation(a, b)
-        if self.family == "pseudo_spin":
-            return ecs_pseudospin_correlation(self.ecs, a, b)
-        if self.family == "on_off":
-            return ecs_onoff_correlation(self.ecs, a, b, self.normalize)
-        return ecs_parity_correlation(self.ecs, a, b, self.normalize)
+        r = self._rep
+        fa = r.feature(a.theta, a.phi, math)
+        fb = r.feature(b.theta, b.phi, math)
+        t = r.t
+        return self._correlation_of(t[0] * fa[0] * fb[0] + t[1] * fa[1] * fb[1] + t[2] * fa[2] * fb[2])
+
+    def _local_average(self, hidden, u: Direction, a: Direction) -> float:
+        f = self._rep.feature(a.theta, a.phi, math)
+        h = hidden(u.theta, u.phi, math)
+        return self._average_of(f[0] * h[0] + f[1] * h[1] + f[2] * h[2])
 
     def local_average_a(self, u: Direction, a: Direction) -> float:
-        if self.family == PES_FAMILY:
-            return malus_local_avg(u, a)
-        if self.family == "pseudo_spin":
-            return ecs_pseudospin_local_avg(self.ecs, u, a, "a")
-        if self.family == "on_off":
-            return ecs_onoff_local_avg(self.ecs, u, a, "a", self.normalize)
-        return ecs_parity_local_avg(self.ecs, u, a, "a", self.normalize)
+        return self._local_average(self._rep.hidden_a, u, a)
 
     def local_average_b(self, v: Direction, b: Direction) -> float:
-        if self.family == PES_FAMILY:
-            return malus_local_avg(v, b)
-        if self.family == "pseudo_spin":
-            return ecs_pseudospin_local_avg(self.ecs, v, b, "b")
-        if self.family == "on_off":
-            return ecs_onoff_local_avg(self.ecs, v, b, "b", self.normalize)
-        return ecs_parity_local_avg(self.ecs, v, b, "b", self.normalize)
+        return self._local_average(self._rep.hidden_b, v, b)
+
+    # batches, numpy
+
+    def setting_features(self, dirs) -> np.ndarray:
+        """f of each direction in dirs: (n, 3)."""
+        return np.array([self._rep.feature(d.theta, d.phi, math) for d in dirs])
+
+    def batch_features(self, theta, phi) -> np.ndarray:
+        """f of directions given as angle arrays: (..., 3)."""
+        return _stacked(self._rep.feature(theta, phi, np))
+
+    def batch_vector_features(self, v) -> np.ndarray:
+        """f of unit vectors v (..., 3): (..., 3)."""
+        return self._rep.vector_feature(v)
+
+    def batch_correlation(self, fa, fb) -> np.ndarray:
+        """E between the features fa (k, n, 3) and fb (k, m, 3) of each row: (k, n, m).
+
+        fa * t equals the product with diag(t) bit for bit, since every
+        other term of that product is an exact zero.
+        """
+        return self._correlation_of(np.matmul(fa * self._rep.t_array, fb.transpose(0, 2, 1)))
+
+    def batch_local_averages(self, party: str, settings, theta, phi) -> np.ndarray:
+        """A(u; a_i) (party "a") or B(v; b_i) (party "b") for the setting
+        features (n, 3) at hidden angle arrays of shape (k,): (k, n)."""
+        hidden = self._rep.hidden_a if party == "a" else self._rep.hidden_b
+        h = _stacked(hidden(theta, phi, np))
+        return self._average_of(np.matmul(settings, h[:, :, None])[:, :, 0])
+
+
+def _ratio(s, c0, c1, d1):
+    """(c0 + c1 s) / (1 + d1 s), for a float or an array s; equals s exactly
+    when (c0, c1, d1) = (0, 1, 0)."""
+    num = s * c1
+    num += c0
+    den = s * d1
+    den += 1.0
+    num /= den
+    return num
 
 
 def pes_model() -> CorrelationModel:
     return CorrelationModel(PES_FAMILY)
 
 
-def ecs_model(alpha: float, sign: int, family: str = "pseudo_spin", normalize: bool = True) -> CorrelationModel:
-    return CorrelationModel(family, EcsSpec(alpha, sign), normalize)
+def ecs_model(alpha: float, sign: int, family: str = "pseudo_spin") -> CorrelationModel:
+    return CorrelationModel(family, EcsSpec(alpha, sign))

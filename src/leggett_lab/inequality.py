@@ -228,7 +228,6 @@ def implication_check(
     bound_mode: str = "state_corrected",
     starts: int = 16,
     seed: int = 0,
-    chsh_optimizer=None,
 ) -> ImplicationReport:
     """For every grid point where the Leggett evaluation is violated, an
     optimized CHSH evaluation must exceed 2.  Returns the counterexamples
@@ -237,8 +236,6 @@ def implication_check(
     from .optimize import SearchConfig, numeric_fmin, optimize_chsh
     from .util import stable_seed
 
-    if chsh_optimizer is None:
-        chsh_optimizer = optimize_chsh
     counterexamples = []
     n_violations = 0
     n_points = 0
@@ -271,7 +268,7 @@ def implication_check(
                 ccfg = SearchConfig(
                     ranges=sphere * 4, starts=starts, seed=stable_seed(seed, "chsh", i)
                 )
-                chsh_b = chsh_optimizer(model, ccfg).B
+                chsh_b = optimize_chsh(model, ccfg).B
             if not chsh_b > 2.0:
                 counterexamples.append((float(alpha), float(phi), margin, chsh_b))
     return ImplicationReport(tuple(counterexamples), n_violations, n_points)

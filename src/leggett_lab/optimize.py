@@ -14,11 +14,17 @@ midpoint (the identity rotation for rigid searches), and the reduction picks
 the best value with start-index tie-break.  Each start keeps its own
 reflection, expansion, contraction and shrink decisions and its own stable
 vertex sort.  No row of an objective's result depends on which other rows
-share its batch: the kernels are elementwise, and their small matrix and
-vector products are stacked per row (np.matmul over a leading batch axis),
-never one BLAS product across the batch axis, which can round a row
-differently depending on the rows around it.  So every start follows
-exactly the trajectory it would follow alone.
+share its batch: the arithmetic is elementwise, and small matrix and vector
+products are stacked per row (np.matmul over a leading batch axis), never
+one BLAS product across the batch axis, which can round a row differently
+depending on the rows around it.  So every start follows exactly the
+trajectory it would follow alone.
+
+The bound, CHSH and rigid-rotation objectives are the same code for all
+four measurement families: each evaluates its model through the batched
+evaluator of :class:`leggett_lab.correlations.CorrelationModel`, the
+features and hidden maps of the model's one representation put into
+E = (P^2 + Q^2 s) / (1 + kappa^2 s) and A = (P + Q s) / (1 + kappa s).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import qmc
 
-from .coherent_algebra import gram_matrix, kappa_K, operator_elements, pseudospin_bloch, rotation_map
+from .coherent_algebra import pseudospin_bloch
 from .correlations import CorrelationModel, ecs_model, pes_model
 from .errors import ConvergenceError
 from .geometry import Direction, RigidRotation, SettingsLayout, build_layout, rotate_settings, to_cartesian
@@ -213,22 +219,7 @@ def simplex_maximize(objective, config: SearchConfig) -> SimplexResult:
     return replace(res, value=-res.value)
 
 
-# -- batched local-average and correlation kernels --------------------------------
-#
-# Each kernel maps a batch of angles to a batch of values and keeps the
-# determinism contract above: elementwise arithmetic, and np.matmul over a
-# leading batch axis, which applies the unbatched product to each row.  The
-# tests check every kernel against the CorrelationModel facade.
-
-
-def _unit_vectors(theta, phi):
-    """(sin t cos p, sin t sin p, cos t) on a new last axis."""
-    st = np.sin(theta)
-    out = np.empty(np.shape(theta) + (3,))
-    out[..., 0] = st * np.cos(phi)
-    out[..., 1] = st * np.sin(phi)
-    out[..., 2] = np.cos(theta)
-    return out
+# -- batched objectives --------------------------------------------------------------
 
 
 def _row_dots(x, y):
@@ -241,146 +232,6 @@ def _row_dots(x, y):
     x = np.ascontiguousarray(x)[:, None, :]
     y = np.ascontiguousarray(y)[..., None]
     return np.matmul(x, y)[:, 0, 0]
-
-
-def _settings_dot(S, u):
-    """S u_r for the settings S (n, 3) and each row u_r of u (k, 3): (k, n)."""
-    return np.matmul(S, u[:, :, None])[:, :, 0]
-
-
-def _conjugated_pair(model: CorrelationModel, d: Direction):
-    """(M', G') = U(d)^dag (M, Gram) U(d) for a coefficient-algebra family."""
-    name = "onoff" if model.family == "on_off" else "parity"
-    m = operator_elements(name, model.ecs.alpha)
-    g = gram_matrix(model.ecs.alpha)
-    u = rotation_map(d.theta, d.phi)
-    return u.conj().T @ m @ u, u.conj().T @ g @ u
-
-
-def _hermitian_quad(h, x):
-    """Re sum_xy h_xy conj(c_x) c_y in real arithmetic, summed in the order
-    and rounded as the complex products h_xy * (conj(c_x) c_y) are, so it
-    equals the complex evaluation bit for bit.
-
-    h holds the settings' entries (re h00, re h01, im h01, re h10, im h10,
-    re h11) as arrays over the settings; x holds the products conj(c_x) c_y
-    of each row as (x00, re x01, im x01, re x10, im x10, x11), as (k, 1)
-    columns.  Returns (k, n_settings).
-    """
-    r00, r01, i01, r10, i10, r11 = h
-    x00, x01r, x01i, x10r, x10i, x11 = x
-    return ((r00 * x00 + (r01 * x01r - i01 * x01i)) + (r10 * x10r - i10 * x10i)) + r11 * x11
-
-
-def _local_avg_kernels(model: CorrelationModel, a_dirs, b_dirs):
-    """Batched A(u; a_i) over a_dirs and B(v; b_j) over b_dirs.
-
-    Returns (abar, bbar); each maps angle arrays theta, phi of shape (k,) to
-    a (k, len(dirs)) array.
-    """
-    if model.family in ("qubit_projective", "pseudo_spin"):
-        A = np.array([to_cartesian(d) for d in a_dirs])
-        B = np.array([to_cartesian(d) for d in b_dirs])
-        if model.family == "qubit_projective":  # A(u; a) = a . u
-            return (
-                lambda t, p: _settings_dot(A, _unit_vectors(t, p)),
-                lambda t, p: _settings_dot(B, _unit_vectors(t, p)),
-            )
-
-        def kernel(S, m):  # A(u; a) = a . (2 (u.m) u - m)
-            Sm = S @ m
-
-            def local(t, p):
-                u = _unit_vectors(t, p)
-                return 2.0 * _settings_dot(S, u) * _row_dots(u, m)[:, None] - Sm
-
-            return local
-
-        # party B holds |-alpha>, whose Bloch vector has its x component flipped
-        m_a = pseudospin_bloch(model.ecs.alpha)
-        return kernel(A, m_a), kernel(B, m_a * np.array([-1.0, 1.0, 1.0]))
-
-    # on_off / parity: A(u; a) = <c|M'|c> / <c|G'|c> with c = U(u) e_party,
-    # that is c = (s, e^{-ip} c) for party A and (e^{ip} c, -s) for party B,
-    # s = sin(t/2), c = cos(t/2); x below are the products conj(c_x) c_y
-    pairs_a = [_conjugated_pair(model, d) for d in a_dirs]
-    pairs_b = [_conjugated_pair(model, d) for d in b_dirs]
-    normalize = model.normalize
-
-    def entries(h):
-        h = np.array(h)
-        return tuple(
-            np.ascontiguousarray(e)
-            for e in (h[:, 0, 0].real, h[:, 0, 1].real, h[:, 0, 1].imag, h[:, 1, 0].real, h[:, 1, 0].imag, h[:, 1, 1].real)
-        )
-
-    def kernel(pairs, first):
-        m = entries([mp for mp, _ in pairs])
-        g = entries([gp for _, gp in pairs])
-
-        def local(t, p):
-            t, p = t[:, None], p[:, None]
-            s, c = np.sin(0.5 * t), np.cos(0.5 * t)
-            cp, sp = np.cos(p), np.sin(p)
-            if first:
-                c1r, c1i = cp * c, -sp * c
-                x = (s * s, s * c1r, s * c1i, c1r * s, -c1i * s, c1r * c1r + c1i * c1i)
-            else:
-                c0r, c0i = cp * c, sp * c
-                x = (c0r * c0r + c0i * c0i, -(c0r * s), c0i * s, -(s * c0r), -(s * c0i), s * s)
-            num = _hermitian_quad(m, x)
-            return num / _hermitian_quad(g, x) if normalize else num
-
-        return local
-
-    return kernel(pairs_a, True), kernel(pairs_b, False)
-
-
-def _correlation_tensor(model: CorrelationModel):
-    """3x3 tensor T with E(a, b) = a . T b, or None for coefficient models."""
-    if model.family == "qubit_projective":
-        return -np.eye(3)
-    if model.family == "pseudo_spin":
-        K = kappa_K(model.ecs.alpha)
-        if model.ecs.sign < 0:
-            return np.diag([-K, -K, -1.0])
-        kt = math.tanh(2.0 * model.ecs.alpha**2) * K
-        return np.diag([kt, kt, 1.0])
-    return None
-
-
-def _reflection_features(theta, phi):
-    """w = 2 (n.x) n - x for the axis n of rotation_map(theta, phi) = n . sigma,
-    so that U (P + Q sigma_x) U = P + Q w . sigma; shape (..., 3)."""
-    c = np.cos(0.5 * theta)
-    nx, ny, nz = c * np.cos(phi), -c * np.sin(phi), np.sin(0.5 * theta)
-    return np.stack((2.0 * nx * nx - 1.0, 2.0 * nx * ny, 2.0 * nx * nz), axis=-1)
-
-
-def _coefficient_correlation(model: CorrelationModel):
-    """Batched E(a, b) of an on/off or parity model on reflection features.
-
-    The measured operator is P + Q sigma_x and the Gram matrix 1 + kappa
-    sigma_x on the two-ket basis, and the ECS coefficient matrix is a
-    multiple of sigma_x (ECS+) or i sigma_y (ECS-).  Tracing the Pauli
-    expansions gives E = (P^2 + Q^2 s) / (1 + kappa^2 s) with
-    s = sum_c r_c w_c(a) w_c(b), r = (1, 1, -1) for ECS+ and (-1, -1, -1)
-    for ECS-; without Gram normalization E = (P^2 + Q^2 s) / (1 + sign e^{-4 alpha^2}).
-    """
-    name = "onoff" if model.family == "on_off" else "parity"
-    m = operator_elements(name, model.ecs.alpha)
-    p2, q2 = float(m[0, 0].real) ** 2, float(m[0, 1].real) ** 2
-    k2 = float(gram_matrix(model.ecs.alpha)[0, 1]) ** 2
-    r = (1.0, 1.0, -1.0) if model.ecs.sign > 0 else (-1.0, -1.0, -1.0)
-    scale = 2.0 * model.ecs.norm**2
-    normalize = model.normalize
-
-    def corr(wa, wb):
-        s = r[0] * wa[..., 0] * wb[..., 0] + r[1] * wa[..., 1] * wb[..., 1] + r[2] * wa[..., 2] * wb[..., 2]
-        num = p2 + q2 * s
-        return num / (1.0 + k2 * s) if normalize else scale * num
-
-    return corr
 
 
 def _rotations(z1, y, z2):
@@ -405,31 +256,17 @@ def _make_rigid_objective(model: CorrelationModel, layout: SettingsLayout, share
     """Batched negative inequality value over Euler angles, (k, 3) or (k, 6)."""
     A0 = np.array([to_cartesian(d) for d in layout.a_list])
     B0 = np.array([to_cartesian(d) for d in layout.b_list])
-    T = _correlation_tensor(model)
-
-    if T is not None:
-
-        def terms(A, B):
-            M = np.matmul(np.matmul(A, T), B.transpose(0, 2, 1))
-            return lambda i, j: M[:, i, j]
-
-    else:
-        corr = _coefficient_correlation(model)
-
-        def features(V):  # back to angles, the parametrization of rotation_map
-            return _reflection_features(np.arccos(np.clip(V[..., 2], -1.0, 1.0)), np.arctan2(V[..., 1], V[..., 0]))
-
-        def terms(A, B):
-            wa, wb = features(A), features(B)
-            return lambda i, j: corr(wa[:, i], wb[:, j])
 
     def objective(x):
         ra = _rotations(x[:, 0], x[:, 1], x[:, 2])
         rb = ra if shared else _rotations(x[:, 3], x[:, 4], x[:, 5])
-        e = terms(np.matmul(A0, ra.transpose(0, 2, 1)), np.matmul(B0, rb.transpose(0, 2, 1)))
+        e = model.batch_correlation(
+            model.batch_vector_features(np.matmul(A0, ra.transpose(0, 2, 1))),
+            model.batch_vector_features(np.matmul(B0, rb.transpose(0, 2, 1))),
+        )
         total = 0.0
         for w, group in layout.groups:
-            total = total + w * np.abs(sum(e(i, j) for i, j in group))
+            total = total + w * np.abs(sum(e[:, i, j] for i, j in group))
         return -total
 
     return objective
@@ -453,16 +290,17 @@ def _bound_objectives(model: CorrelationModel, layout: SettingsLayout):
     pair_j = np.array([j for j, _, _ in layout.bound_pairs], dtype=int)
     pair_j2 = np.array([j2 for _, j2, _ in layout.bound_pairs], dtype=int)
     pair_w = np.array([w for _, _, w in layout.bound_pairs])
-    abar, bbar = _local_avg_kernels(model, layout.a_list, layout.b_list)
+    fa, fb = model.setting_features(layout.a_list), model.setting_features(layout.b_list)
 
     def terms(x):
-        return np.abs(abar(x[:, 0], x[:, 1])[:, ia] - bbar(x[:, 2], x[:, 3])[:, jb])
+        abar = model.batch_local_averages("a", fa, x[:, 0], x[:, 1])
+        return np.abs(abar[:, ia] - model.batch_local_averages("b", fb, x[:, 2], x[:, 3])[:, jb])
 
     def direct(x):
         return _row_dots(terms(x), weights)
 
     def triangle(x):
-        vals = bbar(x[:, 0], x[:, 1])
+        vals = model.batch_local_averages("b", fb, x[:, 0], x[:, 1])
         return _row_dots(np.abs(vals[:, pair_j] - vals[:, pair_j2]), pair_w)
 
     return direct, triangle, lambda x: weights * terms(x)
@@ -562,26 +400,13 @@ inequality.register_numeric_fmin(numeric_fmin)
 
 def _chsh_objective(model: CorrelationModel):
     """Batched -B over rows of four (theta, phi) directions (a, a2, b, b2)."""
-    T = _correlation_tensor(model)
-    if T is not None:
-
-        def negative_b(x):
-            vecs = _unit_vectors(x[:, 0::2], x[:, 1::2])
-            ta, ta2 = np.matmul(vecs[:, :1], T)[:, 0], np.matmul(vecs[:, 1:2], T)[:, 0]
-            b, b2 = vecs[:, 2], vecs[:, 3]
-            return -(_row_dots(ta, b) + _row_dots(ta, b2) + _row_dots(ta2, b) - _row_dots(ta2, b2))
-
-        return negative_b
-
-    corr = _coefficient_correlation(model)
 
     def negative_b(x):
-        w = _reflection_features(x[:, 0::2], x[:, 1::2])
-        a, a2, b, b2 = w[:, 0], w[:, 1], w[:, 2], w[:, 3]
-        return -(corr(a, b) + corr(a, b2) + corr(a2, b) - corr(a2, b2))
+        f = model.batch_features(x[:, 0::2], x[:, 1::2])
+        e = model.batch_correlation(f[:, :2], f[:, 2:])
+        return -(e[:, 0, 0] + e[:, 0, 1] + e[:, 1, 0] - e[:, 1, 1])
 
     return negative_b
-
 
 
 def optimize_chsh(model: CorrelationModel, config: SearchConfig | None = None) -> ChshEvaluation:
@@ -789,7 +614,6 @@ class ScanTask:
     include_chsh: bool = False
     starts: int = 32
     seed: int = 0
-    strict_convergence: bool = True
 
 
 def _scan_point(task: ScanTask, index: int, alpha: float | None, phi: float) -> SweepRecord:
@@ -814,11 +638,10 @@ def _scan_point(task: ScanTask, index: int, alpha: float | None, phi: float) -> 
             shared=task.shared,
             bound_mode=task.bound_mode,
             bound_config=bcfg,
-            check_convergence=task.strict_convergence,
         )
     else:
         if task.bound_mode == "state_corrected":
-            bound = numeric_fmin(model, layout, bcfg, check_convergence=task.strict_convergence)
+            bound = numeric_fmin(model, layout, bcfg)
         else:
             bound = leggett_bound(model, layout, mode=task.bound_mode)
         value = leggett_value(model, layout)
@@ -831,9 +654,7 @@ def _scan_point(task: ScanTask, index: int, alpha: float | None, phi: float) -> 
     except ValueError:
         f_an = None
     if f_corr is None and task.layout_name != "original":
-        f_corr = numeric_fmin(
-            model, ev.layout, bcfg, check_convergence=task.strict_convergence
-        ).f_min
+        f_corr = numeric_fmin(model, ev.layout, bcfg).f_min
 
     chsh_b = None
     if task.include_chsh:

@@ -47,6 +47,30 @@ def test_reproduce_fig5_csv_is_pinned(tmp_path, capsys):
     assert got == pinned
 
 
+def test_reproduce_fig4_csv_is_pinned(tmp_path, capsys, monkeypatch):
+    # SHA-256 prefixes of the default fig4 CSV files (closed-form bound, one-point facade)
+    monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
+    pinned = {"fig4_alpha5.csv": "cd4af5b1eb86baaf", "fig4_alpha50.csv": "2e915355b00e61c6"}
+    assert cli.run(["reproduce", "fig4", "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in tmp_path.iterdir()}
+    assert got == pinned
+
+
+@pytest.mark.parametrize(
+    "layout, phi, digest",
+    [("3p6", "0.2:1.0:0.4", "833d0cd96ef54cfb"), ("3p7", "0.25:1.25:0.5", "c7294c93b82ba647")],
+)
+def test_singlet_scan_phi_csv_is_pinned(layout, phi, digest, tmp_path, capsys, monkeypatch):
+    # the singlet bound is searched, so this pins the batched local averages too
+    monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
+    out = tmp_path / "scan.csv"
+    argv = ["scan-phi", "--state", "pes", "--layout", layout, "--phi", phi, "--starts", "8", "--seed", "0"]
+    assert cli.run(argv + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
 def test_optimized_threshold_is_pinned(capsys):
     argv = ["threshold", "--layout", "3p6", "--state", "ecs-", "--optimize", "--seed", "1"]
     assert cli.run(argv) == 0

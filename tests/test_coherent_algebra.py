@@ -6,48 +6,14 @@ import pytest
 from leggett_lab import (
     CertificationError,
     EcsSpec,
-    LogValue,
-    gram_expectation,
     gram_matrix,
-    gram_norm,
     kappa_K,
     operator_elements,
     pseudospin_bloch,
-    pseudospin_map,
     rotation_map,
 )
 from leggett_lab import fock
 from leggett_lab.coherent_algebra import FAMILIES
-from conftest import random_direction
-
-
-# -- LogValue -------------------------------------------------------------------
-
-
-def test_logvalue_roundtrip_and_arithmetic(rng):
-    # cancelling sums cannot beat float cancellation, so the relative-1e-14
-    # contract is against the result for same-sign pairs and against the
-    # input scale for mixed-sign pairs
-    for _ in range(300):
-        x = float(rng.uniform(-50, 50))
-        y = float(rng.uniform(-50, 50))
-        lx, ly = LogValue.from_float(x), LogValue.from_float(y)
-        s = (lx + ly).to_float()
-        p = (lx * ly).to_float()
-        if x * y > 0:
-            assert abs(s - (x + y)) <= 1e-14 * abs(x + y)
-        else:
-            assert abs(s - (x + y)) <= 1e-14 * max(abs(x), abs(y))
-        assert abs(p - x * y) <= 1e-13 * abs(x * y)
-    assert (LogValue.from_float(3.0) + LogValue.from_float(-3.0)).sign == 0
-    assert LogValue.from_float(0.0).to_float() == 0.0
-    assert (-LogValue.from_float(2.0)).to_float() == -2.0
-
-
-def test_logvalue_handles_huge_magnitudes():
-    big = LogValue(1, 900.0)  # far beyond float overflow
-    bigger = big + big
-    assert bigger.log_magnitude == pytest.approx(900.0 + math.log(2.0), abs=1e-12)
 
 
 # -- EcsSpec --------------------------------------------------------------------
@@ -155,35 +121,6 @@ def test_rotation_map_unitary(rng):
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
 
-def test_pseudospin_map_examples(rng):
-    m = pseudospin_map(np.pi / 2, 0.0)
-    assert np.allclose(m, [[1, 0], [0, -1]], atol=1e-15)
-    for _ in range(25):
-        m = pseudospin_map(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi))
-        assert np.allclose(m @ m, np.eye(2), atol=1e-12)  # reflection property
-        assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
-
-
-def test_pseudospin_map_matches_oracle_projection(rng):
-    # compare against the Gram-corrected projection of (u.s)|a> onto the
-    # two-ket span (the operator also creates a small out-of-span component)
-    alpha, dim = 3.0, fock.default_dim(3.0)
-    ca, cm = fock.coherent(alpha, dim), fock.coherent(-alpha, dim)
-    kets = np.stack([ca.amplitudes, cm.amplitudes])
-    g_inv = np.linalg.inv(gram_matrix(alpha))
-    g = gram_matrix(alpha)
-    for _ in range(10):
-        u = random_direction(rng)
-        out = fock.spin_projection(u, dim).matrix @ ca.amplitudes
-        c_proj = g_inv @ (kets.conj() @ out)
-        c_map = pseudospin_map(u.theta, u.phi) @ np.array([1.0, 0.0])
-        overlap = abs(c_map.conj() @ g @ c_proj) ** 2
-        fid = overlap / (
-            (c_map.conj() @ g @ c_map).real * (c_proj.conj() @ g @ c_proj).real
-        )
-        assert fid >= 0.99
-
-
 # -- operator elements --------------------------------------------------------------
 
 
@@ -240,39 +177,3 @@ def test_elements_certification_aborts_on_mismatch(monkeypatch):
     with pytest.raises(CertificationError):
         ca.operator_elements("onoff", 1.0)
     ca._cached_elements.cache_clear()
-
-
-# -- gram expectation ----------------------------------------------------------------
-
-
-def test_gram_expectation_examples():
-    alpha = 5.0
-    m = operator_elements("onoff", alpha)
-    val = gram_expectation([1, 0], m, [1, 0], alpha)
-    assert abs(val - (1.0 - 2.0 * math.exp(-25.0))) < 1e-14
-    # identity operator (the Gram matrix itself) on equal coefficients: norm^2
-    g = gram_matrix(1.0)
-    c = np.array([0.6, 0.8])
-    assert gram_expectation(c, g, c, 1.0) == pytest.approx(gram_norm(c, 1.0) ** 2, abs=1e-14)
-
-
-def test_gram_expectation_matches_oracle(rng):
-    alpha, dim = 1.0, fock.default_dim(1.0)
-    kets = (fock.coherent(alpha, dim).amplitudes, fock.coherent(-alpha, dim).amplitudes)
-    op = fock.on_off_op(dim).matrix
-    m = operator_elements("onoff", alpha)
-    for _ in range(10):
-        cb = rng.normal(size=2) + 1j * rng.normal(size=2)
-        ck = rng.normal(size=2) + 1j * rng.normal(size=2)
-        bra = cb[0] * kets[0] + cb[1] * kets[1]
-        ket = ck[0] * kets[0] + ck[1] * kets[1]
-        oracle = np.vdot(bra, op @ ket)
-        assert abs(gram_expectation(cb, m, ck, alpha) - oracle) < 1e-8
-
-
-def test_gram_expectation_rejects_degenerate():
-    m = operator_elements("onoff", 1.0)
-    with pytest.raises(ValueError):
-        gram_expectation([0, 0], m, [1, 0], 1.0)
-    with pytest.raises(ValueError):
-        gram_expectation([1, 0], m, [1, 0], 0.01)

@@ -4,23 +4,47 @@ import numpy as np
 import pytest
 
 from leggett_lab import (
+    CorrelationModel,
     Direction,
     EcsSpec,
     ecs_model,
-    ecs_onoff_correlation,
-    ecs_onoff_local_avg,
-    ecs_parity_correlation,
-    ecs_pseudospin_correlation,
-    ecs_pseudospin_local_avg,
+    gram_matrix,
     kappa_K,
-    malus_local_avg,
-    pes_correlation,
+    operator_elements,
     pes_model,
     pseudospin_bloch,
     rotation_map,
 )
 from leggett_lab import fock
 from conftest import random_direction
+
+PES = pes_model()
+
+
+def _coeff_correlation(spec, family, a, b):
+    """Two-ket oracle for E(a, b) of on/off and parity: the ECS coefficient
+    matrix rotated by rotation_map on both sides, contracted with the
+    operator elements and normalized by the Gram matrix, in complex
+    arithmetic."""
+    m = operator_elements("onoff" if family == "on_off" else "parity", spec.alpha)
+    g = gram_matrix(spec.alpha)
+    d = rotation_map(a.theta, a.phi) @ spec.coefficient_tensor() @ rotation_map(b.theta, b.phi).T
+    num = np.einsum("xy,xu,yv,uv->", d.conj(), m, m, d)
+    den = np.einsum("xy,xu,yv,uv->", d.conj(), g, g, d).real
+    return float(num.real / den)
+
+
+def _coeff_local_avg(spec, family, u, a, party):
+    """Two-ket oracle for the local average of on/off and parity: party A
+    rotates |alpha> = e_0, party B rotates |-alpha> = e_1."""
+    m = operator_elements("onoff" if family == "on_off" else "parity", spec.alpha)
+    start = np.array([1.0, 0.0] if party == "a" else [0.0, 1.0], dtype=complex)
+    c = rotation_map(a.theta, a.phi) @ (rotation_map(u.theta, u.phi) @ start)
+    return float((c.conj() @ m @ c).real / (c.conj() @ gram_matrix(spec.alpha) @ c).real)
+
+
+def _local_avg(model, u, a, party):
+    return model.local_average_a(u, a) if party == "a" else model.local_average_b(u, a)
 
 
 def _fock_mapped_ecs(alpha, sign, a, b, dim):
@@ -36,48 +60,46 @@ def _fock_mapped_ecs(alpha, sign, a, b, dim):
 
 def test_pes_correlation_examples():
     a = Direction(0.7, 0.3)
-    assert pes_correlation(a, a) == pytest.approx(-1.0, abs=1e-15)
-    assert pes_correlation(Direction(0.0, 0.0), Direction(np.pi / 2, 1.0)) == pytest.approx(0.0, abs=1e-15)
-    assert pes_correlation(Direction(np.pi / 2, 0.0), Direction(np.pi / 2, 0.65)) == pytest.approx(
+    assert PES.correlation(a, a) == pytest.approx(-1.0, abs=1e-15)
+    assert PES.correlation(Direction(0.0, 0.0), Direction(np.pi / 2, 1.0)) == pytest.approx(0.0, abs=1e-15)
+    assert PES.correlation(Direction(np.pi / 2, 0.0), Direction(np.pi / 2, 0.65)) == pytest.approx(
         -math.cos(0.65), abs=1e-15
     )
 
 
 def test_malus_local_avg_examples():
     a = Direction(1.2, -0.4)
-    assert malus_local_avg(a, a) == pytest.approx(1.0, abs=1e-15)
+    assert PES.local_average_a(a, a) == pytest.approx(1.0, abs=1e-15)
     anti = Direction(np.pi - 1.2, -0.4 + np.pi)
-    assert malus_local_avg(anti, a) == pytest.approx(-1.0, abs=1e-14)
-    assert malus_local_avg(Direction(0.0, 0.0), Direction(np.pi / 2, 0.2)) == pytest.approx(0.0, abs=1e-15)
+    assert PES.local_average_a(anti, a) == pytest.approx(-1.0, abs=1e-14)
+    assert PES.local_average_a(Direction(0.0, 0.0), Direction(np.pi / 2, 0.2)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pseudospin_correlation_poles_and_equator():
-    spec = EcsSpec(1.3, -1)
+    model = ecs_model(1.3, -1)
     poles = Direction(0.0, 0.0)
-    assert ecs_pseudospin_correlation(spec, poles, poles) == pytest.approx(-1.0, abs=1e-14)
+    assert model.correlation(poles, poles) == pytest.approx(-1.0, abs=1e-14)
     eq = Direction(np.pi / 2, 0.4)
-    assert ecs_pseudospin_correlation(spec, eq, eq) == pytest.approx(-kappa_K(1.3), abs=1e-14)
+    assert model.correlation(eq, eq) == pytest.approx(-kappa_K(1.3), abs=1e-14)
 
 
 def test_pseudospin_correlation_symmetry(rng):
-    spec = EcsSpec(0.9, -1)
+    model = ecs_model(0.9, -1)
     for _ in range(30):
         a, b = random_direction(rng), random_direction(rng)
-        assert ecs_pseudospin_correlation(spec, a, b) == pytest.approx(
-            ecs_pseudospin_correlation(spec, b, a), abs=1e-14
-        )
+        assert model.correlation(a, b) == pytest.approx(model.correlation(b, a), abs=1e-14)
 
 
 def test_pseudospin_correlation_oracle_minus(rng):
     alpha, dim = 1.0, fock.default_dim(1.0)
     psi = fock.ecs_fock(alpha, -1, dim)
-    spec = EcsSpec(alpha, -1)
+    model = ecs_model(alpha, -1)
     for _ in range(20):
         a, b = random_direction(rng), random_direction(rng)
         oracle = fock.two_mode_expectation(
             psi, fock.spin_projection(a, dim), fock.spin_projection(b, dim)
         )
-        assert abs(oracle.real - ecs_pseudospin_correlation(spec, a, b)) < 1e-8
+        assert abs(oracle.real - model.correlation(a, b)) < 1e-8
 
 
 def test_pseudospin_correlation_oracle_plus_reflected(rng):
@@ -86,41 +108,39 @@ def test_pseudospin_correlation_oracle_plus_reflected(rng):
     # i.e. (theta, phi) -> (theta, pi - phi)
     alpha, dim = 1.0, fock.default_dim(1.0)
     psi = fock.ecs_fock(alpha, +1, dim)
-    spec = EcsSpec(alpha, +1)
+    model = ecs_model(alpha, +1)
     for _ in range(20):
         a, b = random_direction(rng), random_direction(rng)
         reflected = Direction(b.theta, math.pi - b.phi)
         oracle = fock.two_mode_expectation(
             psi, fock.spin_projection(a, dim), fock.spin_projection(reflected, dim)
         )
-        assert abs(oracle.real - ecs_pseudospin_correlation(spec, a, b)) < 1e-8
+        assert abs(oracle.real - model.correlation(a, b)) < 1e-8
 
 
 def test_pseudospin_limit_to_pes(rng):
     # 1 - K(5) = 1.016e-2 and 1 - K(50) = 1.00015e-4 sit a hair above the
     # 1/(4 alpha^2) asymptote, so the gates carry a 1.05 factor
     for alpha, tol in ((5.0, 1.05e-2), (50.0, 1.05e-4)):
-        spec = EcsSpec(alpha, -1)
+        model = ecs_model(alpha, -1)
         worst = 0.0
         for _ in range(100):
             a, b = random_direction(rng), random_direction(rng)
-            worst = max(
-                worst, abs(ecs_pseudospin_correlation(spec, a, b) - pes_correlation(a, b))
-            )
+            worst = max(worst, abs(model.correlation(a, b) - PES.correlation(a, b)))
         assert worst < tol
 
 
 def test_pseudospin_local_avg_reflection_cases(rng):
-    spec = EcsSpec(1.4, -1)
+    model = ecs_model(1.4, -1)
     m = pseudospin_bloch(1.4)
     a = Direction(0.8, 0.5)
     # u = a: reflection fixes a
-    assert ecs_pseudospin_local_avg(spec, a, a) == pytest.approx(
+    assert model.local_average_a(a, a) == pytest.approx(
         float(np.dot(a.cartesian(), m)), abs=1e-14
     )
     # u perpendicular to a: reflection negates a
     u = Direction(0.8 + np.pi / 2, 0.5)
-    assert ecs_pseudospin_local_avg(spec, u, a) == pytest.approx(
+    assert model.local_average_a(u, a) == pytest.approx(
         -float(np.dot(a.cartesian(), m)), abs=1e-12
     )
 
@@ -129,104 +149,102 @@ def test_pseudospin_local_avg_oracle(rng):
     alpha, dim = 1.0, fock.default_dim(1.0)
     ca = fock.coherent(alpha, dim)
     cm = fock.coherent(-alpha, dim)
-    spec = EcsSpec(alpha, -1)
+    model = ecs_model(alpha, -1)
     for _ in range(20):
         u, a = random_direction(rng), random_direction(rng)
         su = fock.spin_projection(u, dim).matrix
         sa = fock.spin_projection(a, dim).matrix
         op = fock.FockOperator(su.conj().T @ sa @ su)
         assert abs(
-            fock.expectation(ca, op).real - ecs_pseudospin_local_avg(spec, u, a, "a")
+            fock.expectation(ca, op).real - model.local_average_a(u, a)
         ) < 1e-8
         assert abs(
-            fock.expectation(cm, op).real - ecs_pseudospin_local_avg(spec, u, a, "b")
+            fock.expectation(cm, op).real - model.local_average_b(u, a)
         ) < 1e-8
 
 
 def test_onoff_correlation_large_alpha_saturation(rng):
-    spec = EcsSpec(5.0, -1)
+    model = ecs_model(5.0, -1, "on_off")
     for _ in range(10):
         a, b = random_direction(rng), random_direction(rng)
-        assert abs(ecs_onoff_correlation(spec, a, b) - 1.0) < 1e-6
+        assert abs(model.correlation(a, b) - 1.0) < 1e-6
 
 
 def test_onoff_correlation_oracle(rng):
     alpha, dim = 1.0, fock.default_dim(1.0)
-    spec = EcsSpec(alpha, -1)
+    model = ecs_model(alpha, -1, "on_off")
     op = fock.on_off_op(dim)
     for _ in range(20):
         a, b = random_direction(rng), random_direction(rng)
         psi = _fock_mapped_ecs(alpha, -1, a, b, dim)
         oracle = fock.two_mode_expectation(psi, op, op)
-        assert abs(oracle.real - ecs_onoff_correlation(spec, a, b)) < 1e-8
+        assert abs(oracle.real - model.correlation(a, b)) < 1e-8
 
 
 def test_onoff_correlation_bounded(rng):
-    spec = EcsSpec(0.8, -1)
+    model = ecs_model(0.8, -1, "on_off")
     for _ in range(1000):
         a, b = random_direction(rng), random_direction(rng)
-        assert abs(ecs_onoff_correlation(spec, a, b)) <= 1.0 + 1e-10
+        assert abs(model.correlation(a, b)) <= 1.0 + 1e-10
 
 
 def test_parity_correlation_oracle(rng):
     alpha, dim = 1.0, fock.default_dim(1.0)
-    spec = EcsSpec(alpha, -1)
+    model = ecs_model(alpha, -1, "parity")
     op = fock.parity_op(dim)
     for _ in range(10):
         a, b = random_direction(rng), random_direction(rng)
         psi = _fock_mapped_ecs(alpha, -1, a, b, dim)
         oracle = fock.two_mode_expectation(psi, op, op)
-        assert abs(oracle.real - ecs_parity_correlation(spec, a, b)) < 1e-8
+        assert abs(oracle.real - model.correlation(a, b)) < 1e-8
 
 
 def test_onoff_local_avg_cases(rng):
-    spec5 = EcsSpec(5.0, -1)
+    model5 = ecs_model(5.0, -1, "on_off")
     for _ in range(10):
         u, a = random_direction(rng), random_direction(rng)
-        val = ecs_onoff_local_avg(spec5, u, a)
+        val = model5.local_average_a(u, a)
         assert min(abs(val - 1.0), abs(val + 1.0)) < 1e-6
     # the rotation fixed point (theta_u, phi_u) = (pi, 0) leaves |alpha> alone
-    spec = EcsSpec(1.0, -1)
+    model = ecs_model(1.0, -1, "on_off")
     fixed = Direction(np.pi, 0.0)
     for _ in range(5):
         a = random_direction(rng)
-        direct = ecs_onoff_local_avg(spec, fixed, a)
+        direct = model.local_average_a(fixed, a)
         # <alpha| Pi(a) |alpha> with the same Gram normalization
         c = rotation_map(a.theta, a.phi) @ np.array([1.0, 0.0])
-        from leggett_lab import gram_matrix, operator_elements
-
         num = (c.conj() @ operator_elements("onoff", 1.0) @ c).real
         den = (c.conj() @ gram_matrix(1.0) @ c).real
         assert direct == pytest.approx(num / den, abs=1e-12)
 
 
 def test_onoff_local_avg_oracle(rng):
+    # on/off and, as one more input, parity
     alpha, dim = 1.0, fock.default_dim(1.0)
-    spec = EcsSpec(alpha, -1)
     kets = [fock.coherent(alpha, dim).amplitudes, fock.coherent(-alpha, dim).amplitudes]
-    op = fock.on_off_op(dim).matrix
-    for _ in range(20):
-        u, a = random_direction(rng), random_direction(rng)
-        for party, start in (("a", [1.0, 0.0]), ("b", [0.0, 1.0])):
-            c = rotation_map(a.theta, a.phi) @ (rotation_map(u.theta, u.phi) @ np.array(start, complex))
-            psi = c[0] * kets[0] + c[1] * kets[1]
-            oracle = (np.vdot(psi, op @ psi) / np.vdot(psi, psi)).real
-            assert abs(oracle - ecs_onoff_local_avg(spec, u, a, party)) < 1e-8
+    for family, op in (("on_off", fock.on_off_op(dim).matrix), ("parity", fock.parity_op(dim).matrix)):
+        model = ecs_model(alpha, -1, family)
+        for _ in range(20):
+            u, a = random_direction(rng), random_direction(rng)
+            for party, start in (("a", [1.0, 0.0]), ("b", [0.0, 1.0])):
+                c = rotation_map(a.theta, a.phi) @ (rotation_map(u.theta, u.phi) @ np.array(start, complex))
+                psi = c[0] * kets[0] + c[1] * kets[1]
+                oracle = (np.vdot(psi, op @ psi) / np.vdot(psi, psi)).real
+                assert abs(oracle - _local_avg(model, u, a, party)) < 1e-8
 
 
 def test_onoff_factorizes_at_large_alpha(rng):
     # product of single-party averages matches the correlation at alpha >= 5
-    from leggett_lab import gram_matrix, operator_elements
-
     alpha = 5.0
     spec = EcsSpec(alpha, -1)
+    model = ecs_model(alpha, -1, "on_off")
     g = gram_matrix(alpha)
     m = operator_elements("onoff", alpha)
     c0 = spec.coefficient_tensor()
     for _ in range(10):
         a, b = random_direction(rng), random_direction(rng)
         d = rotation_map(a.theta, a.phi) @ c0 @ rotation_map(b.theta, b.phi).T
-        corr = ecs_onoff_correlation(spec, a, b)
+        corr = model.correlation(a, b)
         den = np.einsum("xy,xu,yv,uv->", d.conj(), g, g, d).real
         avg_a = np.einsum("xy,xu,yv,uv->", d.conj(), m, g, d).real / den
         avg_b = np.einsum("xy,xu,yv,uv->", d.conj(), g, m, d).real / den
@@ -236,16 +254,17 @@ def test_onoff_factorizes_at_large_alpha(rng):
 def test_model_facade_dispatch(rng):
     pes = pes_model()
     a, b = random_direction(rng), random_direction(rng)
-    assert pes.correlation(a, b) == pes_correlation(a, b)
-    assert pes.local_average_a(a, b) == malus_local_avg(a, b)
+    ab = float(np.dot(a.cartesian(), b.cartesian()))
+    assert pes.correlation(a, b) == pytest.approx(-ab, abs=1e-15)
+    assert pes.local_average_a(a, b) == pytest.approx(ab, abs=1e-15)
     spec_model = ecs_model(1.2, -1, "pseudo_spin")
-    assert spec_model.correlation(a, b) == ecs_pseudospin_correlation(EcsSpec(1.2, -1), a, b)
+    transverse = math.sin(a.theta) * math.sin(b.theta) * math.cos(a.phi - b.phi)
+    closed = -math.cos(a.theta) * math.cos(b.theta) - kappa_K(1.2) * transverse
+    assert spec_model.correlation(a, b) == pytest.approx(closed, abs=1e-15)
     onoff = ecs_model(1.2, -1, "on_off")
-    assert onoff.correlation(a, b) == ecs_onoff_correlation(EcsSpec(1.2, -1), a, b)
+    assert onoff.correlation(a, b) == pytest.approx(_coeff_correlation(EcsSpec(1.2, -1), "on_off", a, b), abs=1e-12)
     with pytest.raises(ValueError):
         ecs_model(1.0, -1, "bogus")
-    from leggett_lab import CorrelationModel
-
     with pytest.raises(ValueError):
         CorrelationModel("pseudo_spin", None)
 
@@ -273,3 +292,20 @@ def test_correlations_in_range_and_continuous(rng):
         e0 = model.correlation(a, b)
         e1 = model.correlation(Direction(min(a.theta + h, np.pi), a.phi), b)
         assert abs(e1 - e0) / h < 10.0
+
+
+@pytest.mark.parametrize("family", ["on_off", "parity"])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_coefficient_models_match_two_ket_oracle(family, sign, rng):
+    # the closed forms on reflection features against the complex two-ket
+    # computation they replace
+    for alpha in (0.3, 1.0, 3.0, 5.0):
+        spec = EcsSpec(alpha, sign)
+        model = CorrelationModel(family, spec)
+        for _ in range(25):
+            a, b, u = random_direction(rng), random_direction(rng), random_direction(rng)
+            assert model.correlation(a, b) == pytest.approx(_coeff_correlation(spec, family, a, b), abs=1e-12)
+            for party in ("a", "b"):
+                assert _local_avg(model, u, a, party) == pytest.approx(
+                    _coeff_local_avg(spec, family, u, a, party), abs=1e-12
+                )

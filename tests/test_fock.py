@@ -177,14 +177,14 @@ def test_expectation_examples():
 
 
 def test_two_mode_ecs_matches_closed_form():
-    from leggett_lab import ecs_pseudospin_correlation, EcsSpec
+    from leggett_lab import ecs_model
 
     alpha, dim = 1.0, default_dim(1.0)
     psi = ecs_fock(alpha, -1, dim)
     a = Direction(0.9, -0.4)
     b = Direction(2.0, 1.3)
     val = two_mode_expectation(psi, spin_projection(a, dim), spin_projection(b, dim))
-    closed = ecs_pseudospin_correlation(EcsSpec(alpha, -1), a, b)
+    closed = ecs_model(alpha, -1).correlation(a, b)
     assert abs(val.real - closed) < 1e-8
     assert abs(val.imag) < 1e-10
 

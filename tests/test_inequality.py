@@ -23,7 +23,6 @@ from leggett_lab import (
     pseudospin_bloch,
     simplex_minimize,
 )
-from leggett_lab.optimize import _local_avg_kernels
 
 _SPHERE2 = ((0.0, np.pi), (-np.pi, np.pi)) * 2
 
@@ -127,11 +126,12 @@ def _direct_objective(model, layout):
     weights = np.array([w for w, _, _ in flat])
     ia = np.array([i for _, i, _ in flat])
     jb = np.array([j for _, _, j in flat])
-    abar, bbar = _local_avg_kernels(model, layout.a_list, layout.b_list)
+    fa, fb = model.setting_features(layout.a_list), model.setting_features(layout.b_list)
 
     def objective(x):
         t = np.asarray(x, dtype=float)[None, :]
-        return float(weights @ np.abs(abar(t[:, 0], t[:, 1])[0, ia] - bbar(t[:, 2], t[:, 3])[0, jb]))
+        abar = model.batch_local_averages("a", fa, t[:, 0], t[:, 1])
+        return float(weights @ np.abs(abar[0, ia] - model.batch_local_averages("b", fb, t[:, 2], t[:, 3])[0, jb]))
 
     return objective
 

@@ -324,7 +324,7 @@ _FAMILY_MODELS = (
     ecs_model(1.3, -1),
     ecs_model(0.8, +1),
     ecs_model(2.0, -1, "on_off"),
-    ecs_model(1.1, +1, "on_off", normalize=False),
+    ecs_model(1.1, +1, "on_off"),
     ecs_model(3.0, -1, "parity"),
     ecs_model(0.7, +1, "parity"),
 )
@@ -334,11 +334,11 @@ _FAMILY_MODELS = (
 def test_batched_kernels_match_facade(model, rng):
     a_dirs = [random_direction(rng) for _ in range(3)]
     b_dirs = [random_direction(rng) for _ in range(4)]
-    abar, bbar = optimize._local_avg_kernels(model, a_dirs, b_dirs)
     hidden = [random_direction(rng) for _ in range(5)]
     t = np.array([h.theta for h in hidden])
     p = np.array([h.phi for h in hidden])
-    got_a, got_b = abar(t, p), bbar(t, p)
+    got_a = model.batch_local_averages("a", model.setting_features(a_dirs), t, p)
+    got_b = model.batch_local_averages("b", model.setting_features(b_dirs), t, p)
     for k, h in enumerate(hidden):
         for i, a in enumerate(a_dirs):
             assert got_a[k, i] == pytest.approx(model.local_average_a(h, a), abs=1e-12)
