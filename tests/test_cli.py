@@ -47,6 +47,36 @@ def test_reproduce_fig5_csv_is_pinned(tmp_path, capsys):
     assert got == pinned
 
 
+def test_reproduce_fig5_default_starts_csv_is_pinned(tmp_path, capsys):
+    # five amplitudes at the default 32 starts: optimized L and chsh_B included
+    pinned = {
+        "fig5_minus_opt.csv": "8a9cd5b5548c1859",
+        "fig5_minus_unopt.csv": "b544aca28a77ee6f",
+        "fig5_plus_opt.csv": "21cc6a178d95f5e8",
+        "fig5_plus_unopt.csv": "460c2853f32a8e70",
+    }
+    argv = ["reproduce", "fig5", "--alpha", "0.4:2:0.4", "--seed", "0", "--output", str(tmp_path)]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in tmp_path.iterdir()}
+    assert got == pinned
+
+
+def test_reproduce_fig6_csv_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
+    pinned = {
+        "fig6_alphascan.csv": "441d72c8a624a09a",
+        "fig6_phiscan_alpha1.csv": "0e50404475df602d",
+        "fig6_phiscan_alpha2.csv": "56227302f39be6ae",
+        "fig6_phiscan_alpha3.csv": "4d77f11d90a0de5d",
+    }
+    argv = ["reproduce", "fig6", "--alpha", "1:3:1", "--phi", "0.2:0.6:0.2", "--starts", "16"]
+    assert cli.run(argv + ["--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in tmp_path.iterdir()}
+    assert got == pinned
+
+
 def test_reproduce_fig4_csv_is_pinned(tmp_path, capsys, monkeypatch):
     # SHA-256 prefixes of the default fig4 CSV files (closed-form bound, one-point facade)
     monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
@@ -78,6 +108,16 @@ def test_optimized_threshold_is_pinned(capsys):
     assert summary["verdict"] == "threshold"
     assert summary["alpha_star"] == 1.820166015625
     assert summary["bracket"] == [1.819856770833333, 1.8204752604166665]
+
+
+def test_optimized_threshold_threeplus7_is_pinned(capsys):
+    argv = ["threshold", "--layout", "3p7", "--state", "ecs-", "--optimize", "--seed", "1"]
+    assert cli.run(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["verdict"] == "threshold"
+    assert summary["alpha_star"] == 2.656982421875
+    assert summary["bracket"] == [2.6566731770833334, 2.6572916666666666]
+    assert summary["evaluations"] == 27
 
 
 def test_fig4_sums_the_series_once_per_amplitude(tmp_path, capsys):
