@@ -63,6 +63,9 @@ scalar ``math``; the ``batch_*`` methods evaluate arrays of directions in
 numpy for the search objectives of :mod:`leggett_lab.optimize`.  The
 batched s is a per-row np.matmul (with diag(t) for E), never one BLAS
 product across the batch axis, so no row depends on the rows around it.
+:class:`ModelStack` evaluates E for a batch whose rows belong to different
+models of one family, with the same arithmetic on constants looked up per
+row.
 """
 
 from __future__ import annotations
@@ -201,6 +204,12 @@ class CorrelationModel:
         object.__setattr__(self, "_rep", _representation(self.family, self.ecs))
 
     @property
+    def tensor(self) -> tuple | None:
+        """t when E(a, b) = sum_c t_c a_c b_c is bilinear in the setting vectors
+        (the singlet and pseudo-spin); None for on/off and parity."""
+        return self._rep.t if self.family in (PES_FAMILY, "pseudo_spin") else None
+
+    @property
     def label(self) -> str:
         if self.ecs is None:
             return "pes"
@@ -251,12 +260,9 @@ class CorrelationModel:
         return self._rep.vector_feature(v)
 
     def batch_correlation(self, fa, fb) -> np.ndarray:
-        """E between the features fa (k, n, 3) and fb (k, m, 3) of each row: (k, n, m).
-
-        fa * t equals the product with diag(t) bit for bit, since every
-        other term of that product is an exact zero.
-        """
-        return self._correlation_of(np.matmul(fa * self._rep.t_array, fb.transpose(0, 2, 1)))
+        """E between the features fa (k, n, 3) and fb (k, m, 3) of each row: (k, n, m)."""
+        r = self._rep
+        return _batch_correlation(fa, fb, r.t_array, r.p * r.p, r.q * r.q, r.kappa * r.kappa)
 
     def batch_local_averages(self, party: str, settings, theta, phi) -> np.ndarray:
         """A(u; a_i) (party "a") or B(v; b_i) (party "b") for the setting
@@ -264,6 +270,37 @@ class CorrelationModel:
         hidden = self._rep.hidden_a if party == "a" else self._rep.hidden_b
         h = _stacked(hidden(theta, phi, np))
         return self._average_of(np.matmul(settings, h[:, :, None])[:, :, 0])
+
+
+class ModelStack:
+    """Models of one family evaluated in one batch: row r belongs to models[owners[r]].
+
+    Each row's E is bit for bit the batch_correlation of its own model: the
+    constants are looked up per row, and the arithmetic is elementwise.
+    """
+
+    def __init__(self, models):
+        if len({m.family for m in models}) != 1:
+            raise ValueError("stacked models must share one measurement family")
+        reps = [m._rep for m in models]
+        self.batch_vector_features = models[0].batch_vector_features
+        self._t = np.array([r.t for r in reps])[:, None, :]
+        consts = np.array([(r.p * r.p, r.q * r.q, r.kappa * r.kappa) for r in reps])[:, :, None, None]
+        self._c0, self._c1, self._d1 = consts[:, 0], consts[:, 1], consts[:, 2]
+
+    def batch_correlation(self, fa, fb, owners) -> np.ndarray:
+        """E of row r between fa[r] (n, 3) and fb[r] (m, 3) under models[owners[r]]: (k, n, m)."""
+        return _batch_correlation(fa, fb, self._t[owners], self._c0[owners], self._c1[owners], self._d1[owners])
+
+
+def _batch_correlation(fa, fb, t, c0, c1, d1):
+    """(c0 + c1 s) / (1 + d1 s) with s = fa diag(t) fb^T per row.
+
+    fa * t equals the product with diag(t) bit for bit, since every other
+    term of that product is an exact zero.  t and the constants are one
+    model's, or one per row, shaped (k, 1, 3) and (k, 1, 1).
+    """
+    return _ratio(np.matmul(fa * t, fb.transpose(0, 2, 1)), c0, c1, d1)
 
 
 def _ratio(s, c0, c1, d1):

@@ -7,8 +7,9 @@ two-dimensional bound of the layout (mode "analytic2d") or the
 state-corrected minimum over hidden local vectors (mode "state_corrected",
 computed in :mod:`leggett_lab.optimize` and registered here to keep the
 module dependency one-way).  The state-corrected value is exact for the
-pseudo-spin family, |m(alpha)| * :func:`pes_fmin`; for the other families
-it comes from adversarial multi-start minimization.
+singlet, :func:`pes_fmin`, and for the pseudo-spin family,
+|m(alpha)| * pes_fmin; for on/off and parity it comes from adversarial
+multi-start minimization.
 """
 
 from __future__ import annotations

@@ -1,12 +1,22 @@
 """Derivative-free multi-start searches over angle spaces.
 
-One Nelder-Mead engine serves every optimization task in the package:
-hidden-vector bound minimization, CHSH setting maximization, rigid-rotation
-optimization of inequality values, parameter scans, and amplitude-threshold
-bisection.  The engine runs in lockstep: it advances every start of a
-search as one (S, d+1, d) simplex array, and a start leaves the active set
-when it converges.  Objectives take a (k, d) array of points and return a
-(k,) array of values.
+One Nelder-Mead engine serves every search in the package: hidden-vector
+bound minimization and CHSH setting maximization for the on/off and parity
+models, rigid-rotation optimization of inequality values, and through them
+parameter scans and amplitude-threshold bisection.  The engine runs in
+lockstep: it advances every start of a search as one (S, d+1, d) simplex
+array, and a start leaves the active set when it converges.  Objectives take
+a (k, d) array of points and the (k,) owners of its rows and return a (k,)
+array of values.
+
+Owners let one batch hold the starts of several problems.  Each start
+belongs to one problem, and the objective looks up that problem's constants
+(the setting vectors of its layout and the t, P, Q, kappa of its model) by
+the owner of each row.  :func:`optimize_rigid` runs the starts of every
+point of a sweep as one batch and then polishes every point's best start as
+one more batch, so a scan with ``optimize`` and the amplitude scan of
+:func:`threshold_alpha` each make one such call; a single point is the
+batch of one.
 
 Determinism contract: identical config and objective give bit-identical
 results.  Starts come from a seeded Sobol sequence, start 0 is the range
@@ -18,13 +28,20 @@ share its batch: the arithmetic is elementwise, and small matrix and vector
 products are stacked per row (np.matmul over a leading batch axis), never
 one BLAS product across the batch axis, which can round a row differently
 depending on the rows around it.  So every start follows exactly the
-trajectory it would follow alone.
+trajectory it would follow alone, whichever problems share its batch.
 
 The bound, CHSH and rigid-rotation objectives are the same code for all
 four measurement families: each evaluates its model through the batched
 evaluator of :class:`leggett_lab.correlations.CorrelationModel`, the
 features and hidden maps of the model's one representation put into
 E = (P^2 + Q^2 s) / (1 + kappa^2 s) and A = (P + Q s) / (1 + kappa s).
+
+Two quantities have closed forms and are not searched.  For the singlet and
+pseudo-spin, :func:`numeric_fmin` returns |m| * pes_fmin (|m| = 1 for the
+singlet), and :func:`optimize_chsh` returns the CHSH maximum of the
+correlation tensor, B = 2 sqrt(t_1^2 + t_2^2) over its two largest |t_c|
+(Horodecki, Horodecki and Horodecki, Phys. Lett. A 200, 340 (1995)),
+evaluated at settings that reach it.
 """
 
 from __future__ import annotations
@@ -32,14 +49,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import qmc
 
 from .coherent_algebra import pseudospin_bloch
-from .correlations import CorrelationModel, ecs_model, pes_model
+from .correlations import CorrelationModel, ModelStack, ecs_model, pes_model
 from .errors import ConvergenceError
-from .geometry import Direction, RigidRotation, SettingsLayout, build_layout, rotate_settings, to_cartesian
+from .geometry import (
+    Direction,
+    RigidRotation,
+    SettingsLayout,
+    build_layout,
+    from_cartesian,
+    rotate_settings,
+    to_cartesian,
+)
 from . import inequality
 from .inequality import (
     BoundResult,
@@ -85,22 +111,25 @@ class SimplexResult:
     start_index: int
 
 
-def _nelder_mead(f, x0, step, fatol, maxiter):
+def _nelder_mead(f, x0, step, fatol, maxiter, owners=None):
     """Reflection/expansion/contraction/shrink simplex descent of S starts in lockstep.
 
     x0 is an (S, n) array of start points and f maps a (k, n) array of
-    points to a (k,) array of values.  Each start's initial simplex is its
-    point plus one step along each coordinate; its vertices are sorted
-    stably every iteration, so ties go to vertex order.  A start stops when
-    its simplex value spread is at most fatol.  Returns per start
+    points and the (k,) owners of its rows to a (k,) array of values.
+    owners[s] is the problem that start s belongs to (all 0 by default), so
+    one batch can hold the starts of several problems.  Each start's initial
+    simplex is its point plus one step along each coordinate; its vertices
+    are sorted stably every iteration, so ties go to vertex order.  A start
+    stops when its simplex value spread is at most fatol.  Returns per start
     (x_best, f_best, converged, n_evaluations) as arrays of length S.
     """
     x0 = np.asarray(x0, dtype=float)
     S, n = x0.shape
+    owners = np.zeros(S, dtype=int) if owners is None else np.asarray(owners)
     pts = np.repeat(x0[:, None, :], n + 1, axis=1)
     diag = np.arange(n)
     pts[:, diag + 1, diag] += np.asarray(step, dtype=float)
-    vals = f(pts.reshape(-1, n)).reshape(S, n + 1)
+    vals = f(pts.reshape(-1, n), np.repeat(owners, n + 1)).reshape(S, n + 1)
     nfev = np.full(S, n + 1)
     best_x = np.empty((S, n))
     best_f = np.empty(S)
@@ -123,7 +152,8 @@ def _nelder_mead(f, x0, step, fatol, maxiter):
         centroid = pts[:, :-1].sum(axis=1) / n
         worst = pts[:, -1]
         xr = centroid + (centroid - worst)
-        fr = f(xr)
+        own = owners[live]
+        fr = f(xr, own)
         nfev[live] += 1
         expand = fr < vals[:, 0]
         contract = ~expand & ~(fr < vals[:, -2])
@@ -135,7 +165,7 @@ def _nelder_mead(f, x0, step, fatol, maxiter):
         probe = expand | contract
         ft = fr.copy()
         if probe.any():
-            ft[probe] = f(trial[probe])
+            ft[probe] = f(trial[probe], own[probe])
             nfev[live[probe]] += 1
         inside = contract & (ft < np.where(vals[:, -1] < fr, vals[:, -1], fr))
         take = (expand & (ft < fr)) | inside
@@ -146,7 +176,7 @@ def _nelder_mead(f, x0, step, fatol, maxiter):
         if shrink.any():  # shrink toward the best vertex
             best = pts[shrink, :1]
             pts[shrink, 1:] = best + 0.5 * (pts[shrink, 1:] - best)
-            vals[shrink, 1:] = f(pts[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+            vals[shrink, 1:] = f(pts[shrink, 1:].reshape(-1, n), np.repeat(own[shrink], n)).reshape(-1, n)
             nfev[live[shrink]] += n
     first = np.argsort(vals, axis=1, kind="stable")[:, :1]
     best_x[live] = pts[rows, first][:, 0]
@@ -169,37 +199,63 @@ def _start_points(config: SearchConfig) -> np.ndarray:
     return pts
 
 
+def _run_problems(objective, configs, starts) -> list[list[SimplexResult]]:
+    """The starts of several problems in one lockstep batch; problem g owns starts[g].
+
+    The configs must agree on ranges, tolerance and max_iterations, the
+    engine settings that every start shares.
+    """
+    if len({(c.ranges, c.tolerance, c.max_iterations) for c in configs}) > 1:
+        raise ValueError("a batch of searches must share ranges, tolerance and max_iterations")
+    config = configs[0]
+    owners = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
+    steps = [0.15 * (hi - lo) for lo, hi in config.ranges]
+    x, v, ok, nfev = _nelder_mead(
+        objective, np.concatenate(starts), steps, config.tolerance, config.max_iterations, owners
+    )
+    rows = np.split(np.arange(len(v)), np.cumsum([len(s) for s in starts])[:-1])
+    return [
+        [SimplexResult(x[r], float(v[r]), bool(ok[r]), int(nfev[r]), i) for i, r in enumerate(problem)]
+        for problem in rows
+    ]
+
+
 def _run_starts(objective, config: SearchConfig, starts=None) -> list[SimplexResult]:
-    """All starts of a search in one lockstep batch (the Sobol starts by default)."""
+    """All starts of one search in one lockstep batch (the Sobol starts by default)."""
     if starts is None:
         starts = _start_points(config)
-    steps = [0.15 * (hi - lo) for lo, hi in config.ranges]
-    x, v, ok, nfev = _nelder_mead(objective, starts, steps, config.tolerance, config.max_iterations)
-    return [SimplexResult(x[i], float(v[i]), bool(ok[i]), int(nfev[i]), i) for i in range(len(v))]
+    return _run_problems(objective, [config], [starts])[0]
 
 
 def _best_of(results: list[SimplexResult]) -> SimplexResult:
     return min(results, key=lambda r: (r.value, r.start_index))
 
 
-def _polish(objective, x0, fatol=1e-15, maxiter=5000):
+def _polish(objective, x0, fatol=1e-15, maxiter=5000, owners=None):
     """Small-step descent from each row of x0, as one batch; (points, values, evaluations)."""
     x0 = np.atleast_2d(x0)
-    x, v, _, nfev = _nelder_mead(objective, x0, np.full(x0.shape[1], 1e-3), fatol, maxiter)
+    x, v, _, nfev = _nelder_mead(objective, x0, np.full(x0.shape[1], 1e-3), fatol, maxiter, owners)
     return x, v, nfev
+
+
+def _polish_bests(objective, bests: list[SimplexResult]) -> list[tuple[SimplexResult, int]]:
+    """Each problem's best, polished as one batch (problem g owns row g) and
+    replaced by its polished point when that is lower; with the polish evaluations."""
+    px, pval, pn = _polish(objective, np.array([b.point for b in bests]), owners=np.arange(len(bests)))
+    return [
+        (replace(b, point=px[g], value=float(pval[g])) if pval[g] < b.value else b, int(pn[g]))
+        for g, b in enumerate(bests)
+    ]
 
 
 def _polish_best(objective, best: SimplexResult) -> tuple[SimplexResult, int]:
     """best, replaced by its polished point when that is lower; and the polish evaluations."""
-    px, pval, pn = _polish(objective, best.point)
-    if pval[0] < best.value:
-        best = replace(best, point=px[0], value=float(pval[0]))
-    return best, int(pn[0])
+    return _polish_bests(objective, [best])[0]
 
 
 def _rowwise(objective):
     """A batched objective that evaluates a scalar objective on each row."""
-    return lambda points: np.array([objective(x) for x in points], dtype=float)
+    return lambda points, owners=None: np.array([objective(x) for x in points], dtype=float)
 
 
 def simplex_minimize(objective, config: SearchConfig) -> SimplexResult:
@@ -252,20 +308,32 @@ def _rotations(z1, y, z2):
     return r
 
 
-def _make_rigid_objective(model: CorrelationModel, layout: SettingsLayout, shared: bool):
-    """Batched negative inequality value over Euler angles, (k, 3) or (k, 6)."""
-    A0 = np.array([to_cartesian(d) for d in layout.a_list])
-    B0 = np.array([to_cartesian(d) for d in layout.b_list])
+def _make_rigid_objective(models, layouts, shared: bool):
+    """Batched negative inequality value over Euler angles, (k, 3) or (k, 6).
 
-    def objective(x):
+    Problem g is models[g] on layouts[g]; a row owned by g rotates that
+    problem's setting vectors and evaluates its model.  The models share one
+    family and the layouts one inequality (name and term groups).
+    """
+    if len({(lay.name, lay.groups) for lay in layouts}) != 1:
+        raise ValueError("a batch of rigid searches must share one layout name")
+    stack = ModelStack(models)
+    groups = layouts[0].groups
+    A0 = np.array([[to_cartesian(d) for d in lay.a_list] for lay in layouts])
+    B0 = np.array([[to_cartesian(d) for d in lay.b_list] for lay in layouts])
+
+    def objective(x, owners=None):
+        if owners is None:
+            owners = np.zeros(len(x), dtype=int)
         ra = _rotations(x[:, 0], x[:, 1], x[:, 2])
         rb = ra if shared else _rotations(x[:, 3], x[:, 4], x[:, 5])
-        e = model.batch_correlation(
-            model.batch_vector_features(np.matmul(A0, ra.transpose(0, 2, 1))),
-            model.batch_vector_features(np.matmul(B0, rb.transpose(0, 2, 1))),
+        e = stack.batch_correlation(
+            stack.batch_vector_features(np.matmul(A0[owners], ra.transpose(0, 2, 1))),
+            stack.batch_vector_features(np.matmul(B0[owners], rb.transpose(0, 2, 1))),
+            owners,
         )
         total = 0.0
-        for w, group in layout.groups:
+        for w, group in groups:
             total = total + w * np.abs(sum(e[:, i, j] for i, j in group))
         return -total
 
@@ -296,10 +364,10 @@ def _bound_objectives(model: CorrelationModel, layout: SettingsLayout):
         abar = model.batch_local_averages("a", fa, x[:, 0], x[:, 1])
         return np.abs(abar[:, ia] - model.batch_local_averages("b", fb, x[:, 2], x[:, 3])[:, jb])
 
-    def direct(x):
+    def direct(x, owners=None):
         return _row_dots(terms(x), weights)
 
-    def triangle(x):
+    def triangle(x, owners=None):
         vals = model.batch_local_averages("b", fb, x[:, 0], x[:, 1])
         return _row_dots(np.abs(vals[:, pair_j] - vals[:, pair_j2]), pair_w)
 
@@ -315,13 +383,16 @@ def numeric_fmin(
 ) -> BoundResult:
     """State-corrected bound term: adversarial minimum over hidden vectors.
 
-    For the pseudo-spin family the minimum is exact and nothing is searched.
-    Its local average is A(u; a) = a . w with w = 2(u.m)u - m, the Bloch
-    vector m(alpha) reflected about u; as u ranges over the sphere, w covers
-    the sphere of radius |m| (likewise on the B side, |m_b| = |m|).  The
-    objective is therefore |m| times the qubit_projective one and
-    f_min = |m(alpha)| * :func:`leggett_lab.inequality.pes_fmin`, reported
-    with f_direct = f_triangle = f_min, no argmin and zero evaluations.
+    For the singlet and the pseudo-spin family the minimum is exact and
+    nothing is searched.  The singlet's local average is the Malus law
+    A(u; a) = a . u, whose minimum is :func:`leggett_lab.inequality.pes_fmin`
+    (it holds for rotated layouts too).  The pseudo-spin local average is
+    A(u; a) = a . w with w = 2(u.m)u - m, the Bloch vector m(alpha)
+    reflected about u; as u ranges over the sphere, w covers the sphere of
+    radius |m| (likewise on the B side, |m_b| = |m|).  The objective is
+    therefore |m| times the singlet's and f_min = |m(alpha)| * pes_fmin.
+    Both are reported with f_direct = f_triangle = f_min, no argmin and zero
+    evaluations.
 
     For the other families two formulations are computed.  The direct form
     minimizes sum_groups w * sum_terms |A(u; a_i) - B(v; b_j)| over (u, v) on
@@ -333,9 +404,10 @@ def numeric_fmin(
     """
     if layout.name not in ("threeplus7", "threeplus6"):
         raise ValueError(f"numeric bound supports threeplus7/threeplus6, not {layout.name!r}")
-    if model.family == "pseudo_spin":
-        scale = float(np.linalg.norm(pseudospin_bloch(model.ecs.alpha)))
-        f = scale * inequality.pes_fmin(layout.name, layout.phi)
+    if model.tensor is not None:
+        f = inequality.pes_fmin(layout.name, layout.phi)
+        if model.family == "pseudo_spin":
+            f = float(np.linalg.norm(pseudospin_bloch(model.ecs.alpha))) * f
         return BoundResult(f, 4.0 - f, None, None, (), "state_corrected", f_direct=f, f_triangle=f)
     if config is None:
         config = SearchConfig(ranges=_SPHERE * 2)
@@ -401,7 +473,7 @@ inequality.register_numeric_fmin(numeric_fmin)
 def _chsh_objective(model: CorrelationModel):
     """Batched -B over rows of four (theta, phi) directions (a, a2, b, b2)."""
 
-    def negative_b(x):
+    def negative_b(x, owners=None):
         f = model.batch_features(x[:, 0::2], x[:, 1::2])
         e = model.batch_correlation(f[:, :2], f[:, 2:])
         return -(e[:, 0, 0] + e[:, 0, 1] + e[:, 1, 0] - e[:, 1, 1])
@@ -409,8 +481,32 @@ def _chsh_objective(model: CorrelationModel):
     return negative_b
 
 
+def _tensor_chsh(model: CorrelationModel) -> ChshEvaluation:
+    """CHSH at the witness settings of the largest two |t_c|, which reach
+    B = 2 sqrt(t_i^2 + t_j^2): a = sgn(t_i) e_i, a2 = sgn(t_j) e_j and
+    b, b2 = cos(h) e_i +- sin(h) e_j with tan(h) = |t_j| / |t_i|."""
+    t = model.tensor
+    i, j = sorted(range(3), key=lambda c: -abs(t[c]))[:2]
+    e = np.eye(3)
+    h = math.atan2(abs(t[j]), abs(t[i]))
+    return chsh_value(
+        model,
+        from_cartesian(math.copysign(1.0, t[i]) * e[i]),
+        from_cartesian(math.copysign(1.0, t[j]) * e[j]),
+        from_cartesian(math.cos(h) * e[i] + math.sin(h) * e[j]),
+        from_cartesian(math.cos(h) * e[i] - math.sin(h) * e[j]),
+    )
+
+
 def optimize_chsh(model: CorrelationModel, config: SearchConfig | None = None) -> ChshEvaluation:
-    """Maximize the CHSH combination over all four measurement directions."""
+    """Maximize the CHSH combination over all four measurement directions.
+
+    A tensor model (the singlet and pseudo-spin) reaches its maximum
+    2 sqrt(t_i^2 + t_j^2) over the two largest |t_c| at closed-form
+    settings, and config is not used.  On/off and parity are searched.
+    """
+    if model.tensor is not None:
+        return _tensor_chsh(model)
     if config is None:
         config = SearchConfig(ranges=_SPHERE * 4)
     elif config.dim != 8:
@@ -431,56 +527,69 @@ def optimize_chsh(model: CorrelationModel, config: SearchConfig | None = None) -
 # -- rigid-rotation optimization -------------------------------------------------------
 
 
+def _rigid_config(config: SearchConfig | None, shared: bool) -> SearchConfig:
+    """config with the Euler-angle ranges of the search (a default config for None)."""
+    ranges = _EULER if shared else _EULER * 2
+    if config is None:
+        return SearchConfig(ranges=ranges, starts=32 if shared else 64)
+    return config if config.dim == len(ranges) else replace(config, ranges=ranges)
+
+
 def optimize_rigid(
-    model: CorrelationModel,
-    layout: SettingsLayout,
-    config: SearchConfig | None = None,
+    models,
+    layouts,
+    configs=None,
     shared: bool = False,
     bound_mode: str = "state_corrected",
-    bound_config: SearchConfig | None = None,
+    bound_configs=None,
     check_convergence: bool = True,
-) -> LeggettEvaluation:
-    """Maximize the inequality value over rigid rotations of the settings.
+) -> list[LeggettEvaluation]:
+    """Maximize the inequality value over rigid rotations of the settings, at each point.
 
-    shared=False rotates the two parties independently (6 Euler angles);
-    shared=True applies one common rotation to both (3 angles).  The
-    identity rotation is always start 0, so the optimized value never falls
-    below the unrotated one.  The bound is recomputed at the optimal rotated
-    settings before the verdict.
+    Point g is models[g] on layouts[g], searched with configs[g] and bounded
+    with bound_configs[g] (None entries, or None lists, take the defaults).
+    The starts of all points advance as one lockstep batch, and every point's
+    best start is polished in one more batch; each point follows exactly the
+    trajectory it would follow alone.  shared=False rotates the two parties
+    independently (6 Euler angles); shared=True applies one common rotation
+    to both (3 angles).  The identity rotation is always start 0, so the
+    optimized value never falls below the unrotated one.  The bound is
+    recomputed at the optimal rotated settings before the verdict.
     """
-    n_angles = 3 if shared else 6
-    default_starts = 32 if shared else 64
-    if config is None:
-        config = SearchConfig(ranges=_EULER * (n_angles // 3), starts=default_starts)
-    elif config.dim != n_angles:
-        config = replace(config, ranges=_EULER * (n_angles // 3))
+    configs = [_rigid_config(c, shared) for c in configs or [None] * len(models)]
+    objective = _make_rigid_objective(models, layouts, shared)
 
-    objective = _make_rigid_objective(model, layout, shared)
+    starts = [_start_points(c) for c in configs]
+    for st in starts:
+        st[0] = 0.0  # start 0 is the identity rotation, not the box midpoint
+    bests = [_best_of(r) for r in _run_problems(objective, configs, starts)]
 
-    # start 0 must be the identity rotation, not the box midpoint
-    starts = _start_points(config)
-    starts[0] = 0.0
-    best, _ = _polish_best(objective, _best_of(_run_starts(objective, config, starts)))
-
-    x = best.point
-    ra = RigidRotation(float(x[0]), float(x[1]), float(x[2]))
-    rb = ra if shared else RigidRotation(float(x[3]), float(x[4]), float(x[5]))
-    rotated = rotate_settings(layout, ra, rb)
-    value = leggett_value(model, rotated)
-    if bound_mode == "state_corrected":
-        bound = numeric_fmin(model, rotated, bound_config, check_convergence=check_convergence)
-    else:
-        bound = leggett_bound(model, rotated, mode=bound_mode)
-    margin = value - bound.bound
-    return LeggettEvaluation(
-        L=value,
-        bound=bound,
-        margin=margin,
-        violated=margin > VIOLATION_TOL,
-        layout=rotated,
-        rotation_a=ra,
-        rotation_b=rb,
-    )
+    out = []
+    for model, layout, bcfg, (best, _) in zip(
+        models, layouts, bound_configs or [None] * len(models), _polish_bests(objective, bests)
+    ):
+        x = best.point
+        ra = RigidRotation(float(x[0]), float(x[1]), float(x[2]))
+        rb = ra if shared else RigidRotation(float(x[3]), float(x[4]), float(x[5]))
+        rotated = rotate_settings(layout, ra, rb)
+        value = leggett_value(model, rotated)
+        if bound_mode == "state_corrected":
+            bound = numeric_fmin(model, rotated, bcfg, check_convergence=check_convergence)
+        else:
+            bound = leggett_bound(model, rotated, mode=bound_mode)
+        margin = value - bound.bound
+        out.append(
+            LeggettEvaluation(
+                L=value,
+                bound=bound,
+                margin=margin,
+                violated=margin > VIOLATION_TOL,
+                layout=rotated,
+                rotation_a=ra,
+                rotation_b=rb,
+            )
+        )
+    return out
 
 
 # -- threshold bisection ------------------------------------------------------------------
@@ -523,7 +632,8 @@ def threshold_alpha(
     violation persists) seeds the bisection, which narrows the bracket to
     the requested width.  Each margin evaluation runs fresh inner
     optimizations with seeds derived from the amplitude, so a rerun with the
-    same seed reproduces the result bit for bit.  All-positive margins give
+    same seed reproduces the result bit for bit; the rigid searches of the
+    coarse grid run as one batch.  All-positive margins give
     verdict "always", all-nonpositive "never".
     """
     if layout_name not in DEFAULT_THRESHOLD_PHI:
@@ -533,49 +643,61 @@ def threshold_alpha(
     layout = build_layout(layout_name, phi)
     evaluations = 0
 
-    def margin(alpha: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
+    def point(alpha):
         model = (
             pes_model() if family == "qubit_projective" else ecs_model(alpha, sign, family)
         )
         run_seed = stable_seed(seed, layout_name, family, sign, round(alpha, 12))
         bcfg = SearchConfig(ranges=_SPHERE * 2, starts=starts or 32, seed=run_seed)
-        if optimized:
-            ocfg = SearchConfig(
+        return model, bcfg, run_seed
+
+    def margins(alphas) -> list[float]:
+        """The margin at each amplitude; the rigid searches of all of them run as one batch."""
+        nonlocal evaluations
+        evaluations += len(alphas)
+        if not optimized:
+            return [
+                inequality.evaluate_leggett(model, layout, mode=bound_mode, config=bcfg).margin
+                for model, bcfg, _ in map(point, alphas)
+            ]
+        models, bcfgs, run_seeds = zip(*map(point, alphas))
+        ocfgs = [
+            SearchConfig(
                 ranges=_EULER * (1 if shared else 2),
                 starts=starts or (32 if shared else 64),
                 seed=stable_seed(run_seed, "rigid"),
             )
-            ev = optimize_rigid(model, layout, ocfg, shared=shared, bound_mode=bound_mode, bound_config=bcfg)
-        else:
-            ev = inequality.evaluate_leggett(model, layout, mode=bound_mode, config=bcfg)
-        return ev.margin
+            for run_seed in run_seeds
+        ]
+        evs = optimize_rigid(
+            models, [layout] * len(alphas), ocfgs, shared=shared, bound_mode=bound_mode, bound_configs=bcfgs
+        )
+        return [ev.margin for ev in evs]
 
     grid = np.linspace(bracket[0], bracket[1], scan_points)
-    margins = [margin(a) for a in grid]
+    margins_grid = margins(list(grid))
     lo = hi = None
     m_lo = m_hi = 0.0
     for i in range(len(grid) - 1):
-        if margins[i] <= 0.0 < margins[i + 1]:
+        if margins_grid[i] <= 0.0 < margins_grid[i + 1]:
             lo, hi = float(grid[i]), float(grid[i + 1])
-            m_lo, m_hi = margins[i], margins[i + 1]
+            m_lo, m_hi = margins_grid[i], margins_grid[i + 1]
     if lo is None:
-        if all(m > 0.0 for m in margins):
-            return ThresholdResult("always", None, tuple(bracket), margins[0], margins[-1], None, evaluations)
-        return ThresholdResult("never", None, tuple(bracket), margins[0], margins[-1], None, evaluations)
+        verdict = "always" if all(m > 0.0 for m in margins_grid) else "never"
+        return ThresholdResult(
+            verdict, None, tuple(bracket), margins_grid[0], margins_grid[-1], None, evaluations
+        )
 
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        m_mid = margin(mid)
+        (m_mid,) = margins([mid])
         if m_mid > 0.0:
             hi, m_hi = mid, m_mid
         else:
             lo, m_lo = mid, m_mid
     alpha_star = 0.5 * (lo + hi)
-    return ThresholdResult(
-        "threshold", alpha_star, (lo, hi), m_lo, m_hi, margin(alpha_star), evaluations
-    )
+    (m_star,) = margins([alpha_star])
+    return ThresholdResult("threshold", alpha_star, (lo, hi), m_lo, m_hi, m_star, evaluations)
 
 
 # -- parameter scans --------------------------------------------------------------------------
@@ -616,7 +738,17 @@ class ScanTask:
     seed: int = 0
 
 
-def _scan_point(task: ScanTask, index: int, alpha: float | None, phi: float) -> SweepRecord:
+class _ScanPoint(NamedTuple):
+    index: int
+    alpha: float | None
+    phi: float
+    model: CorrelationModel
+    layout: SettingsLayout
+    seed: int
+    bound_config: SearchConfig
+
+
+def _scan_point(task: ScanTask, index: int, alpha: float | None, phi: float) -> _ScanPoint:
     layout = build_layout(task.layout_name, phi)
     model = (
         pes_model()
@@ -625,48 +757,39 @@ def _scan_point(task: ScanTask, index: int, alpha: float | None, phi: float) -> 
     )
     point_seed = stable_seed(task.seed, task.layout_name, task.family, index)
     bcfg = SearchConfig(ranges=_SPHERE * 2, starts=task.starts, seed=point_seed)
-    if task.optimize:
-        ocfg = SearchConfig(
-            ranges=_EULER * (1 if task.shared else 2),
-            starts=task.starts,
-            seed=stable_seed(point_seed, "rigid"),
-        )
-        ev = optimize_rigid(
-            model,
-            layout,
-            ocfg,
-            shared=task.shared,
-            bound_mode=task.bound_mode,
-            bound_config=bcfg,
-        )
-    else:
-        if task.bound_mode == "state_corrected":
-            bound = numeric_fmin(model, layout, bcfg)
-        else:
-            bound = leggett_bound(model, layout, mode=task.bound_mode)
-        value = leggett_value(model, layout)
-        margin = value - bound.bound
-        ev = LeggettEvaluation(value, bound, margin, margin > VIOLATION_TOL, layout)
+    return _ScanPoint(index, alpha, phi, model, layout, point_seed, bcfg)
 
+
+def _fixed_settings(task: ScanTask, p: _ScanPoint) -> LeggettEvaluation:
+    if task.bound_mode == "state_corrected":
+        bound = numeric_fmin(p.model, p.layout, p.bound_config)
+    else:
+        bound = leggett_bound(p.model, p.layout, mode=task.bound_mode)
+    value = leggett_value(p.model, p.layout)
+    margin = value - bound.bound
+    return LeggettEvaluation(value, bound, margin, margin > VIOLATION_TOL, p.layout)
+
+
+def _record(task: ScanTask, p: _ScanPoint, ev: LeggettEvaluation) -> SweepRecord:
     f_corr = ev.bound.f_min if ev.bound.mode == "state_corrected" else None
     try:
-        f_an = inequality.analytic_fmin(task.layout_name, phi)
+        f_an = inequality.analytic_fmin(task.layout_name, p.phi)
     except ValueError:
         f_an = None
     if f_corr is None and task.layout_name != "original":
-        f_corr = numeric_fmin(model, ev.layout, bcfg).f_min
+        f_corr = numeric_fmin(p.model, ev.layout, p.bound_config).f_min
 
     chsh_b = None
     if task.include_chsh:
         ccfg = SearchConfig(
-            ranges=_SPHERE * 4, starts=task.starts, seed=stable_seed(point_seed, "chsh")
+            ranges=_SPHERE * 4, starts=task.starts, seed=stable_seed(p.seed, "chsh")
         )
-        chsh_b = optimize_chsh(model, ccfg).B
+        chsh_b = optimize_chsh(p.model, ccfg).B
 
     return SweepRecord(
-        index=index,
-        alpha=alpha,
-        phi=phi,
+        index=p.index,
+        alpha=p.alpha,
+        phi=p.phi,
         L=ev.L,
         f_min_corrected=f_corr,
         f_min_analytic=f_an,
@@ -683,16 +806,33 @@ def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
     """Evaluate the task at every grid point.
 
     Records come back in grid order; each point draws its own seed from the
-    task seed and its index."""
+    task seed and its index.  With task.optimize the rigid searches of all
+    points run as one batch (:func:`optimize_rigid`)."""
     grid = list(grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be monotone nondecreasing")
     if variable == "phi":
-        points = [(i, task.alpha, float(g)) for i, g in enumerate(grid)]
+        coords = [(i, task.alpha, float(g)) for i, g in enumerate(grid)]
     elif variable == "alpha":
         if task.phi is None:
             raise ValueError("alpha scan needs task.phi")
-        points = [(i, float(g), task.phi) for i, g in enumerate(grid)]
+        coords = [(i, float(g), task.phi) for i, g in enumerate(grid)]
     else:
         raise ValueError("variable must be 'phi' or 'alpha'")
-    return [_scan_point(task, *p) for p in points]
+    points = (_scan_point(task, *c) for c in coords)
+    if not task.optimize:
+        return [_record(task, p, _fixed_settings(task, p)) for p in points]
+    points = list(points)
+    ocfgs = [
+        SearchConfig(ranges=_EULER * (1 if task.shared else 2), starts=task.starts, seed=stable_seed(p.seed, "rigid"))
+        for p in points
+    ]
+    evs = optimize_rigid(
+        [p.model for p in points],
+        [p.layout for p in points],
+        ocfgs,
+        shared=task.shared,
+        bound_mode=task.bound_mode,
+        bound_configs=[p.bound_config for p in points],
+    )
+    return [_record(task, p, ev) for p, ev in zip(points, evs)]

@@ -89,10 +89,10 @@ def test_reproduce_fig4_csv_is_pinned(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "layout, phi, digest",
-    [("3p6", "0.2:1.0:0.4", "833d0cd96ef54cfb"), ("3p7", "0.25:1.25:0.5", "c7294c93b82ba647")],
+    [("3p6", "0.2:1.0:0.4", "1b9cb1f6aaabc0c6"), ("3p7", "0.25:1.25:0.5", "c7294c93b82ba647")],
 )
 def test_singlet_scan_phi_csv_is_pinned(layout, phi, digest, tmp_path, capsys, monkeypatch):
-    # the singlet bound is searched, so this pins the batched local averages too
+    # the singlet bound is the exact pes_fmin
     monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
     out = tmp_path / "scan.csv"
     argv = ["scan-phi", "--state", "pes", "--layout", layout, "--phi", phi, "--starts", "8", "--seed", "0"]

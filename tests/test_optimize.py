@@ -94,12 +94,12 @@ def test_optimize_rigid_identity_floor():
     lay = build_layout("threeplus7", 0.25)
     model = ecs_model(4.0, +1)
     unopt = leggett_value(model, lay)
-    ev = optimize_rigid(
-        model,
-        lay,
-        _cfg([(0, 2 * np.pi)] * 3, starts=8, seed=6),
+    (ev,) = optimize_rigid(
+        [model],
+        [lay],
+        [_cfg([(0, 2 * np.pi)] * 3, starts=8, seed=6)],
         shared=True,
-        bound_config=_cfg([(0, np.pi), (-np.pi, np.pi)] * 2, starts=16, seed=7),
+        bound_configs=[_cfg([(0, np.pi), (-np.pi, np.pi)] * 2, starts=16, seed=7)],
         check_convergence=False,
     )
     assert ev.L >= unopt - 1e-9
@@ -109,12 +109,12 @@ def test_optimize_rigid_identity_floor():
 def test_optimize_rigid_pes_threeplus6_no_gain():
     lay = build_layout("threeplus6", 0.65)
     unopt = leggett_value(pes_model(), lay)
-    ev = optimize_rigid(
-        pes_model(),
-        lay,
-        _cfg([(0, 2 * np.pi)] * 6, starts=24, seed=8),
+    (ev,) = optimize_rigid(
+        [pes_model()],
+        [lay],
+        [_cfg([(0, 2 * np.pi)] * 6, starts=24, seed=8)],
         shared=False,
-        bound_config=_cfg([(0, np.pi), (-np.pi, np.pi)] * 2, starts=16, seed=9),
+        bound_configs=[_cfg([(0, np.pi), (-np.pi, np.pi)] * 2, starts=16, seed=9)],
         check_convergence=False,
     )
     assert ev.L - unopt <= 1e-3
@@ -291,8 +291,8 @@ def _batched_objectives():
     out = {}
     for name, model in models.items():
         out[f"chsh-{name}"] = (optimize._chsh_objective(model), _SPHERE4)
-        out[f"rigid-shared-{name}"] = (optimize._make_rigid_objective(model, lay7, True), _EULER3)
-        out[f"rigid-independent-{name}"] = (optimize._make_rigid_objective(model, lay6, False), _EULER3 * 2)
+        out[f"rigid-shared-{name}"] = (optimize._make_rigid_objective([model], [lay7], True), _EULER3)
+        out[f"rigid-independent-{name}"] = (optimize._make_rigid_objective([model], [lay6], False), _EULER3 * 2)
         direct, triangle, _ = optimize._bound_objectives(model, lay7)
         out[f"direct-{name}"] = (direct, _SPHERE2 * 2)
         out[f"triangle-{name}"] = (triangle, _SPHERE2)
@@ -355,7 +355,111 @@ def test_batched_kernels_match_facade(model, rng):
     # E(a, b) on rotated settings through the batched rigid objective
     lay = build_layout("threeplus7", 0.4)
     euler = rng.uniform(0.0, 2 * np.pi, (5, 6))
-    got = -optimize._make_rigid_objective(model, lay, shared=False)(euler)
+    got = -optimize._make_rigid_objective([model], [lay], shared=False)(euler)
     for k, e in enumerate(euler):
         rotated = rotate_settings(lay, RigidRotation(*e[:3]), RigidRotation(*e[3:]))
         assert got[k] == pytest.approx(leggett_value(model, rotated), abs=1e-12)
+
+
+# -- grid batches ------------------------------------------------------------------
+
+
+def _grid_problems():
+    """(models, layouts, shared, starts per problem) of the batched rigid searches."""
+    lay7 = build_layout("threeplus7", 0.2507)
+    return {
+        "pseudo-spin-alphas-shared": (
+            [ecs_model(a, -1) for a in (0.8, 1.6, 2.4)], [lay7] * 3, True, (8, 8, 8)
+        ),
+        "phi-scan-independent": (
+            [ecs_model(1.2, +1)] * 3,
+            [build_layout("threeplus6", phi) for phi in (0.2, 0.5, 0.9)],
+            False,
+            (6, 9, 6),
+        ),
+        "parity-shared": (
+            [ecs_model(3.0, -1, "parity"), ecs_model(5.0, -1, "parity")],
+            [build_layout("threeplus7", phi) for phi in (0.25, 0.75)],
+            True,
+            (6, 6),
+        ),
+        "singlet-independent": ([pes_model()] * 2, [lay7, build_layout("threeplus7", 0.6)], False, (5, 7)),
+    }
+
+
+def _rigid_configs(shared, starts):
+    ranges = _EULER3 * (1 if shared else 2)
+    return [_cfg(ranges, starts=s, seed=40 + g, max_iterations=400) for g, s in enumerate(starts)]
+
+
+@pytest.mark.parametrize("name", sorted(_grid_problems()))
+def test_grid_batch_gives_each_problem_its_solo_search(name):
+    models, layouts, shared, n_starts = _grid_problems()[name]
+    configs = _rigid_configs(shared, n_starts)
+    starts = [optimize._start_points(c) for c in configs]
+    batched = optimize._run_problems(optimize._make_rigid_objective(models, layouts, shared), configs, starts)
+    bests = []
+    for g, (model, layout, config) in enumerate(zip(models, layouts, configs)):
+        solo_objective = optimize._make_rigid_objective([model], [layout], shared)
+        solo = optimize._run_starts(solo_objective, config, starts[g])
+        assert len(batched[g]) == len(solo) == n_starts[g]
+        for got, want in zip(batched[g], solo):
+            assert np.array_equal(got.point, want.point)
+            assert got.value == want.value
+            assert got.converged == want.converged
+            assert got.evaluations == want.evaluations
+            assert got.start_index == want.start_index
+        bests.append((optimize._best_of(solo), solo_objective))
+    polished = optimize._polish_bests(
+        optimize._make_rigid_objective(models, layouts, shared), [b for b, _ in bests]
+    )
+    for (got, got_n), (best, solo_objective) in zip(polished, bests):
+        want, want_n = optimize._polish_best(solo_objective, best)
+        assert np.array_equal(got.point, want.point)
+        assert got.value == want.value and got_n == want_n
+
+
+@pytest.mark.parametrize("name", sorted(_grid_problems()))
+def test_optimize_rigid_batch_equals_each_point_alone(name):
+    models, layouts, shared, n_starts = _grid_problems()[name]
+    configs = _rigid_configs(shared, n_starts)
+    batch = optimize_rigid(models, layouts, configs, shared=shared, bound_mode="analytic2d")
+    for ev, model, layout, config in zip(batch, models, layouts, configs):
+        (alone,) = optimize_rigid([model], [layout], [config], shared=shared, bound_mode="analytic2d")
+        assert ev == alone
+
+
+def test_rigid_batch_rejects_mixed_problems():
+    lay = build_layout("threeplus7", 0.3)
+    with pytest.raises(ValueError):
+        optimize._make_rigid_objective([pes_model(), ecs_model(1.0, -1)], [lay, lay], True)
+    with pytest.raises(ValueError):
+        optimize._make_rigid_objective([pes_model()] * 2, [lay, build_layout("threeplus6", 0.3)], True)
+    configs = [_cfg(_EULER3, starts=4), _cfg(_EULER3, starts=4, tolerance=1e-8)]
+    with pytest.raises(ValueError):
+        optimize_rigid([pes_model()] * 2, [lay, lay], configs, shared=True, bound_mode="analytic2d")
+
+
+# -- closed-form CHSH of the tensor models ---------------------------------------------
+
+
+def _chsh_oracle(model, seed):
+    """The Nelder-Mead CHSH maximum: 32 starts and a polish of the best."""
+    negative_b = optimize._chsh_objective(model)
+    best = optimize._best_of(optimize._run_starts(negative_b, _cfg(_SPHERE4, starts=32, seed=seed)))
+    return -optimize._polish_best(negative_b, best)[0].value
+
+
+_TENSOR_MODELS = [pes_model()] + [ecs_model(a, s) for a in (0.4, 1.0, 2.4, 5.0) for s in (-1, +1)]
+
+
+@pytest.mark.parametrize("model", _TENSOR_MODELS, ids=lambda m: m.label)
+def test_tensor_chsh_closed_form(model):
+    t = sorted((abs(c) for c in model.tensor), reverse=True)
+    ev = optimize_chsh(model)
+    assert abs(ev.B - 2.0 * math.sqrt(t[0] ** 2 + t[1] ** 2)) <= 1e-15
+    assert chsh_value(model, *ev.settings).B == ev.B  # the settings reach it
+    assert ev.violated == (ev.B > 2.0)
+    assert ev.B >= _chsh_oracle(model, seed=50) - 1e-12
+    if model.ecs is None:
+        assert abs(ev.B - 2.0 * math.sqrt(2.0)) <= 1e-15
