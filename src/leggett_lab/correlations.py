@@ -290,7 +290,9 @@ class ModelStack:
 
     def batch_correlation(self, fa, fb, owners) -> np.ndarray:
         """E of row r between fa[r] (n, 3) and fb[r] (m, 3) under models[owners[r]]: (k, n, m)."""
-        return _batch_correlation(fa, fb, self._t[owners], self._c0[owners], self._c1[owners], self._d1[owners])
+        return _batch_correlation(
+            fa, fb, self._t[owners], self._c0[owners], self._c1[owners], self._d1[owners]
+        )
 
 
 def _batch_correlation(fa, fb, t, c0, c1, d1):

@@ -556,6 +556,8 @@ def optimize_rigid(
     optimized value never falls below the unrotated one.  The bound is
     recomputed at the optimal rotated settings before the verdict.
     """
+    if not models:
+        return []
     configs = [_rigid_config(c, shared) for c in configs or [None] * len(models)]
     objective = _make_rigid_objective(models, layouts, shared)
 
@@ -824,7 +826,11 @@ def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
         return [_record(task, p, _fixed_settings(task, p)) for p in points]
     points = list(points)
     ocfgs = [
-        SearchConfig(ranges=_EULER * (1 if task.shared else 2), starts=task.starts, seed=stable_seed(p.seed, "rigid"))
+        SearchConfig(
+            ranges=_EULER * (1 if task.shared else 2),
+            starts=task.starts,
+            seed=stable_seed(p.seed, "rigid"),
+        )
         for p in points
     ]
     evs = optimize_rigid(

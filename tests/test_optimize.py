@@ -373,7 +373,12 @@ def _grid_problems():
         ),
         "phi-scan-independent": (
             [ecs_model(1.2, +1)] * 3,
-            [build_layout("threeplus6", phi) for phi in (0.2, 0.5, 0.9)],
+            [
+                build_layout("threeplus6", 0.2),
+                # a rotated layout: its a-settings differ from the canonical (x, y, z)
+                rotate_settings(build_layout("threeplus6", 0.5), RigidRotation(0.3, 0.7, -0.4)),
+                build_layout("threeplus6", 0.9),
+            ],
             False,
             (6, 9, 6),
         ),
@@ -429,7 +434,8 @@ def test_optimize_rigid_batch_equals_each_point_alone(name):
         assert ev == alone
 
 
-def test_rigid_batch_rejects_mixed_problems():
+def test_rigid_batch_of_no_points_and_of_mixed_problems():
+    assert optimize_rigid([], [], shared=True) == []
     lay = build_layout("threeplus7", 0.3)
     with pytest.raises(ValueError):
         optimize._make_rigid_objective([pes_model(), ecs_model(1.0, -1)], [lay, lay], True)
