@@ -16,7 +16,10 @@ the owner of each row.  :func:`optimize_rigid` runs the starts of every
 point of a sweep as one batch and then polishes every point's best start as
 one more batch, so a scan with ``optimize`` and the amplitude scan of
 :func:`threshold_alpha` each make one such call; a single point is the
-batch of one.
+batch of one.  The bisection of :func:`threshold_alpha` batches too: it
+evaluates the midpoints it predicts it will visit as one call and consumes
+them in the one-at-a-time order, which the determinism contract below makes
+bit-identical to evaluating them one at a time.
 
 Determinism contract: identical config and objective give bit-identical
 results.  Starts come from a seeded Sobol sequence, start 0 is the range
@@ -613,6 +616,51 @@ class ThresholdResult:
 DEFAULT_THRESHOLD_PHI = {"threeplus7": 0.2507, "threeplus6": 2.0 * math.atan(1.0 / 3.0)}
 
 
+def _predict_root(known: dict, lo: float, hi: float) -> float:
+    """Where the margin is guessed to cross zero inside (lo, hi).
+
+    The guess is a root of the polynomial through the two known margins at
+    or below lo and the two at or above hi (a cubic; a lower degree where
+    fewer are known), found by bisecting that polynomial's sign.  The
+    polynomial takes the margins m(lo) <= 0 < m(hi) exactly, so it always
+    changes sign in (lo, hi) and needs no secant fallback.
+    """
+    xs = sorted(a for a in known if a <= lo)[-2:] + sorted(a for a in known if a >= hi)[:2]
+
+    def poly(x):
+        total = 0.0
+        for xi in xs:
+            term = known[xi]
+            for xj in xs:
+                if xj != xi:
+                    term *= (x - xj) / (xi - xj)
+            total += term
+        return total
+
+    for _ in range(50):  # to 2**-50 of (lo, hi), far below any bisection tolerance
+        mid = 0.5 * (lo + hi)
+        if poly(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _bisection_path(lo: float, hi: float, tolerance: float, root: float) -> list[float]:
+    """The midpoints that bisection of (lo, hi) visits when the margin crosses
+    zero at root, ending with the alpha* midpoint of its final interval."""
+    path = []
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if mid > root:
+            hi = mid
+        else:
+            lo = mid
+    path.append(0.5 * (lo + hi))
+    return path
+
+
 def threshold_alpha(
     family: str,
     sign: int,
@@ -634,16 +682,31 @@ def threshold_alpha(
     violation persists) seeds the bisection, which narrows the bracket to
     the requested width.  Each margin evaluation runs fresh inner
     optimizations with seeds derived from the amplitude, so a rerun with the
-    same seed reproduces the result bit for bit; the rigid searches of the
-    coarse grid run as one batch.  All-positive margins give
+    same seed reproduces the result bit for bit.  All-positive margins give
     verdict "always", all-nonpositive "never".
+
+    The rigid searches of the coarse grid run as one batch, and so do those
+    of the bisection when speculation is safe: the root is predicted from
+    the known margins (:func:`_predict_root`), the midpoints that bisection
+    would visit if that prediction held are evaluated together, down to the
+    alpha* midpoint of the final interval, and the ordinary bisection then
+    walks over them, predicting again from where a prediction failed.  Every
+    midpoint is 0.5 * (lo + hi) of the same interval as in a one-at-a-time
+    bisection, and a margin depends only on its amplitude, never on the
+    batch it is computed in, so alpha*, the bracket and every margin are
+    bit-identical to the one-at-a-time walk.  evaluations counts the margins
+    that walk consumes (the grid, the bisection midpoints and alpha*), not
+    the speculative ones it discards.  Speculation is used only where a
+    margin cannot raise: an optimized threshold with a tensor model (the
+    singlet or pseudo-spin) or with a bound mode other than state_corrected.
+    Elsewhere a raised ConvergenceError of a speculative point could stop a
+    run that bisection finishes, so each batch holds the next midpoint only.
     """
     if layout_name not in DEFAULT_THRESHOLD_PHI:
         raise ValueError(f"threshold supports threeplus7/threeplus6, not {layout_name!r}")
     if phi is None:
         phi = DEFAULT_THRESHOLD_PHI[layout_name]
     layout = build_layout(layout_name, phi)
-    evaluations = 0
 
     def point(alpha):
         model = (
@@ -655,8 +718,6 @@ def threshold_alpha(
 
     def margins(alphas) -> list[float]:
         """The margin at each amplitude; the rigid searches of all of them run as one batch."""
-        nonlocal evaluations
-        evaluations += len(alphas)
         if not optimized:
             return [
                 inequality.evaluate_leggett(model, layout, mode=bound_mode, config=bcfg).margin
@@ -678,6 +739,7 @@ def threshold_alpha(
 
     grid = np.linspace(bracket[0], bracket[1], scan_points)
     margins_grid = margins(list(grid))
+    evaluations = len(margins_grid)
     lo = hi = None
     m_lo = m_hi = 0.0
     for i in range(len(grid) - 1):
@@ -690,16 +752,22 @@ def threshold_alpha(
             verdict, None, tuple(bracket), margins_grid[0], margins_grid[-1], None, evaluations
         )
 
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        (m_mid,) = margins([mid])
-        if m_mid > 0.0:
-            hi, m_hi = mid, m_mid
+    speculate = optimized and (bound_mode != "state_corrected" or point(lo)[0].tensor is not None)
+    known = dict(zip(grid.tolist(), margins_grid))
+    while True:
+        mid = 0.5 * (lo + hi)  # a bisection midpoint, or alpha* once the bracket is narrow enough
+        if mid not in known:
+            # no point of the path is known: those of an earlier path that the
+            # walk left lie in the sibling interval, outside (lo, hi)
+            path = _bisection_path(lo, hi, tolerance, _predict_root(known, lo, hi)) if speculate else [mid]
+            known.update(zip(path, margins(path)))
+        evaluations += 1
+        if hi - lo <= tolerance:
+            return ThresholdResult("threshold", mid, (lo, hi), m_lo, m_hi, known[mid], evaluations)
+        if known[mid] > 0.0:
+            hi, m_hi = mid, known[mid]
         else:
-            lo, m_lo = mid, m_mid
-    alpha_star = 0.5 * (lo + hi)
-    (m_star,) = margins([alpha_star])
-    return ThresholdResult("threshold", alpha_star, (lo, hi), m_lo, m_hi, m_star, evaluations)
+            lo, m_lo = mid, known[mid]
 
 
 # -- parameter scans --------------------------------------------------------------------------

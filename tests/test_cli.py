@@ -108,6 +108,7 @@ def test_optimized_threshold_is_pinned(capsys):
     assert summary["verdict"] == "threshold"
     assert summary["alpha_star"] == 1.820166015625
     assert summary["bracket"] == [1.819856770833333, 1.8204752604166665]
+    assert summary["evaluations"] == 27
 
 
 def test_optimized_threshold_threeplus7_is_pinned(capsys):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -469,3 +470,150 @@ def test_tensor_chsh_closed_form(model):
     assert ev.B >= _chsh_oracle(model, seed=50) - 1e-12
     if model.ecs is None:
         assert abs(ev.B - 2.0 * math.sqrt(2.0)) <= 1e-15
+
+
+# -- amplitude threshold -----------------------------------------------------------------
+
+# ThresholdResult of the optimized pseudo-spin threshold at seed 0, field for field,
+# as the one-midpoint-at-a-time bisection gave it
+_THRESHOLD_PINS = {
+    ("threeplus7", +1): (
+        2.656982421875, (2.6566731770833334, 2.6572916666666666),
+        -3.4923884381310444e-05, 3.68840691145067e-06, -1.5614115240758508e-05,
+    ),
+    ("threeplus7", -1): (
+        2.656982421875, (2.6566731770833334, 2.6572916666666666),
+        -3.4923763269301134e-05, 3.6882912395341805e-06, -1.5614229598170937e-05,
+    ),
+    ("threeplus6", +1): (
+        1.820166015625, (1.819856770833333, 1.8204752604166665),
+        -8.460317113634375e-05, 1.7801872041811606e-05, -3.34059286664079e-05,
+    ),
+    ("threeplus6", -1): (
+        1.820166015625, (1.819856770833333, 1.8204752604166665),
+        -7.637835772600354e-05, 2.5953274560119866e-05, -2.521789985632239e-05,
+    ),
+}
+
+
+@pytest.mark.parametrize("layout_name, sign", sorted(_THRESHOLD_PINS))
+def test_optimized_threshold_result_is_pinned(layout_name, sign):
+    star, bracket, m_lo, m_hi, m_star = _THRESHOLD_PINS[layout_name, sign]
+    res = threshold_alpha("pseudo_spin", sign, layout_name, optimized=True, seed=0)
+    assert res == optimize.ThresholdResult("threshold", star, bracket, m_lo, m_hi, m_star, 27)
+
+
+def _sequential_threshold(margin, bracket=(0.5, 10.0), scan_points=16, tolerance=1e-3):
+    """Reference: the amplitude scan, then one bisection midpoint at a time.
+
+    Returns the ThresholdResult and the amplitudes it evaluates after the scan."""
+    grid = np.linspace(bracket[0], bracket[1], scan_points)
+    m = [margin(a) for a in grid]
+    for i in range(scan_points - 1):
+        if m[i] <= 0.0 < m[i + 1]:
+            lo, hi, m_lo, m_hi = float(grid[i]), float(grid[i + 1]), m[i], m[i + 1]
+    visited = []
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        visited.append(mid)
+        if margin(mid) > 0.0:
+            hi, m_hi = mid, margin(mid)
+        else:
+            lo, m_lo = mid, margin(mid)
+    star = 0.5 * (lo + hi)
+    visited.append(star)
+    res = optimize.ThresholdResult("threshold", star, (lo, hi), m_lo, m_hi, margin(star), scan_points + len(visited))
+    return res, visited
+
+
+def _stub_rigid(margin, calls):
+    """optimize_rigid with the margin a known function of alpha; records each call's amplitudes."""
+
+    def stub(models, *args, **kwargs):
+        calls.append([m.ecs.alpha for m in models])
+        return [SimpleNamespace(margin=margin(m.ecs.alpha)) for m in models]
+
+    return stub
+
+
+_GRID = np.linspace(0.5, 10.0, 16)  # the default amplitude scan
+_ROOT_NEAR_GRID = float(_GRID[3]) + 1e-7
+# the first bisection midpoint, where the margin is then exactly 0 (not violated)
+_ROOT_AT_MID = 0.5 * (float(_GRID[3]) + float(_GRID[4]))
+
+_STUB_MARGINS = {
+    "root-near-grid-point": lambda a: math.tanh(2.0 * (a - _ROOT_NEAR_GRID)),
+    "root-at-midpoint": lambda a: (a - _ROOT_AT_MID) + 0.1 * (a - _ROOT_AT_MID) ** 3,
+    "non-monotone-bump": lambda a: (a - 2.7) - 0.05 * math.exp(-(((a - 2.75) / 0.02) ** 2)) + 0.004 * math.sin(300.0 * a),
+}
+
+_PREDICTORS = {
+    "cubic": None,
+    "always-lo": lambda known, lo, hi: lo,
+    "always-hi": lambda known, lo, hi: hi,
+}
+
+
+@pytest.mark.parametrize("predictor", sorted(_PREDICTORS))
+@pytest.mark.parametrize("name", sorted(_STUB_MARGINS))
+def test_speculative_walk_equals_sequential_bisection(name, predictor, monkeypatch):
+    margin = _STUB_MARGINS[name]
+    calls = []
+    monkeypatch.setattr(optimize, "optimize_rigid", _stub_rigid(margin, calls))
+    if _PREDICTORS[predictor] is not None:
+        monkeypatch.setattr(optimize, "_predict_root", _PREDICTORS[predictor])
+    res = threshold_alpha("pseudo_spin", -1, "threeplus7", optimized=True, seed=0)
+    want, visited = _sequential_threshold(margin)
+    assert res == want
+    assert len(calls[0]) == 16  # the amplitude scan
+    assert 1 <= len(calls) - 1 <= len(visited)  # never more calls than one per midpoint
+    for batch in calls[1:]:
+        assert set(batch) & set(visited)  # each call holds a midpoint that the walk consumes
+    if predictor == "cubic" and name == "root-near-grid-point":
+        assert len(calls) == 2  # the prediction held: one batch after the scan
+
+
+@pytest.mark.parametrize(
+    "family, bound_mode, speculates",
+    [("parity", "state_corrected", False), ("on_off", "state_corrected", False), ("parity", "analytic2d", True)],
+)
+def test_coefficient_threshold_speculates_only_without_a_searched_bound(family, bound_mode, speculates, monkeypatch):
+    # a searched bound can raise ConvergenceError, so a speculative point could stop the run
+    margin = _STUB_MARGINS["root-at-midpoint"]
+    calls = []
+    monkeypatch.setattr(optimize, "optimize_rigid", _stub_rigid(margin, calls))
+    res = threshold_alpha(family, -1, "threeplus7", optimized=True, bound_mode=bound_mode, seed=0)
+    want, visited = _sequential_threshold(margin)
+    assert res == want
+    if speculates:
+        assert len(calls) < 1 + len(visited)
+    else:
+        assert calls[1:] == [[a] for a in visited]
+
+
+def test_unoptimized_threshold_evaluates_each_margin_once(monkeypatch):
+    calls = []
+    evaluate = optimize.inequality.evaluate_leggett
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].ecs.alpha)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(optimize.inequality, "evaluate_leggett", counted)
+    res = threshold_alpha("pseudo_spin", -1, "threeplus7", seed=1)
+    assert res.verdict == "threshold"
+    assert len(calls) == res.evaluations == 27
+
+
+def test_optimized_threshold_makes_few_rigid_batches(monkeypatch):
+    calls = []
+    rigid = optimize.optimize_rigid
+
+    def counted(models, *args, **kwargs):
+        calls.append(len(models))
+        return rigid(models, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "optimize_rigid", counted)
+    res = threshold_alpha("pseudo_spin", -1, "threeplus7", optimized=True, seed=1)
+    assert res.evaluations == 27
+    assert len(calls) <= 3  # the scan and at most two predicted bisection paths
