@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -147,3 +149,70 @@ def test_python_m_runs_the_cli(module):
     res = _module_run(module, "bound", "--no-such-flag")
     assert res.returncode == 2
     assert "unrecognized arguments" in res.stderr
+
+
+# -- coefficient-family search trajectories ------------------------------------------
+# SHA-256 prefixes of what the on/off and parity searches print or write; any change
+# to a start, step, seed or bound dispatch of those searches moves them.
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "family, alpha, phi, seed, digest",
+    [
+        ("on_off", "5", "0.25", 0, "b7cac78b482c1deb"),
+        ("on_off", "5", "0.25", 1, "d69d2d139fdd9682"),
+        ("on_off", "5", "0.25", 2, "31dea2a7c9d10d9e"),
+        ("parity", "3", "0.75", 0, "6cd7bca15435687e"),
+        ("parity", "3", "0.75", 1, "b1df2765e639b6ed"),
+        ("parity", "3", "0.75", 2, "a8c41ada2d6043a3"),
+    ],
+)
+def test_coefficient_bound_json_is_pinned(family, alpha, phi, seed, digest):
+    argv = ["bound", "--layout", "3p7", "--state", "ecs-", "--family", family, "--alpha", alpha, "--phi", phi]
+    rc, out, err = _run(argv + ["--seed", str(seed)])
+    assert (rc, err) == (0, "")
+    assert _digest(out) == digest
+
+
+def test_parity_chsh_json_is_pinned():
+    argv = ["chsh", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--optimize", "--starts", "8", "--seed", "0"]
+    rc, out, err = _run(argv)
+    assert (rc, err) == (0, "")
+    assert _digest(out) == "184f181546809271"
+
+
+def test_on_off_optimized_scan_phi_csv_is_pinned(tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = ["scan-phi", "--layout", "3p7", "--state", "ecs-", "--family", "on_off", "--alpha", "5",
+            "--phi", "0.25:0.75:0.25", "--optimize", "--starts", "16", "--seed", "0", "--output", str(out)]
+    rc, _, err = _run(argv)
+    assert (rc, err) == (0, "")
+    assert _digest(out.read_bytes()) == "23844b3905bf5c91"
+
+
+def test_independent_rotation_threshold_json_is_pinned():
+    argv = ["threshold", "--layout", "3p7", "--state", "ecs-", "--tolerance", "0.01", "--optimize",
+            "--independent-rotations", "--starts", "16", "--seed", "0"]
+    rc, out, err = _run(argv)
+    assert (rc, err) == (0, "")
+    assert _digest(out) == "b2041686371f7454"
+
+
+def test_fig3_fault_command_stops_on_the_named_spread(tmp_path):
+    out = tmp_path / "fig3"
+    rc, stdout, err = _run(["reproduce", "fig3", "--alpha", "5", "--phi", "0.25", "--seed", "0", "--output", str(out)])
+    assert (rc, stdout) == (1, "")
+    assert err == "error: top-decile spread 9.713e-04 after 32 starts\n"
+    assert list(out.iterdir()) == []
