@@ -9,34 +9,36 @@ chsh        CHSH value (canonical settings or optimized)
 bound       bound term f_min for one layout/model/phi
 reproduce   preset sweeps behind the figure data (fig3..fig6)
 
-Identical argv and seed give byte-identical CSV output.  The default seed
-comes from the LEGGETT_LAB_SEED environment variable (0 if unset).
+Identical argv and seed give byte-identical CSV output.  --config names a
+"key = value" file whose keys are option names (the dest of each flag, such
+as starts, shared or fmt); a flag given on the command line wins over the
+file, and the file over the built-in default.  The seed comes from --seed,
+then the file, then the LEGGETT_LAB_SEED environment variable, then 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 
 from .errors import LeggettLabError
 from .geometry import build_layout
-from .inequality import analytic_fmin, chsh_at_layout, evaluate_leggett
-from .correlations import ecs_model, pes_model
+from .inequality import analytic_fmin, chsh_at_layout
 from .optimize import (
     DEFAULT_THRESHOLD_PHI,
     ScanTask,
     SearchConfig,
     SweepRecord,
+    _model,
     numeric_fmin,
     optimize_chsh,
     scan,
     threshold_alpha,
 )
-from .util import fmt12, stable_seed
+from .util import fmt12
 
 LAYOUT_ALIASES = {
     "original": "original",
@@ -125,19 +127,19 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparser per command."""
     parser = argparse.ArgumentParser(
         prog="leggett-lab",
         description="Leggett/CHSH inequality laboratory for entangled coherent states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_layout=True):
+    def common(p):
         p.add_argument("--config", default="", help="key = value defaults file")
         p.add_argument("--state", choices=STATES, default="pes")
         p.add_argument("--family", choices=FAMILIES, default="pseudo_spin")
-        if needs_layout:
-            p.add_argument("--layout", choices=sorted(LAYOUT_ALIASES), default="3p6")
+        p.add_argument("--layout", choices=sorted(LAYOUT_ALIASES), default="3p6")
         p.add_argument("--alpha", default="", help="value or lo:hi:step")
         p.add_argument("--phi", default="", help="value or lo:hi:step")
         p.add_argument("--bound", choices=("corrected", "analytic"), default="corrected")
@@ -148,57 +150,61 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tolerance", type=float, default=1e-3)
         p.add_argument("--output", default="")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json", "svg"), default="csv")
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
 
-    for name in ("scan-phi", "scan-alpha", "threshold", "chsh", "bound"):
-        common(sub.add_parser(name))
-    rep = sub.add_parser("reproduce")
-    rep.add_argument("figure", choices=("fig3", "fig4", "fig5", "fig6"))
-    common(rep)
-    return parser
+    commands = {}
+    for name in COMMANDS:
+        commands[name] = sub.add_parser(name)
+        if name == "reproduce":
+            commands[name].add_argument("figure", choices=("fig3", "fig4", "fig5", "fig6"))
+        common(commands[name])
+    return parser, commands
+
+
+def _config_defaults(subparser: argparse.ArgumentParser, values: dict) -> dict:
+    """The values of a --config file as typed defaults of the subparser's options."""
+    actions = {a.dest: a for a in subparser._actions if a.option_strings and a.dest not in ("help", "config")}
+    defaults = {}
+    for key, text in values.items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"unknown config key {key!r}")
+        if isinstance(action, argparse._StoreConstAction):  # store_true / store_false
+            value = text.lower() in ("1", "true", "yes", "on")
+        else:
+            value = action.type(text) if action.type else text
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r} must be one of {', '.join(map(str, action.choices))}")
+        defaults[key] = value
+    return defaults
 
 
 def parse_args(argv) -> RunConfig:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     ns = parser.parse_args(argv)
-    overrides = _read_config_file(ns.config) if ns.config else {}
-
-    def pick(name, cast=str):
-        flag = getattr(ns, name, None)
-        default = parser.get_default(name) if name != "figure" else ""
-        if flag is not None and flag != default:
-            return flag
-        if name in overrides:
-            val = overrides[name]
-            if cast is bool:
-                return val.lower() in ("1", "true", "yes", "on")
-            return cast(val)
-        return flag if flag is not None else default
-
-    seed = ns.seed
-    if seed is None:
-        seed = overrides.get("seed")
-    if seed is None:
-        seed = os.environ.get("LEGGETT_LAB_SEED", "0")
-    layout = pick("layout") if hasattr(ns, "layout") else "3p6"
+    if ns.config:
+        subparser = commands[ns.command]
+        subparser.set_defaults(**_config_defaults(subparser, _read_config_file(ns.config)))
+        ns = parser.parse_args(argv)
+    seed = ns.seed if ns.seed is not None else os.environ.get("LEGGETT_LAB_SEED", "0")
     return RunConfig(
         command=ns.command,
-        state=pick("state"),
-        family=pick("family"),
-        layout=LAYOUT_ALIASES[layout],
-        alpha=str(pick("alpha")),
-        phi=str(pick("phi")),
-        bound=pick("bound"),
-        optimize=bool(pick("optimize", bool)),
-        shared=bool(pick("shared", bool)),
-        starts=int(pick("starts", int)),
+        state=ns.state,
+        family=ns.family,
+        layout=LAYOUT_ALIASES[ns.layout],
+        alpha=ns.alpha,
+        phi=ns.phi,
+        bound=ns.bound,
+        optimize=ns.optimize,
+        shared=ns.shared,
+        starts=ns.starts,
         seed=int(seed),
-        tolerance=float(pick("tolerance", float)),
+        tolerance=ns.tolerance,
         figure=getattr(ns, "figure", ""),
-        output=pick("output"),
-        fmt=pick("fmt"),
-        svg=bool(pick("svg", bool)),
+        output=ns.output,
+        fmt=ns.fmt,
+        svg=ns.svg,
     )
 
 
@@ -243,7 +249,7 @@ def _write_records(cfg: RunConfig, records, stem: str) -> list[str]:
     else:
         write_csv(base, records)
     outputs.append(base)
-    if cfg.svg or cfg.fmt == "svg":
+    if cfg.svg:
         from .svg import line_chart
 
         xs = [r.phi if cfg.command == "scan-phi" else r.alpha for r in records]
@@ -274,7 +280,7 @@ def _task(cfg: RunConfig, alpha: float | None = None, phi: float | None = None) 
         sign=sign,
         alpha=alpha,
         phi=phi,
-        bound_mode="state_corrected" if cfg.bound == "corrected" else "analytic2d",
+        bound_mode=_bound_mode(cfg),
         optimize=cfg.optimize,
         shared=cfg.shared,
         include_chsh=False,
@@ -286,142 +292,101 @@ def _task(cfg: RunConfig, alpha: float | None = None, phi: float | None = None) 
 # -- commands --------------------------------------------------------------------
 
 
-def _cmd_scan_phi(cfg: RunConfig):
-    grid = parse_range(cfg.phi or "0:1.2:0.05")
-    alpha = float(cfg.alpha) if cfg.alpha else None
-    records = scan("phi", grid, _task(cfg, alpha=alpha))
-    outputs = _write_records(cfg, records, "scan_phi")
+def _bound_mode(cfg: RunConfig) -> str:
+    return "state_corrected" if cfg.bound == "corrected" else "analytic2d"
+
+
+def _cmd_scan(cfg: RunConfig):
+    """scan-phi at a fixed amplitude, or scan-alpha at a fixed phi."""
+    if cfg.command == "scan-phi":
+        variable, grid = "phi", parse_range(cfg.phi or "0:1.2:0.05")
+        task = _task(cfg, alpha=float(cfg.alpha) if cfg.alpha else None)
+    else:
+        variable, grid = "alpha", parse_range(cfg.alpha or "0.5:10:0.5")
+        task = _task(cfg, phi=float(cfg.phi) if cfg.phi else DEFAULT_THRESHOLD_PHI.get(cfg.layout, 0.5))
+    records = scan(variable, grid, task)
+    outputs = _write_records(cfg, records, f"scan_{variable}")
     best = max(records, key=lambda r: r.margin)
     return {
         "command": cfg.command,
         "outputs": outputs,
         "rows": len(records),
         "seed": cfg.seed,
-        "argmax_phi": best.phi,
+        f"argmax_{variable}": getattr(best, variable),
         "max_margin": best.margin,
     }
 
 
-def _cmd_scan_alpha(cfg: RunConfig):
-    grid = parse_range(cfg.alpha or "0.5:10:0.5")
-    phi = float(cfg.phi) if cfg.phi else DEFAULT_THRESHOLD_PHI.get(cfg.layout, 0.5)
-    task = _task(cfg, phi=phi)
-    records = scan("alpha", grid, task)
-    outputs = _write_records(cfg, records, "scan_alpha")
-    best = max(records, key=lambda r: r.margin)
-    return {
-        "command": cfg.command,
-        "outputs": outputs,
-        "rows": len(records),
-        "seed": cfg.seed,
-        "argmax_alpha": best.alpha,
-        "max_margin": best.margin,
-    }
+def _write_summary(cfg: RunConfig, **fields) -> dict:
+    """The summary of a command that writes no rows; with --output it is also
+    written there as JSON (with outputs still empty)."""
+    summary = {"command": cfg.command, "outputs": [], "rows": 0, "seed": cfg.seed, **fields}
+    if cfg.output:
+        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(summary, fh, sort_keys=True)
+            fh.write("\n")
+        summary["outputs"] = [cfg.output]
+    return summary
 
 
 def _cmd_threshold(cfg: RunConfig):
     family, sign = _model_args(cfg)
-    phi = float(cfg.phi) if cfg.phi else None
     res = threshold_alpha(
         family,
         sign,
         cfg.layout,
         optimized=cfg.optimize,
         tolerance=cfg.tolerance,
-        phi=phi,
+        phi=float(cfg.phi) if cfg.phi else None,
         seed=cfg.seed,
         starts=cfg.starts,
         shared=cfg.shared,
-        bound_mode="state_corrected" if cfg.bound == "corrected" else "analytic2d",
+        bound_mode=_bound_mode(cfg),
     )
-    summary = {
-        "command": cfg.command,
-        "outputs": [],
-        "rows": 0,
-        "seed": cfg.seed,
-        "verdict": res.verdict,
-        "alpha_star": res.alpha_star,
-        "bracket": list(res.bracket),
-        "evaluations": res.evaluations,
-    }
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, sort_keys=True)
-            fh.write("\n")
-        summary["outputs"] = [cfg.output]
-    return summary
+    return _write_summary(
+        cfg,
+        verdict=res.verdict,
+        alpha_star=res.alpha_star,
+        bracket=list(res.bracket),
+        evaluations=res.evaluations,
+    )
 
 
 def _cmd_chsh(cfg: RunConfig):
     family, sign = _model_args(cfg)
-    alpha = float(cfg.alpha) if cfg.alpha else 1.0
-    model = pes_model() if cfg.state == "pes" else ecs_model(alpha, sign, cfg.family)
+    model = _model(family, sign, float(cfg.alpha) if cfg.alpha else 1.0)
     if cfg.optimize:
-        ccfg = SearchConfig(
-            ranges=((0.0, math.pi), (-math.pi, math.pi)) * 4,
-            starts=cfg.starts,
-            seed=cfg.seed,
-        )
-        ev = optimize_chsh(model, ccfg)
+        ev = optimize_chsh(model, SearchConfig(cfg.starts, cfg.seed))
     else:
         ev = chsh_at_layout(model)
-    summary = {
-        "command": cfg.command,
-        "outputs": [],
-        "rows": 0,
-        "seed": cfg.seed,
-        "B": ev.B,
-        "violated": ev.violated,
-        "settings": [[d.theta, d.phi] for d in ev.settings],
-    }
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, sort_keys=True)
-            fh.write("\n")
-        summary["outputs"] = [cfg.output]
-    return summary
+    return _write_summary(cfg, B=ev.B, violated=ev.violated, settings=[[d.theta, d.phi] for d in ev.settings])
 
 
 def _cmd_bound(cfg: RunConfig):
     phi = float(cfg.phi) if cfg.phi else 0.5
     layout = build_layout(cfg.layout, phi)
     family, sign = _model_args(cfg)
-    alpha = float(cfg.alpha) if cfg.alpha else 1.0
-    model = pes_model() if cfg.state == "pes" else ecs_model(alpha, sign, cfg.family)
-    summary = {
-        "command": cfg.command,
-        "outputs": [],
-        "rows": 0,
-        "seed": cfg.seed,
-        "phi": phi,
-        "f_min_analytic": None,
-        "f_min_corrected": None,
-        "f_direct": None,
-        "f_triangle": None,
-    }
+    model = _model(family, sign, float(cfg.alpha) if cfg.alpha else 1.0)
+    fields = {"phi": phi, "f_min_analytic": None, "f_min_corrected": None, "f_direct": None, "f_triangle": None}
     try:
-        summary["f_min_analytic"] = analytic_fmin(cfg.layout, phi)
+        fields["f_min_analytic"] = analytic_fmin(cfg.layout, phi)
     except ValueError:
         pass
     if cfg.layout in ("threeplus7", "threeplus6"):
-        bcfg = SearchConfig(
-            ranges=((0.0, math.pi), (-math.pi, math.pi)) * 2,
-            starts=cfg.starts,
-            seed=cfg.seed,
-        )
-        res = numeric_fmin(model, layout, bcfg)
-        summary["f_min_corrected"] = res.f_min
-        summary["f_direct"] = res.f_direct
-        summary["f_triangle"] = res.f_triangle
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, sort_keys=True)
-            fh.write("\n")
-        summary["outputs"] = [cfg.output]
-    return summary
+        res = numeric_fmin(model, layout, SearchConfig(cfg.starts, cfg.seed))
+        fields.update(f_min_corrected=res.f_min, f_direct=res.f_direct, f_triangle=res.f_triangle)
+    return _write_summary(cfg, **fields)
 
 
 # -- figure presets ----------------------------------------------------------------
+
+# the phi scans of the figures, one per amplitude (ECS-, state-corrected bound):
+# figure -> (layout, family, optimize, default phi grid, CSV name prefix)
+_PHI_SCANS = {
+    "fig3": ("threeplus7", "parity", True, "0.05:1.0:0.05", "fig3_alpha"),
+    "fig4": ("threeplus7", "pseudo_spin", False, "0.02:1.0:0.02", "fig4_alpha"),
+    "fig6": ("threeplus6", "pseudo_spin", False, "0.02:1.4:0.02", "fig6_phiscan_alpha"),
+}
 
 
 def _cmd_reproduce(cfg: RunConfig):
@@ -451,35 +416,22 @@ def _cmd_reproduce(cfg: RunConfig):
                 )
             outputs.append(svg_path)
 
-    if cfg.figure == "fig3":
-        phis = parse_range(cfg.phi) if cfg.phi else parse_range("0.05:1.0:0.05")
+    if cfg.figure in _PHI_SCANS:
+        layout, family, optimize, default_phis, prefix = _PHI_SCANS[cfg.figure]
+        phis = parse_range(cfg.phi or default_phis)
         for alpha in alphas or [5.0, 50.0]:
             task = ScanTask(
-                "threeplus7",
-                family="parity",
+                layout,
+                family=family,
                 sign=-1,
                 alpha=alpha,
-                bound_mode="state_corrected",
-                optimize=True,
+                optimize=optimize,
                 shared=cfg.shared,
                 starts=cfg.starts,
                 seed=cfg.seed,
             )
-            emit(f"fig3_alpha{alpha:g}.csv", scan("phi", phis, task))
-    elif cfg.figure == "fig4":
-        phis = parse_range(cfg.phi) if cfg.phi else parse_range("0.02:1.0:0.02")
-        for alpha in alphas or [5.0, 50.0]:
-            task = ScanTask(
-                "threeplus7",
-                family="pseudo_spin",
-                sign=-1,
-                alpha=alpha,
-                bound_mode="state_corrected",
-                starts=cfg.starts,
-                seed=cfg.seed,
-            )
-            emit(f"fig4_alpha{alpha:g}.csv", scan("phi", phis, task))
-    elif cfg.figure == "fig5":
+            emit(f"{prefix}{alpha:g}.csv", scan("phi", phis, task))
+    if cfg.figure == "fig5":
         grid = alphas or parse_range("0.4:10:0.4")
         phi = float(cfg.phi) if cfg.phi else DEFAULT_THRESHOLD_PHI["threeplus7"]
         for sign, tag in ((+1, "plus"), (-1, "minus")):
@@ -489,7 +441,6 @@ def _cmd_reproduce(cfg: RunConfig):
                     family="pseudo_spin",
                     sign=sign,
                     phi=phi,
-                    bound_mode="state_corrected",
                     optimize=optimize,
                     shared=cfg.shared,
                     include_chsh=optimize,
@@ -497,31 +448,17 @@ def _cmd_reproduce(cfg: RunConfig):
                     seed=cfg.seed,
                 )
                 emit(f"fig5_{tag}_{opt_tag}.csv", scan("alpha", grid, task))
-    elif cfg.figure == "fig6":
-        phis = parse_range(cfg.phi) if cfg.phi else parse_range("0.02:1.4:0.02")
-        for alpha in alphas or [5.0, 50.0]:
-            task = ScanTask(
-                "threeplus6",
-                family="pseudo_spin",
-                sign=-1,
-                alpha=alpha,
-                bound_mode="state_corrected",
-                starts=cfg.starts,
-                seed=cfg.seed,
-            )
-            emit(f"fig6_phiscan_alpha{alpha:g}.csv", scan("phi", phis, task))
-        grid = alphas or parse_range("0.4:10:0.4")
+    if cfg.figure == "fig6":
         task = ScanTask(
             "threeplus6",
             family="pseudo_spin",
             sign=-1,
             phi=DEFAULT_THRESHOLD_PHI["threeplus6"],
-            bound_mode="state_corrected",
             include_chsh=True,
             starts=cfg.starts,
             seed=cfg.seed,
         )
-        emit("fig6_alphascan.csv", scan("alpha", grid, task))
+        emit("fig6_alphascan.csv", scan("alpha", alphas or parse_range("0.4:10:0.4"), task))
     return {
         "command": cfg.command,
         "figure": cfg.figure,
@@ -532,8 +469,8 @@ def _cmd_reproduce(cfg: RunConfig):
 
 
 _DISPATCH = {
-    "scan-phi": _cmd_scan_phi,
-    "scan-alpha": _cmd_scan_alpha,
+    "scan-phi": _cmd_scan,
+    "scan-alpha": _cmd_scan,
     "threshold": _cmd_threshold,
     "chsh": _cmd_chsh,
     "bound": _cmd_bound,

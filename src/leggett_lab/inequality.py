@@ -159,15 +159,15 @@ def leggett_bound(
 
     The original layout supports only the analytic mode: its closed-form
     factor rests on a rotational-invariance ensemble average that a
-    point-mass hidden-vector minimization does not reproduce.
+    point-mass hidden-vector minimization does not reproduce, so the
+    state-corrected bound raises ValueError for it, as for every layout
+    other than threeplus7 and threeplus6.
     """
     if mode == "analytic2d":
         f = analytic_fmin(layout.name, layout.phi)
         return BoundResult(f, 4.0 - f, None, None, (), "analytic2d")
     if mode != "state_corrected":
         raise ValueError(f"unknown bound mode {mode!r}")
-    if layout.name == "original":
-        raise ValueError("the original layout supports only the analytic2d bound mode")
     if _numeric_fmin_impl is None:  # pragma: no cover - import order guard
         raise RuntimeError("state-corrected bound unavailable: optimize module not imported")
     return _numeric_fmin_impl(model, layout, config)
@@ -179,8 +179,9 @@ def evaluate_leggett(
     mode: str = "state_corrected",
     config=None,
 ) -> LeggettEvaluation:
-    value = leggett_value(model, layout)
+    """L, its bound and the verdict at the layout's fixed settings (the bound first)."""
     bound = leggett_bound(model, layout, mode=mode, config=config)
+    value = leggett_value(model, layout)
     margin = value - bound.bound
     return LeggettEvaluation(value, bound, margin, margin > VIOLATION_TOL, layout)
 
@@ -233,31 +234,21 @@ def implication_check(
     """For every grid point where the Leggett evaluation is violated, an
     optimized CHSH evaluation must exceed 2.  Returns the counterexamples
     (expected empty)."""
-    from .correlations import ecs_model, pes_model
-    from .optimize import SearchConfig, numeric_fmin, optimize_chsh
+    from .optimize import SearchConfig, _model, numeric_fmin, optimize_chsh
     from .util import stable_seed
 
     counterexamples = []
     n_violations = 0
     n_points = 0
-    sphere = ((0.0, math.pi), (-math.pi, math.pi))
     for i, alpha in enumerate(alpha_grid):
-        model = (
-            pes_model() if family == "qubit_projective" else ecs_model(alpha, sign, family)
-        )
+        model = _model(family, sign, alpha)
         chsh_b = None
         for j, phi in enumerate(phi_grid):
             n_points += 1
             layout = build_layout(layout_name, phi)
             value = leggett_value(model, layout)
             if bound_mode == "state_corrected":
-                cfg = SearchConfig(
-                    ranges=sphere * 2,
-                    starts=starts,
-                    seed=stable_seed(seed, i, j),
-                    max_iterations=300,
-                    tolerance=1e-9,
-                )
+                cfg = SearchConfig(starts, stable_seed(seed, i, j), max_iterations=300, tolerance=1e-9)
                 bound = numeric_fmin(model, layout, cfg, check_convergence=False, polish=False)
             else:
                 bound = leggett_bound(model, layout, mode=bound_mode)
@@ -266,10 +257,7 @@ def implication_check(
                 continue
             n_violations += 1
             if chsh_b is None:  # settings-independent, one optimization per alpha
-                ccfg = SearchConfig(
-                    ranges=sphere * 4, starts=starts, seed=stable_seed(seed, "chsh", i)
-                )
-                chsh_b = optimize_chsh(model, ccfg).B
+                chsh_b = optimize_chsh(model, SearchConfig(starts, stable_seed(seed, "chsh", i))).B
             if not chsh_b > 2.0:
                 counterexamples.append((float(alpha), float(phi), margin, chsh_b))
     return ImplicationReport(tuple(counterexamples), n_violations, n_points)

@@ -9,6 +9,13 @@ array, and a start leaves the active set when it converges.  Objectives take
 a (k, d) array of points and the (k,) owners of its rows and return a (k,)
 array of values.
 
+Each search fixes the box its starts are drawn from, one (lo, hi) interval
+per coordinate: two (theta, phi) spheres for the direct bound, one for the
+triangle bound, four for CHSH, and three Euler angles per rotation for the
+rigid search.  A :class:`SearchConfig` carries only the number of starts,
+the seed and the stopping rule; :func:`simplex_minimize` takes a box of the
+caller's choosing.
+
 Owners let one batch hold the starts of several problems.  Each start
 belongs to one problem, and the objective looks up that problem's constants
 (the setting vectors of its layout and the t, P, Q, kappa of its model) by
@@ -52,7 +59,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import qmc
@@ -70,15 +76,7 @@ from .geometry import (
     to_cartesian,
 )
 from . import inequality
-from .inequality import (
-    BoundResult,
-    ChshEvaluation,
-    LeggettEvaluation,
-    VIOLATION_TOL,
-    chsh_value,
-    leggett_bound,
-    leggett_value,
-)
+from .inequality import BoundResult, ChshEvaluation, LeggettEvaluation, chsh_value
 from .util import stable_seed
 
 _SPHERE = ((0.0, math.pi), (-math.pi, math.pi))
@@ -89,20 +87,15 @@ _EULER = ((0.0, 2.0 * math.pi),) * 3
 class SearchConfig:
     """Multi-start Nelder-Mead configuration.
 
-    ranges gives one (lo, hi) interval per coordinate; starts are drawn from
-    a Sobol sequence scaled to that box.  tolerance is the simplex value
-    spread at which a start stops.
+    starts are drawn from a Sobol sequence seeded with seed and scaled to the
+    box of the search that uses the config; the box is not part of it.
+    tolerance is the simplex value spread at which a start stops.
     """
 
-    ranges: tuple
     starts: int = 32
     seed: int = 0
     max_iterations: int = 2000
     tolerance: float = 1e-10
-
-    @property
-    def dim(self) -> int:
-        return len(self.ranges)
 
 
 @dataclass(frozen=True)
@@ -187,32 +180,34 @@ def _nelder_mead(f, x0, step, fatol, maxiter, owners=None):
     return best_x, best_f, converged, nfev
 
 
-def _start_points(config: SearchConfig) -> np.ndarray:
-    lo = np.array([r[0] for r in config.ranges])
-    hi = np.array([r[1] for r in config.ranges])
-    pts = np.empty((config.starts, config.dim))
+def _start_points(ranges, config: SearchConfig) -> np.ndarray:
+    """The box midpoint, then config.starts - 1 seeded Sobol points scaled to the box."""
+    lo = np.array([r[0] for r in ranges])
+    hi = np.array([r[1] for r in ranges])
+    pts = np.empty((config.starts, len(ranges)))
     pts[0] = 0.5 * (lo + hi)
     if config.starts > 1:
         n = config.starts - 1
         pow2 = 1 << max(1, (n - 1).bit_length())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sob = qmc.Sobol(config.dim, scramble=True, seed=config.seed).random(pow2)
+            sob = qmc.Sobol(len(ranges), scramble=True, seed=config.seed).random(pow2)
         pts[1:] = lo + sob[:n] * (hi - lo)
     return pts
 
 
-def _run_problems(objective, configs, starts) -> list[list[SimplexResult]]:
+def _run_problems(objective, ranges, configs, starts) -> list[list[SimplexResult]]:
     """The starts of several problems in one lockstep batch; problem g owns starts[g].
 
-    The configs must agree on ranges, tolerance and max_iterations, the
-    engine settings that every start shares.
+    The problems share the box ranges, which sets the initial simplex steps,
+    and the configs must agree on tolerance and max_iterations, the engine
+    settings that every start shares.
     """
-    if len({(c.ranges, c.tolerance, c.max_iterations) for c in configs}) > 1:
-        raise ValueError("a batch of searches must share ranges, tolerance and max_iterations")
+    if len({(c.tolerance, c.max_iterations) for c in configs}) > 1:
+        raise ValueError("a batch of searches must share tolerance and max_iterations")
     config = configs[0]
     owners = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
-    steps = [0.15 * (hi - lo) for lo, hi in config.ranges]
+    steps = [0.15 * (hi - lo) for lo, hi in ranges]
     x, v, ok, nfev = _nelder_mead(
         objective, np.concatenate(starts), steps, config.tolerance, config.max_iterations, owners
     )
@@ -223,11 +218,11 @@ def _run_problems(objective, configs, starts) -> list[list[SimplexResult]]:
     ]
 
 
-def _run_starts(objective, config: SearchConfig, starts=None) -> list[SimplexResult]:
-    """All starts of one search in one lockstep batch (the Sobol starts by default)."""
+def _run_starts(objective, ranges, config: SearchConfig, starts=None) -> list[SimplexResult]:
+    """All starts of one search over the box ranges in one lockstep batch (the Sobol starts by default)."""
     if starts is None:
-        starts = _start_points(config)
-    return _run_problems(objective, [config], [starts])[0]
+        starts = _start_points(ranges, config)
+    return _run_problems(objective, ranges, [config], [starts])[0]
 
 
 def _best_of(results: list[SimplexResult]) -> SimplexResult:
@@ -261,21 +256,18 @@ def _rowwise(objective):
     return lambda points, owners=None: np.array([objective(x) for x in points], dtype=float)
 
 
-def simplex_minimize(objective, config: SearchConfig) -> SimplexResult:
-    """Best point over seeded multi-start simplex descent.
+def simplex_minimize(objective, ranges, config: SearchConfig) -> SimplexResult:
+    """Best point over seeded multi-start simplex descent in the box ranges.
 
+    ranges gives one (lo, hi) interval per coordinate of the caller's
+    objective; the searches of this module fix their own boxes instead.
     objective maps one point to a float; the engine evaluates it row by
     row.  A start that exhausts max_iterations without meeting the
     tolerance is still used but flags the result as unconverged.
     """
-    if config.dim < 1:
+    if len(ranges) < 1:
         raise ValueError("objective must have at least one coordinate")
-    return _best_of(_run_starts(_rowwise(objective), config))
-
-
-def simplex_maximize(objective, config: SearchConfig) -> SimplexResult:
-    res = simplex_minimize(lambda x: -objective(x), config)
-    return replace(res, value=-res.value)
+    return _best_of(_run_starts(_rowwise(objective), ranges, config))
 
 
 # -- batched objectives --------------------------------------------------------------
@@ -412,13 +404,9 @@ def numeric_fmin(
         if model.family == "pseudo_spin":
             f = float(np.linalg.norm(pseudospin_bloch(model.ecs.alpha))) * f
         return BoundResult(f, 4.0 - f, None, None, (), "state_corrected", f_direct=f, f_triangle=f)
-    if config is None:
-        config = SearchConfig(ranges=_SPHERE * 2)
-    elif config.dim != 4:
-        config = replace(config, ranges=_SPHERE * 2)
-
+    config = config or SearchConfig()
     direct, triangle, weighted_terms = _bound_objectives(model, layout)
-    results = _run_starts(direct, config)
+    results = _run_starts(direct, _SPHERE * 2, config)
     best = _best_of(results)
     pn = 0
     if polish:
@@ -433,14 +421,8 @@ def numeric_fmin(
                 f"top-decile spread {vals[-1] - vals[0]:.3e} after {config.starts} starts"
             )
 
-    tri_cfg = SearchConfig(
-        ranges=_SPHERE,
-        starts=max(8, config.starts // 2),
-        seed=stable_seed(config.seed, "triangle"),
-        max_iterations=config.max_iterations,
-        tolerance=config.tolerance,
-    )
-    tri_results = _run_starts(triangle, tri_cfg)
+    tri_cfg = replace(config, starts=max(8, config.starts // 2), seed=stable_seed(config.seed, "triangle"))
+    tri_results = _run_starts(triangle, _SPHERE, tri_cfg)
     tri_best = _best_of(tri_results)
     tn = 0
     if polish:
@@ -510,13 +492,8 @@ def optimize_chsh(model: CorrelationModel, config: SearchConfig | None = None) -
     """
     if model.tensor is not None:
         return _tensor_chsh(model)
-    if config is None:
-        config = SearchConfig(ranges=_SPHERE * 4)
-    elif config.dim != 8:
-        config = replace(config, ranges=_SPHERE * 4)
-
     negative_b = _chsh_objective(model)
-    best, _ = _polish_best(negative_b, _best_of(_run_starts(negative_b, config)))
+    best, _ = _polish_best(negative_b, _best_of(_run_starts(negative_b, _SPHERE * 4, config or SearchConfig())))
     x = best.point
     return chsh_value(
         model,
@@ -530,14 +507,6 @@ def optimize_chsh(model: CorrelationModel, config: SearchConfig | None = None) -
 # -- rigid-rotation optimization -------------------------------------------------------
 
 
-def _rigid_config(config: SearchConfig | None, shared: bool) -> SearchConfig:
-    """config with the Euler-angle ranges of the search (a default config for None)."""
-    ranges = _EULER if shared else _EULER * 2
-    if config is None:
-        return SearchConfig(ranges=ranges, starts=32 if shared else 64)
-    return config if config.dim == len(ranges) else replace(config, ranges=ranges)
-
-
 def optimize_rigid(
     models,
     layouts,
@@ -545,12 +514,12 @@ def optimize_rigid(
     shared: bool = False,
     bound_mode: str = "state_corrected",
     bound_configs=None,
-    check_convergence: bool = True,
 ) -> list[LeggettEvaluation]:
     """Maximize the inequality value over rigid rotations of the settings, at each point.
 
     Point g is models[g] on layouts[g], searched with configs[g] and bounded
-    with bound_configs[g] (None entries, or None lists, take the defaults).
+    with bound_configs[g] (None entries, or None lists, take the defaults:
+    32 starts for a shared rotation, 64 for independent ones).
     The starts of all points advance as one lockstep batch, and every point's
     best start is polished in one more batch; each point follows exactly the
     trajectory it would follow alone.  shared=False rotates the two parties
@@ -561,13 +530,14 @@ def optimize_rigid(
     """
     if not models:
         return []
-    configs = [_rigid_config(c, shared) for c in configs or [None] * len(models)]
+    ranges = _EULER if shared else _EULER * 2
+    configs = [c or SearchConfig(starts=32 if shared else 64) for c in configs or [None] * len(models)]
     objective = _make_rigid_objective(models, layouts, shared)
 
-    starts = [_start_points(c) for c in configs]
+    starts = [_start_points(ranges, c) for c in configs]
     for st in starts:
         st[0] = 0.0  # start 0 is the identity rotation, not the box midpoint
-    bests = [_best_of(r) for r in _run_problems(objective, configs, starts)]
+    bests = [_best_of(r) for r in _run_problems(objective, ranges, configs, starts)]
 
     out = []
     for model, layout, bcfg, (best, _) in zip(
@@ -576,25 +546,35 @@ def optimize_rigid(
         x = best.point
         ra = RigidRotation(float(x[0]), float(x[1]), float(x[2]))
         rb = ra if shared else RigidRotation(float(x[3]), float(x[4]), float(x[5]))
-        rotated = rotate_settings(layout, ra, rb)
-        value = leggett_value(model, rotated)
-        if bound_mode == "state_corrected":
-            bound = numeric_fmin(model, rotated, bcfg, check_convergence=check_convergence)
-        else:
-            bound = leggett_bound(model, rotated, mode=bound_mode)
-        margin = value - bound.bound
-        out.append(
-            LeggettEvaluation(
-                L=value,
-                bound=bound,
-                margin=margin,
-                violated=margin > VIOLATION_TOL,
-                layout=rotated,
-                rotation_a=ra,
-                rotation_b=rb,
-            )
-        )
+        ev = inequality.evaluate_leggett(model, rotate_settings(layout, ra, rb), mode=bound_mode, config=bcfg)
+        out.append(replace(ev, rotation_a=ra, rotation_b=rb))
     return out
+
+
+# -- grid points --------------------------------------------------------------------------
+
+
+def _model(family: str, sign: int, alpha: float | None) -> CorrelationModel:
+    """The singlet for family "qubit_projective" (alpha and sign unused), else the ECS model."""
+    return pes_model() if family == "qubit_projective" else ecs_model(alpha, sign, family)
+
+
+def _evaluate(models, layouts, seeds, optimize, shared, bound_mode, starts, rigid_starts) -> list[LeggettEvaluation]:
+    """The inequality evaluation of models[g] on layouts[g] at each point g.
+
+    Point g bounds with SearchConfig(starts, seeds[g]).  Without optimize the
+    settings are fixed; with it, the rigid rotations of all points are
+    searched as one batch (:func:`optimize_rigid`), point g with
+    SearchConfig(rigid_starts, stable_seed(seeds[g], "rigid")).
+    """
+    bcfgs = [SearchConfig(starts, seed) for seed in seeds]
+    if not optimize:
+        return [
+            inequality.evaluate_leggett(model, layout, mode=bound_mode, config=bcfg)
+            for model, layout, bcfg in zip(models, layouts, bcfgs)
+        ]
+    ocfgs = [SearchConfig(rigid_starts, stable_seed(seed, "rigid")) for seed in seeds]
+    return optimize_rigid(models, layouts, ocfgs, shared=shared, bound_mode=bound_mode, bound_configs=bcfgs)
 
 
 # -- threshold bisection ------------------------------------------------------------------
@@ -708,32 +688,17 @@ def threshold_alpha(
         phi = DEFAULT_THRESHOLD_PHI[layout_name]
     layout = build_layout(layout_name, phi)
 
-    def point(alpha):
-        model = (
-            pes_model() if family == "qubit_projective" else ecs_model(alpha, sign, family)
-        )
-        run_seed = stable_seed(seed, layout_name, family, sign, round(alpha, 12))
-        bcfg = SearchConfig(ranges=_SPHERE * 2, starts=starts or 32, seed=run_seed)
-        return model, bcfg, run_seed
-
     def margins(alphas) -> list[float]:
         """The margin at each amplitude; the rigid searches of all of them run as one batch."""
-        if not optimized:
-            return [
-                inequality.evaluate_leggett(model, layout, mode=bound_mode, config=bcfg).margin
-                for model, bcfg, _ in map(point, alphas)
-            ]
-        models, bcfgs, run_seeds = zip(*map(point, alphas))
-        ocfgs = [
-            SearchConfig(
-                ranges=_EULER * (1 if shared else 2),
-                starts=starts or (32 if shared else 64),
-                seed=stable_seed(run_seed, "rigid"),
-            )
-            for run_seed in run_seeds
-        ]
-        evs = optimize_rigid(
-            models, [layout] * len(alphas), ocfgs, shared=shared, bound_mode=bound_mode, bound_configs=bcfgs
+        evs = _evaluate(
+            [_model(family, sign, alpha) for alpha in alphas],
+            [layout] * len(alphas),
+            [stable_seed(seed, layout_name, family, sign, round(alpha, 12)) for alpha in alphas],
+            optimized,
+            shared,
+            bound_mode,
+            starts or 32,
+            starts or (32 if shared else 64),
         )
         return [ev.margin for ev in evs]
 
@@ -752,7 +717,7 @@ def threshold_alpha(
             verdict, None, tuple(bracket), margins_grid[0], margins_grid[-1], None, evaluations
         )
 
-    speculate = optimized and (bound_mode != "state_corrected" or point(lo)[0].tensor is not None)
+    speculate = optimized and (bound_mode != "state_corrected" or _model(family, sign, lo).tensor is not None)
     known = dict(zip(grid.tolist(), margins_grid))
     while True:
         mid = 0.5 * (lo + hi)  # a bisection midpoint, or alpha* once the bracket is narrow enough
@@ -808,58 +773,23 @@ class ScanTask:
     seed: int = 0
 
 
-class _ScanPoint(NamedTuple):
-    index: int
-    alpha: float | None
-    phi: float
-    model: CorrelationModel
-    layout: SettingsLayout
-    seed: int
-    bound_config: SearchConfig
-
-
-def _scan_point(task: ScanTask, index: int, alpha: float | None, phi: float) -> _ScanPoint:
-    layout = build_layout(task.layout_name, phi)
-    model = (
-        pes_model()
-        if task.family == "qubit_projective"
-        else ecs_model(alpha, task.sign, task.family)
-    )
-    point_seed = stable_seed(task.seed, task.layout_name, task.family, index)
-    bcfg = SearchConfig(ranges=_SPHERE * 2, starts=task.starts, seed=point_seed)
-    return _ScanPoint(index, alpha, phi, model, layout, point_seed, bcfg)
-
-
-def _fixed_settings(task: ScanTask, p: _ScanPoint) -> LeggettEvaluation:
-    if task.bound_mode == "state_corrected":
-        bound = numeric_fmin(p.model, p.layout, p.bound_config)
-    else:
-        bound = leggett_bound(p.model, p.layout, mode=task.bound_mode)
-    value = leggett_value(p.model, p.layout)
-    margin = value - bound.bound
-    return LeggettEvaluation(value, bound, margin, margin > VIOLATION_TOL, p.layout)
-
-
-def _record(task: ScanTask, p: _ScanPoint, ev: LeggettEvaluation) -> SweepRecord:
+def _record(task: ScanTask, index: int, alpha, phi, model, seed, ev: LeggettEvaluation) -> SweepRecord:
     f_corr = ev.bound.f_min if ev.bound.mode == "state_corrected" else None
     try:
-        f_an = inequality.analytic_fmin(task.layout_name, p.phi)
+        f_an = inequality.analytic_fmin(task.layout_name, phi)
     except ValueError:
         f_an = None
     if f_corr is None and task.layout_name != "original":
-        f_corr = numeric_fmin(p.model, ev.layout, p.bound_config).f_min
+        f_corr = numeric_fmin(model, ev.layout, SearchConfig(task.starts, seed)).f_min
 
     chsh_b = None
     if task.include_chsh:
-        ccfg = SearchConfig(
-            ranges=_SPHERE * 4, starts=task.starts, seed=stable_seed(p.seed, "chsh")
-        )
-        chsh_b = optimize_chsh(p.model, ccfg).B
+        chsh_b = optimize_chsh(model, SearchConfig(task.starts, stable_seed(seed, "chsh"))).B
 
     return SweepRecord(
-        index=p.index,
-        alpha=p.alpha,
-        phi=p.phi,
+        index=index,
+        alpha=alpha,
+        phi=phi,
         L=ev.L,
         f_min_corrected=f_corr,
         f_min_analytic=f_an,
@@ -877,7 +807,9 @@ def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
 
     Records come back in grid order; each point draws its own seed from the
     task seed and its index.  With task.optimize the rigid searches of all
-    points run as one batch (:func:`optimize_rigid`)."""
+    points run as one batch (:func:`optimize_rigid`); without it each point
+    is evaluated and recorded before the next, so a scan stops at its first
+    failing point."""
     grid = list(grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be monotone nondecreasing")
@@ -889,24 +821,18 @@ def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
         coords = [(i, float(g), task.phi) for i, g in enumerate(grid)]
     else:
         raise ValueError("variable must be 'phi' or 'alpha'")
-    points = (_scan_point(task, *c) for c in coords)
-    if not task.optimize:
-        return [_record(task, p, _fixed_settings(task, p)) for p in points]
-    points = list(points)
-    ocfgs = [
-        SearchConfig(
-            ranges=_EULER * (1 if task.shared else 2),
-            starts=task.starts,
-            seed=stable_seed(p.seed, "rigid"),
+    records = []
+    for batch in [coords] if task.optimize else [[c] for c in coords]:
+        layouts, models = [], []
+        for _, alpha, phi in batch:  # point by point, so the first invalid point raises first
+            layouts.append(build_layout(task.layout_name, phi))
+            models.append(_model(task.family, task.sign, alpha))
+        seeds = [stable_seed(task.seed, task.layout_name, task.family, i) for i, _, _ in batch]
+        evs = _evaluate(
+            models, layouts, seeds, task.optimize, task.shared, task.bound_mode, task.starts, task.starts
         )
-        for p in points
-    ]
-    evs = optimize_rigid(
-        [p.model for p in points],
-        [p.layout for p in points],
-        ocfgs,
-        shared=task.shared,
-        bound_mode=task.bound_mode,
-        bound_configs=[p.bound_config for p in points],
-    )
-    return [_record(task, p, ev) for p, ev in zip(points, evs)]
+        records += [
+            _record(task, i, alpha, phi, model, seed, ev)
+            for (i, alpha, phi), model, seed, ev in zip(batch, models, seeds, evs)
+        ]
+    return records

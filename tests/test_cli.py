@@ -130,9 +130,9 @@ def test_fig4_sums_the_series_once_per_amplitude(tmp_path, capsys):
     assert _log_even_series.cache_info().misses == 2  # alpha 5 and 50
 
 
-def _module_run(module, *args):
+def _module_run(module, *args, **env_vars):
     src = os.path.dirname(os.path.dirname(os.path.abspath(leggett_lab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env_vars)
     env.pop("LEGGETT_LAB_SEED", None)
     return subprocess.run(
         [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env, timeout=120
@@ -216,3 +216,121 @@ def test_fig3_fault_command_stops_on_the_named_spread(tmp_path):
     assert (rc, stdout) == (1, "")
     assert err == "error: top-decile spread 9.713e-04 after 32 starts\n"
     assert list(out.iterdir()) == []
+
+
+# -- --config precedence: flag, then the file, then the built-in default -------------
+
+# key -> (file value, flag, from the file, from the flag, built-in default); the flag
+# value differs from the file's, and for fmt and bound it equals the built-in default
+_CONFIG_KEYS = {
+    "state": ("ecs+", ["--state", "ecs-"], "ecs+", "ecs-", "pes"),
+    "family": ("parity", ["--family", "on_off"], "parity", "on_off", "pseudo_spin"),
+    "layout": ("3p7", ["--layout", "original"], "threeplus7", "original", "threeplus6"),
+    "alpha": ("2", ["--alpha", "3"], "2", "3", ""),
+    "phi": ("0.4", ["--phi", "0.5"], "0.4", "0.5", ""),
+    "bound": ("analytic", ["--bound", "corrected"], "analytic", "corrected", "corrected"),
+    "optimize": ("false", ["--optimize"], False, True, False),
+    "shared": ("true", ["--independent-rotations"], True, False, True),
+    "starts": ("8", ["--starts", "4"], 8, 4, 32),
+    "tolerance": ("0.01", ["--tolerance", "0.1"], 0.01, 0.1, 1e-3),
+    "output": ("a.json", ["--output", "b.json"], "a.json", "b.json", ""),
+    "fmt": ("json", ["--format", "csv"], "json", "csv", "csv"),
+    "svg": ("0", ["--svg"], False, True, False),
+}
+
+
+def _config_file(tmp_path, text):
+    path = tmp_path / "run.conf"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_config_file_sits_between_flag_and_default(key, tmp_path):
+    text, flag, from_file, from_flag, default = _CONFIG_KEYS[key]
+    conf = _config_file(tmp_path, f"# defaults\n{key.replace('_', '-')} = {text}\n")
+    assert getattr(cli.parse_args(["chsh", "--config", conf]), key) == from_file
+    assert getattr(cli.parse_args(["chsh", "--config", conf] + flag), key) == from_flag
+    assert getattr(cli.parse_args(["chsh"] + flag), key) == from_flag
+    assert getattr(cli.parse_args(["chsh"]), key) == default
+
+
+def test_config_file_sets_a_store_true_flag(tmp_path):
+    conf = _config_file(tmp_path, "optimize = true\nshared = false\nsvg = yes\n")
+    cfg = cli.parse_args(["reproduce", "fig5", "--config", conf])
+    assert (cfg.optimize, cfg.shared, cfg.svg, cfg.figure) == (True, False, True, "fig5")
+
+
+def test_config_file_starts_reach_the_search(tmp_path):
+    argv = ["chsh", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--optimize", "--seed", "0"]
+    conf = _config_file(tmp_path, "starts = 8\n")
+    assert _run(argv + ["--config", conf]) == _run(argv + ["--starts", "8"])
+
+
+def test_seed_precedence(tmp_path, monkeypatch):
+    conf = _config_file(tmp_path, "seed = 5\n")
+    monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
+    assert cli.parse_args(["bound"]).seed == 0
+    monkeypatch.setenv("LEGGETT_LAB_SEED", "7")
+    assert cli.parse_args(["bound"]).seed == 7
+    assert cli.parse_args(["bound", "--config", conf]).seed == 5
+    assert cli.parse_args(["bound", "--config", conf, "--seed", "3"]).seed == 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("colour = red\n", "error: unknown config key 'colour'\n"),
+        ("figure = fig4\n", "error: unknown config key 'figure'\n"),
+        ("state = ecs\n", "error: config key 'state' must be one of pes, ecs+, ecs-\n"),
+        ("starts\n", "error: config line must be 'key = value': 'starts\\n'\n"),
+    ],
+)
+def test_bad_config_file_exits_2(text, message, tmp_path):
+    conf = _config_file(tmp_path, text)
+    assert _run(["chsh", "--config", conf]) == (2, "", message)
+
+
+# -- CLI contract ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bound", "--no-such-flag"], 2),
+        (["bound", "--phi", "4"], 2),
+        (["scan-phi", "--format", "svg"], 2),
+        (["reproduce", "fig9"], 2),
+    ],
+)
+def test_exit_codes(argv, code):
+    rc, out, err = _run(argv)
+    assert (rc, out) == (code, "")
+    assert err.startswith("usage: ") or err.startswith("error: ")
+
+
+def test_python_m_help_exits_zero():
+    res = _module_run("leggett_lab", "--help")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("usage: leggett-lab")
+
+
+_TINY_FIGURES = [
+    ["reproduce", "fig4", "--alpha", "5", "--phi", "0.1:0.3:0.1"],
+    ["reproduce", "fig5", "--alpha", "0.8:1.6:0.8", "--starts", "8"],
+    ["reproduce", "fig6", "--alpha", "1", "--phi", "0.2:0.4:0.2", "--starts", "8"],
+]
+
+
+def test_figures_do_not_depend_on_the_hash_seed(tmp_path):
+    written = []
+    for hash_seed in ("1", "2"):
+        files = {}
+        for k, argv in enumerate(_TINY_FIGURES):
+            out = tmp_path / hash_seed / str(k)
+            res = _module_run("leggett_lab", *argv, "--seed", "0", "--output", str(out), PYTHONHASHSEED=hash_seed)
+            assert res.returncode == 0, res.stderr
+            files.update({f"{k}/{p.name}": p.read_bytes() for p in out.iterdir()})
+        written.append(files)
+    assert len(written[0]) == 1 + 4 + 2
+    assert written[0] == written[1]

@@ -88,14 +88,14 @@ def test_numeric_fmin_malus_threeplus6():
 def _searched_direct(model, layout, config):
     """Best point and value of the multi-start search of the direct bound objective."""
     direct, _, _ = optimize._bound_objectives(model, layout)
-    best = min(optimize._run_starts(direct, config), key=lambda r: (r.value, r.start_index))
+    best = min(optimize._run_starts(direct, _SPHERE2, config), key=lambda r: (r.value, r.start_index))
     return best.point, best.value
 
 
 def test_numeric_fmin_phi0_argmin():
     lay = build_layout("threeplus6", 0.0)
     assert numeric_fmin(pes_model(), lay).f_min == 0.0
-    x, value = _searched_direct(pes_model(), lay, SearchConfig(_SPHERE2, starts=32, seed=0))
+    x, value = _searched_direct(pes_model(), lay, SearchConfig(starts=32, seed=0))
     assert value < 1e-9
     u = Direction(x[0], x[1]).cartesian()
     v = Direction(x[2], x[3]).cartesian()
@@ -168,12 +168,12 @@ def test_pseudospin_fmin_closed_form_below_search():
         assert res.bound == 4.0 - res.f_min
         assert res.mode == "state_corrected" and res.converged
         assert res.evaluations == 0 and res.argmin_u is None and res.argmin_v is None
-        found = simplex_minimize(_direct_objective(model, lay), SearchConfig(_SPHERE2, starts=16, seed=k))
+        found = simplex_minimize(_direct_objective(model, lay), _SPHERE2, SearchConfig(starts=16, seed=k))
         assert found.value >= exact - 1e-12
 
 
 def test_pes_fmin_matches_numeric_search():
-    cfg = SearchConfig(_SPHERE2, starts=32, seed=0)
+    cfg = SearchConfig(starts=32, seed=0)
     for name in ("threeplus7", "threeplus6"):
         for phi in (0.02, 0.25, 0.65, 1.2, 2.0):
             lay = build_layout(name, phi)
@@ -216,14 +216,14 @@ def test_numeric_fmin_convergence_error():
         numeric_fmin(
             ecs_model(5.0, -1, "parity"),
             build_layout("threeplus6", 0.65),
-            SearchConfig(ranges=((0, np.pi), (-np.pi, np.pi)) * 2, starts=4, seed=0, max_iterations=12),
+            SearchConfig(starts=4, seed=0, max_iterations=12),
         )
 
 
 def test_numeric_fmin_monotone_in_starts():
     lay = build_layout("threeplus6", 0.8)
-    cfg16 = SearchConfig(ranges=((0, np.pi), (-np.pi, np.pi)) * 2, starts=16, seed=9)
-    cfg32 = SearchConfig(ranges=((0, np.pi), (-np.pi, np.pi)) * 2, starts=32, seed=9)
+    cfg16 = SearchConfig(starts=16, seed=9)
+    cfg32 = SearchConfig(starts=32, seed=9)
     f16 = _searched_direct(pes_model(), lay, cfg16)[1]
     f32 = _searched_direct(pes_model(), lay, cfg32)[1]
     assert f32 <= f16 + 1e-9  # doubled start set contains the original starts

@@ -18,7 +18,6 @@ from leggett_lab import (
     pes_model,
     rotate_settings,
     scan,
-    simplex_maximize,
     simplex_minimize,
     threshold_alpha,
 )
@@ -26,13 +25,13 @@ from leggett_lab import chsh_value, optimize
 from conftest import random_direction
 
 
-def _cfg(ranges, starts=16, seed=0, **kw):
-    return SearchConfig(ranges=tuple(ranges), starts=starts, seed=seed, **kw)
+def _cfg(starts=16, seed=0, **kw):
+    return SearchConfig(starts=starts, seed=seed, **kw)
 
 
 def test_simplex_convex_bowl():
     c = np.array([0.3, -1.2, 2.0, 0.7])
-    res = simplex_minimize(lambda x: float(np.sum((x - c) ** 2)), _cfg([(-3, 3)] * 4, starts=8))
+    res = simplex_minimize(lambda x: float(np.sum((x - c) ** 2)), [(-3, 3)] * 4, _cfg(starts=8))
     assert np.allclose(res.point, c, atol=1e-6)
     assert res.value < 1e-10
 
@@ -41,7 +40,7 @@ def test_simplex_rosenbrock():
     def rosen(x):
         return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
 
-    res = simplex_minimize(rosen, _cfg([(-2, 2), (-1, 3)], starts=8, max_iterations=4000))
+    res = simplex_minimize(rosen, [(-2, 2), (-1, 3)], _cfg(starts=8, max_iterations=4000))
     assert np.allclose(res.point, [1.0, 1.0], atol=1e-4)
 
 
@@ -49,45 +48,34 @@ def test_simplex_deterministic():
     def f(x):
         return float(np.sin(3 * x[0]) * np.cos(2 * x[1]) + 0.1 * x[0] ** 2)
 
-    cfg = _cfg([(-4, 4), (-4, 4)], starts=12, seed=77)
-    r1 = simplex_minimize(f, cfg)
-    r2 = simplex_minimize(f, cfg)
+    box, cfg = [(-4, 4), (-4, 4)], _cfg(starts=12, seed=77)
+    r1 = simplex_minimize(f, box, cfg)
+    r2 = simplex_minimize(f, box, cfg)
     assert r1.value == r2.value
     assert np.array_equal(r1.point, r2.point)
     assert r1.start_index == r2.start_index
 
 
 def test_simplex_flags_unconverged():
-    res = simplex_minimize(
-        lambda x: float(np.sum(x**2)), _cfg([(-1, 1)] * 3, starts=2, max_iterations=3)
-    )
+    res = simplex_minimize(lambda x: float(np.sum(x**2)), [(-1, 1)] * 3, _cfg(starts=2, max_iterations=3))
     assert not res.converged  # flagged but still returned
     assert res.value >= 0.0
 
 
-def test_simplex_maximize():
-    res = simplex_maximize(lambda x: -((x[0] - 2.0) ** 2) + 5.0, _cfg([(0, 4)], starts=4))
-    assert res.value == pytest.approx(5.0, abs=1e-8)
-
-
 def test_optimize_chsh_pes():
-    ev = optimize_chsh(pes_model(), _cfg([(0, np.pi), (-np.pi, np.pi)] * 4, starts=16, seed=3))
+    ev = optimize_chsh(pes_model(), _cfg(starts=16, seed=3))
     assert abs(ev.B - 2.0 * math.sqrt(2.0)) < 1e-9
 
 
 def test_optimize_chsh_ecs_closed_form():
     for alpha in (0.5, 2.0):
         K = kappa_K(alpha)
-        ev = optimize_chsh(
-            ecs_model(alpha, -1), _cfg([(0, np.pi), (-np.pi, np.pi)] * 4, starts=16, seed=4)
-        )
+        ev = optimize_chsh(ecs_model(alpha, -1), _cfg(starts=16, seed=4))
         assert abs(ev.B - 2.0 * math.sqrt(1.0 + K * K)) < 1e-4
 
 
 def test_optimize_chsh_onoff_no_violation():
-    ev = optimize_chsh(
-        ecs_model(5.0, -1, "on_off"), _cfg([(0, np.pi), (-np.pi, np.pi)] * 4, starts=16, seed=5)
-    )
+    ev = optimize_chsh(ecs_model(5.0, -1, "on_off"), _cfg(starts=16, seed=5))
     assert ev.B <= 2.0 + 1e-6
 
 
@@ -98,10 +86,9 @@ def test_optimize_rigid_identity_floor():
     (ev,) = optimize_rigid(
         [model],
         [lay],
-        [_cfg([(0, 2 * np.pi)] * 3, starts=8, seed=6)],
+        [_cfg(starts=8, seed=6)],
         shared=True,
-        bound_configs=[_cfg([(0, np.pi), (-np.pi, np.pi)] * 2, starts=16, seed=7)],
-        check_convergence=False,
+        bound_configs=[_cfg(starts=16, seed=7)],
     )
     assert ev.L >= unopt - 1e-9
     assert ev.rotation_a is ev.rotation_b  # shared mode uses one rotation
@@ -113,10 +100,9 @@ def test_optimize_rigid_pes_threeplus6_no_gain():
     (ev,) = optimize_rigid(
         [pes_model()],
         [lay],
-        [_cfg([(0, 2 * np.pi)] * 6, starts=24, seed=8)],
+        [_cfg(starts=24, seed=8)],
         shared=False,
-        bound_configs=[_cfg([(0, np.pi), (-np.pi, np.pi)] * 2, starts=16, seed=9)],
-        check_convergence=False,
+        bound_configs=[_cfg(starts=16, seed=9)],
     )
     assert ev.L - unopt <= 1e-3
     assert ev.L >= unopt - 1e-9
@@ -253,18 +239,18 @@ def _terraced(x):
 
 
 @pytest.mark.parametrize(
-    "f, cfg",
+    "f, ranges, cfg",
     [
-        (_rosenbrock, _cfg([(-2, 2), (-1, 3)], starts=12, seed=21, max_iterations=4000)),
-        (_kinked, _cfg([(-2, 2)] * 3, starts=12, seed=22)),
-        (_kinked, _cfg([(-2, 2)] * 3, starts=6, seed=23, max_iterations=7)),
-        (_terraced, _cfg([(-2, 2)] * 3, starts=12, seed=24)),
+        (_rosenbrock, [(-2, 2), (-1, 3)], _cfg(starts=12, seed=21, max_iterations=4000)),
+        (_kinked, [(-2, 2)] * 3, _cfg(starts=12, seed=22)),
+        (_kinked, [(-2, 2)] * 3, _cfg(starts=6, seed=23, max_iterations=7)),
+        (_terraced, [(-2, 2)] * 3, _cfg(starts=12, seed=24)),
     ],
     ids=["rosenbrock", "kinked", "exhausted", "ties"],
 )
-def test_lockstep_engine_matches_scalar_oracle(f, cfg):
-    starts = optimize._start_points(cfg)
-    steps = [0.15 * (hi - lo) for lo, hi in cfg.ranges]
+def test_lockstep_engine_matches_scalar_oracle(f, ranges, cfg):
+    starts = optimize._start_points(ranges, cfg)
+    steps = [0.15 * (hi - lo) for lo, hi in ranges]
     x, v, ok, nfev = optimize._nelder_mead(
         optimize._rowwise(f), starts, steps, cfg.tolerance, cfg.max_iterations
     )
@@ -308,8 +294,8 @@ _EULER3 = ((0.0, 2 * np.pi),) * 3
 @pytest.mark.parametrize("name", sorted(_batched_objectives()))
 def test_batched_objective_rows_do_not_depend_on_the_batch(name):
     objective, ranges = _batched_objectives()[name]
-    cfg = _cfg(ranges, starts=6, seed=31, max_iterations=150)
-    starts = optimize._start_points(cfg)
+    cfg = _cfg(starts=6, seed=31, max_iterations=150)
+    starts = optimize._start_points(ranges, cfg)
     steps = [0.15 * (hi - lo) for lo, hi in ranges]
     batch = optimize._nelder_mead(objective, starts, steps, cfg.tolerance, cfg.max_iterations)
     for s in range(cfg.starts):
@@ -393,21 +379,21 @@ def _grid_problems():
     }
 
 
-def _rigid_configs(shared, starts):
-    ranges = _EULER3 * (1 if shared else 2)
-    return [_cfg(ranges, starts=s, seed=40 + g, max_iterations=400) for g, s in enumerate(starts)]
+def _rigid_configs(starts):
+    return [_cfg(starts=s, seed=40 + g, max_iterations=400) for g, s in enumerate(starts)]
 
 
 @pytest.mark.parametrize("name", sorted(_grid_problems()))
 def test_grid_batch_gives_each_problem_its_solo_search(name):
     models, layouts, shared, n_starts = _grid_problems()[name]
-    configs = _rigid_configs(shared, n_starts)
-    starts = [optimize._start_points(c) for c in configs]
-    batched = optimize._run_problems(optimize._make_rigid_objective(models, layouts, shared), configs, starts)
+    configs = _rigid_configs(n_starts)
+    ranges = _EULER3 * (1 if shared else 2)
+    starts = [optimize._start_points(ranges, c) for c in configs]
+    batched = optimize._run_problems(optimize._make_rigid_objective(models, layouts, shared), ranges, configs, starts)
     bests = []
     for g, (model, layout, config) in enumerate(zip(models, layouts, configs)):
         solo_objective = optimize._make_rigid_objective([model], [layout], shared)
-        solo = optimize._run_starts(solo_objective, config, starts[g])
+        solo = optimize._run_starts(solo_objective, ranges, config, starts[g])
         assert len(batched[g]) == len(solo) == n_starts[g]
         for got, want in zip(batched[g], solo):
             assert np.array_equal(got.point, want.point)
@@ -428,7 +414,7 @@ def test_grid_batch_gives_each_problem_its_solo_search(name):
 @pytest.mark.parametrize("name", sorted(_grid_problems()))
 def test_optimize_rigid_batch_equals_each_point_alone(name):
     models, layouts, shared, n_starts = _grid_problems()[name]
-    configs = _rigid_configs(shared, n_starts)
+    configs = _rigid_configs(n_starts)
     batch = optimize_rigid(models, layouts, configs, shared=shared, bound_mode="analytic2d")
     for ev, model, layout, config in zip(batch, models, layouts, configs):
         (alone,) = optimize_rigid([model], [layout], [config], shared=shared, bound_mode="analytic2d")
@@ -442,7 +428,7 @@ def test_rigid_batch_of_no_points_and_of_mixed_problems():
         optimize._make_rigid_objective([pes_model(), ecs_model(1.0, -1)], [lay, lay], True)
     with pytest.raises(ValueError):
         optimize._make_rigid_objective([pes_model()] * 2, [lay, build_layout("threeplus6", 0.3)], True)
-    configs = [_cfg(_EULER3, starts=4), _cfg(_EULER3, starts=4, tolerance=1e-8)]
+    configs = [_cfg(starts=4), _cfg(starts=4, tolerance=1e-8)]
     with pytest.raises(ValueError):
         optimize_rigid([pes_model()] * 2, [lay, lay], configs, shared=True, bound_mode="analytic2d")
 
@@ -453,7 +439,7 @@ def test_rigid_batch_of_no_points_and_of_mixed_problems():
 def _chsh_oracle(model, seed):
     """The Nelder-Mead CHSH maximum: 32 starts and a polish of the best."""
     negative_b = optimize._chsh_objective(model)
-    best = optimize._best_of(optimize._run_starts(negative_b, _cfg(_SPHERE4, starts=32, seed=seed)))
+    best = optimize._best_of(optimize._run_starts(negative_b, _SPHERE4, _cfg(starts=32, seed=seed)))
     return -optimize._polish_best(negative_b, best)[0].value
 
 
