@@ -170,7 +170,7 @@ def _config_defaults(subparser: argparse.ArgumentParser, values: dict) -> dict:
         action = actions.get(key)
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(action, argparse._StoreConstAction):  # store_true / store_false
+        if action.nargs == 0:  # store_true / store_false: the file gives the value itself
             value = text.lower() in ("1", "true", "yes", "on")
         else:
             value = action.type(text) if action.type else text
