@@ -239,7 +239,9 @@ def _records_json(records) -> list[dict]:
     return [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
 
 
-def _write_records(cfg: RunConfig, records, stem: str) -> list[str]:
+def _write_records(cfg: RunConfig, records, variable: str) -> list[str]:
+    """The rows of a scan over variable ("phi" or "alpha"), and their SVG plot with --svg."""
+    stem = f"scan_{variable}"
     outputs = []
     base = cfg.output or f"{stem}.{ 'json' if cfg.fmt == 'json' else 'csv' }"
     if cfg.fmt == "json":
@@ -252,7 +254,7 @@ def _write_records(cfg: RunConfig, records, stem: str) -> list[str]:
     if cfg.svg:
         from .svg import line_chart
 
-        xs = [r.phi if cfg.command == "scan-phi" else r.alpha for r in records]
+        xs = [getattr(r, variable) for r in records]
         series = [
             ("L", xs, [r.L for r in records]),
             ("bound", xs, [r.bound_used for r in records]),
@@ -261,7 +263,7 @@ def _write_records(cfg: RunConfig, records, stem: str) -> list[str]:
             series.append(("CHSH", xs, [r.chsh_B or 0.0 for r in records]))
         svg_path = os.path.splitext(base)[0] + ".svg"
         with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line_chart(series, title=stem, x_label="phi" if cfg.command == "scan-phi" else "alpha"))
+            fh.write(line_chart(series, title=stem, x_label=variable))
         outputs.append(svg_path)
     return outputs
 
@@ -305,7 +307,7 @@ def _cmd_scan(cfg: RunConfig):
         variable, grid = "alpha", parse_range(cfg.alpha or "0.5:10:0.5")
         task = _task(cfg, phi=float(cfg.phi) if cfg.phi else DEFAULT_THRESHOLD_PHI.get(cfg.layout, 0.5))
     records = scan(variable, grid, task)
-    outputs = _write_records(cfg, records, f"scan_{variable}")
+    outputs = _write_records(cfg, records, variable)
     best = max(records, key=lambda r: r.margin)
     return {
         "command": cfg.command,

@@ -517,9 +517,9 @@ def optimize_rigid(
 ) -> list[LeggettEvaluation]:
     """Maximize the inequality value over rigid rotations of the settings, at each point.
 
-    Point g is models[g] on layouts[g], searched with configs[g] and bounded
-    with bound_configs[g] (None entries, or None lists, take the defaults:
-    32 starts for a shared rotation, 64 for independent ones).
+    Point g is models[g] on layouts[g], searched with configs[g] (default:
+    32 starts for a shared rotation, 64 for independent ones) and bounded
+    with bound_configs[g]; None entries, or None lists, take the defaults.
     The starts of all points advance as one lockstep batch, and every point's
     best start is polished in one more batch; each point follows exactly the
     trajectory it would follow alone.  shared=False rotates the two parties
@@ -559,7 +559,9 @@ def _model(family: str, sign: int, alpha: float | None) -> CorrelationModel:
     return pes_model() if family == "qubit_projective" else ecs_model(alpha, sign, family)
 
 
-def _evaluate(models, layouts, seeds, optimize, shared, bound_mode, starts, rigid_starts) -> list[LeggettEvaluation]:
+def _evaluate(
+    models, layouts, seeds, optimize, shared, bound_mode, starts, rigid_starts
+) -> list[LeggettEvaluation]:
     """The inequality evaluation of models[g] on layouts[g] at each point g.
 
     Point g bounds with SearchConfig(starts, seeds[g]).  Without optimize the
