@@ -35,12 +35,15 @@ def to_cartesian(d: Direction) -> np.ndarray:
 
 
 def from_cartesian(v) -> Direction:
-    """Inverse of :func:`to_cartesian`; poles map to phi = 0."""
+    """Inverse of :func:`to_cartesian`; poles map to phi = 0.
+
+    theta = atan2(hypot(x, y), z) keeps full precision near the poles, where
+    acos(z / r) loses it (a direction 1e-8 from a pole moved by about 1e-8).
+    """
     x, y, z = (float(c) for c in v)
-    r = math.sqrt(x * x + y * y + z * z)
-    if r == 0.0:
+    if x == y == z == 0.0:
         raise ValueError("zero vector has no direction")
-    theta = math.acos(max(-1.0, min(1.0, z / r)))
+    theta = math.atan2(math.hypot(x, y), z)
     phi = 0.0 if math.sin(theta) < _POLE_EPS else math.atan2(y, x)
     return Direction(theta, phi)
 

@@ -1,13 +1,28 @@
-"""Derivative-free multi-start searches over angle spaces.
+"""Closed-form optima for the tensor models, and multi-start searches for the others.
 
-One Nelder-Mead engine serves every search in the package: hidden-vector
-bound minimization and CHSH setting maximization for the on/off and parity
-models, rigid-rotation optimization of inequality values, and through them
-parameter scans and amplitude-threshold bisection.  The engine runs in
-lockstep: it advances every start of a search as one (S, d+1, d) simplex
-array, and a start leaves the active set when it converges.  Objectives take
-a (k, d) array of points and the (k,) owners of its rows and return a (k,)
-array of values.
+Three quantities have closed forms for the singlet and pseudo-spin, whose
+correlation E(a, b) = a^T diag(t) b is bilinear in the setting vectors, and
+are not searched there:
+
+* the state-corrected bound, :func:`numeric_fmin`: |m| * pes_fmin
+  (|m| = 1 for the singlet);
+* the CHSH maximum, :func:`optimize_chsh`: B = 2 sqrt(t_1^2 + t_2^2) over
+  the two largest |t_c| (Horodecki, Horodecki and Horodecki, Phys. Lett. A
+  200, 340 (1995)), evaluated at settings that reach it;
+* the rigid-rotation optimum, :func:`optimize_rigid`: one eigenproblem (a
+  shared rotation) or one proper-rotation trace maximum (independent
+  rotations) per sign pattern of the term groups, evaluated at rotations
+  that reach it.
+
+One Nelder-Mead engine serves only the on/off and parity models: their
+hidden-vector bound minimization, CHSH setting maximization and
+rigid-rotation optimization.  Through these the parameter scans and the
+amplitude-threshold bisection search too.  The engine runs in lockstep: it
+advances every start of a search as one (S, d+1, d) simplex array, and a
+start leaves the active set when it converges.  Objectives take a (k, d)
+array of points and the (k,) owners of its rows and return a (k,) array of
+values.  For the tensor models the engine remains the test oracle of the
+closed forms.
 
 Each search fixes the box its starts are drawn from, one (lo, hi) interval
 per coordinate: two (theta, phi) spheres for the direct bound, one for the
@@ -38,24 +53,20 @@ share its batch: the arithmetic is elementwise, and small matrix and vector
 products are stacked per row (np.matmul over a leading batch axis), never
 one BLAS product across the batch axis, which can round a row differently
 depending on the rows around it.  So every start follows exactly the
-trajectory it would follow alone, whichever problems share its batch.
+trajectory it would follow alone, whichever problems share its batch.  The
+closed-form rigid optimum keeps the same contract: its eigenproblems and
+decompositions are per point.
 
 The bound, CHSH and rigid-rotation objectives are the same code for all
 four measurement families: each evaluates its model through the batched
 evaluator of :class:`leggett_lab.correlations.CorrelationModel`, the
 features and hidden maps of the model's one representation put into
 E = (P^2 + Q^2 s) / (1 + kappa^2 s) and A = (P + Q s) / (1 + kappa s).
-
-Two quantities have closed forms and are not searched.  For the singlet and
-pseudo-spin, :func:`numeric_fmin` returns |m| * pes_fmin (|m| = 1 for the
-singlet), and :func:`optimize_chsh` returns the CHSH maximum of the
-correlation tensor, B = 2 sqrt(t_1^2 + t_2^2) over its two largest |t_c|
-(Horodecki, Horodecki and Horodecki, Phys. Lett. A 200, 340 (1995)),
-evaluated at settings that reach it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -303,6 +314,18 @@ def _rotations(z1, y, z2):
     return r
 
 
+def _rigid_groups(models, layouts):
+    """The term groups of a batch of rigid problems, which must share one
+    measurement family and one inequality (layout name and term groups)."""
+    if len({m.family for m in models}) != 1:
+        raise ValueError("a batch of rigid searches must share one measurement family")
+    if len({(lay.name, lay.groups) for lay in layouts}) != 1:
+        raise ValueError("a batch of rigid searches must share one layout name")
+    if not layouts[0].groups:
+        raise ValueError(f"layout {layouts[0].name!r} has no inequality term groups")
+    return layouts[0].groups
+
+
 def _make_rigid_objective(models, layouts, shared: bool):
     """Batched negative inequality value over Euler angles, (k, 3) or (k, 6).
 
@@ -310,10 +333,8 @@ def _make_rigid_objective(models, layouts, shared: bool):
     problem's setting vectors and evaluates its model.  The models share one
     family and the layouts one inequality (name and term groups).
     """
-    if len({(lay.name, lay.groups) for lay in layouts}) != 1:
-        raise ValueError("a batch of rigid searches must share one layout name")
+    groups = _rigid_groups(models, layouts)
     stack = ModelStack(models)
-    groups = layouts[0].groups
     A0 = np.array([[to_cartesian(d) for d in lay.a_list] for lay in layouts])
     B0 = np.array([[to_cartesian(d) for d in lay.b_list] for lay in layouts])
 
@@ -507,6 +528,77 @@ def optimize_chsh(model: CorrelationModel, config: SearchConfig | None = None) -
 # -- rigid-rotation optimization -------------------------------------------------------
 
 
+def _signed_term_matrices(layouts, groups) -> np.ndarray:
+    """M_sigma = sum_g sigma_g w_g sum_{(i, j) in g} b_j a_i^T of each layout
+    for every sign pattern sigma in {+1, -1}^G: (P, 2^G, 3, 3).
+
+    Outer products and sums are elementwise, so no point depends on the
+    points that share its batch.
+    """
+    a = np.array([[to_cartesian(d) for d in lay.a_list] for lay in layouts])
+    b = np.array([[to_cartesian(d) for d in lay.b_list] for lay in layouts])
+    per_group = [w * sum(b[:, j, :, None] * a[:, i, None, :] for i, j in terms) for w, terms in groups]
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(groups))))
+    return sum(signs[:, g, None, None] * m[:, None] for g, m in enumerate(per_group))
+
+
+def _euler_zyz(r) -> np.ndarray:
+    """ZYZ Euler angles (z1, y, z2) of rotation matrices r (k, 3, 3): (k, 3).
+
+    z1 and y come from the third column.  z2 comes from z1 + z2, read off the
+    upper-left block where it is scaled by 1 + cos y, or from z1 - z2, scaled
+    by 1 - cos y, whichever scale is at least 1; so the angles rebuild r to
+    rounding even where sin y is tiny and z1 alone is poorly determined.
+    """
+    z1 = np.arctan2(r[:, 1, 2], r[:, 0, 2])
+    y = np.arctan2(np.hypot(r[:, 0, 2], r[:, 1, 2]), r[:, 2, 2])
+    plus = np.arctan2(r[:, 1, 0] - r[:, 0, 1], r[:, 0, 0] + r[:, 1, 1])
+    minus = np.arctan2(-(r[:, 1, 0] + r[:, 0, 1]), r[:, 1, 1] - r[:, 0, 0])
+    return np.stack([z1, y, np.where(r[:, 2, 2] >= 0.0, plus - z1, z1 - minus)], axis=1)
+
+
+def _rigid_optimum(models, layouts, shared: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The maximal inequality value over rigid rotations of each tensor-model
+    point, and Euler angles that reach it: ((P,), (P, 3) or (P, 6)).
+
+    See :func:`optimize_rigid` for the derivation.  Raises ValueError for a
+    shared rotation when a model's t_1 != t_2.
+    """
+    m = _signed_term_matrices(layouts, _rigid_groups(models, layouts))
+    t = np.array([model.tensor for model in models])
+    points = np.arange(len(models))
+    if shared:
+        if np.any(t[:, 0] != t[:, 1]):
+            raise ValueError("the shared-rotation optimum needs a tensor with t_1 = t_2")
+        d = (t[:, 2] - t[:, 0])[:, None, None, None]
+        lam, vec = np.linalg.eigh(d * (0.5 * (m + m.swapaxes(-1, -2))))
+        trace = m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]
+        values = t[:, :1] * trace + lam[..., -1]
+        best = np.argmax(values, axis=1)
+        n = vec[points, best, :, -1]  # R^T z = n: the third row of R
+        angles = np.stack(
+            [np.zeros(len(n)), np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], -n[:, 0])],
+            axis=1,
+        )
+        return values[points, best], angles
+    x, st, yh = np.linalg.svd(t[:, :, None] * np.eye(3))  # T = X diag(st) Yh
+    p, sm, qh = np.linalg.svd(m)  # M_sigma = P diag(sm) Qh
+    det_t = (np.linalg.det(x) * np.linalg.det(yh))[:, None]
+    det_m = np.linalg.det(p) * np.linalg.det(qh)
+    flip = det_t * det_m < 0.0
+    values = (st[:, None, :] * sm).sum(axis=-1) - 2.0 * np.where(flip, st[:, None, 2] * sm[..., 2], 0.0)
+    best = np.argmax(values, axis=1)
+    p, qh = p[points, best], qh[points, best]
+    # R_b = Y A P^T and R_a = X B Qh, A = diag(1, 1, det Y det P), B = diag(1, 1, det Qh det X)
+    fix_b = np.ones((len(points), 3))
+    fix_a = np.ones((len(points), 3))
+    fix_b[:, 2] = np.sign(np.linalg.det(yh) * np.linalg.det(p))
+    fix_a[:, 2] = np.sign(np.linalg.det(x) * np.linalg.det(qh))
+    rb = np.matmul(yh.transpose(0, 2, 1) * fix_b[:, None, :], p.transpose(0, 2, 1))
+    ra = np.matmul(x * fix_a[:, None, :], qh)
+    return values[points, best], np.concatenate([_euler_zyz(ra), _euler_zyz(rb)], axis=1)
+
+
 def optimize_rigid(
     models,
     layouts,
@@ -517,38 +609,81 @@ def optimize_rigid(
 ) -> list[LeggettEvaluation]:
     """Maximize the inequality value over rigid rotations of the settings, at each point.
 
-    Point g is models[g] on layouts[g], searched with configs[g] (default:
-    32 starts for a shared rotation, 64 for independent ones) and bounded
-    with bound_configs[g]; None entries, or None lists, take the defaults.
-    The starts of all points advance as one lockstep batch, and every point's
-    best start is polished in one more batch; each point follows exactly the
-    trajectory it would follow alone.  shared=False rotates the two parties
-    independently (6 Euler angles); shared=True applies one common rotation
-    to both (3 angles).  The identity rotation is always start 0, so the
-    optimized value never falls below the unrotated one.  The bound is
-    recomputed at the optimal rotated settings before the verdict.
+    Point g is models[g] on layouts[g], bounded with bound_configs[g] (None
+    entries, or a None list, take the default).  shared=False rotates the two
+    parties independently (R_a, R_b); shared=True applies one common rotation
+    R to both.  The optimized value is never below the unrotated one, and the
+    bound is recomputed at the optimal rotated settings before the verdict.
+    The models share one family and the layouts one inequality, with at
+    least one term group; otherwise ValueError.
+
+    Tensor models (the singlet and pseudo-spin) are solved in closed form,
+    and configs is not used.  With E(a, b) = a^T T b and T = diag(t), a
+    rotated term is E(R_a a_i, R_b b_j) = tr(T R_b b_j a_i^T R_a^T).  Let
+    M_g = sum over the terms (i, j) of group g of b_j a_i^T.  Since
+    |x| = max over s = +-1 of s x, and maxima commute,
+
+        L* = max over sigma in {+-1}^G of max over R_a, R_b of tr(T R_b M R_a^T),
+
+    with M = M_sigma = sum_g sigma_g w_g M_g; the 2^G patterns are evaluated
+    exactly, so L* is the maximum and not a search result.
+
+    * Shared rotation.  Every tensor model here has t_1 = t_2, so
+      T = t_1 I + d z z^T with d = t_3 - t_1, and
+      tr(T R M R^T) = t_1 tr M + d n^T sym(M) n with n = R^T z.  The inner
+      maximum is t_1 tr M + lambda_max(d sym M), at the top eigenvector n;
+      R = Rz(0) Ry(theta_n) Rz(atan2(n_y, -n_x)) has R^T z = n.
+    * Independent rotations.  With the singular value decompositions
+      T = X S_T Y^T and M = P S_M Q^T (singular values descending),
+      max over U, V in SO(3) of tr(T U M V) is sum_i s_i(T) s_i(M), minus
+      2 s_3(T) s_3(M) when det T det M < 0, the proper-rotation trace
+      maximum of Kabsch and Umeyama (S. Umeyama, IEEE Trans. Pattern Anal.
+      Mach. Intell. 13, 376 (1991)).  It is reached at U = R_b = Y A P^T and
+      V = R_a^T = Q B X^T with A = diag(1, 1, det Y det P) and
+      B = diag(1, 1, det Q det X).
+
+    The returned evaluation is computed at the rotated settings through
+    :func:`leggett_lab.inequality.evaluate_leggett`; where its L does not
+    beat the unrotated value (the identity is optimal, up to rounding), the
+    unrotated evaluation is returned with identity rotations.
+
+    On/off and parity are searched.  Point g is searched with configs[g]
+    (default: 32 starts for a shared rotation, 64 for independent ones; None
+    entries or a None list take it) over ZYZ Euler angles, 3 or 6 of them.
+    The starts of all points advance as one lockstep batch, and every
+    point's best start is polished in one more batch; each point follows
+    exactly the trajectory it would follow alone.  The identity rotation is
+    always start 0.
     """
     if not models:
         return []
+    closed = models[0].tensor is not None
+    if closed:
+        angles = _rigid_optimum(models, layouts, shared)[1]
+    else:
+        angles = _searched_angles(models, layouts, configs, shared)
+    out = []
+    for model, layout, bcfg, x in zip(models, layouts, bound_configs or [None] * len(models), angles):
+        ra = RigidRotation(float(x[0]), float(x[1]), float(x[2]))
+        rb = ra if shared else RigidRotation(float(x[3]), float(x[4]), float(x[5]))
+        ev = inequality.evaluate_leggett(model, rotate_settings(layout, ra, rb), mode=bound_mode, config=bcfg)
+        if closed and not ev.L > inequality.leggett_value(model, layout):
+            ev = inequality.evaluate_leggett(model, layout, mode=bound_mode, config=bcfg)
+            ra = rb = RigidRotation.identity()
+        out.append(replace(ev, rotation_a=ra, rotation_b=rb))
+    return out
+
+
+def _searched_angles(models, layouts, configs, shared: bool) -> list[np.ndarray]:
+    """The polished best Euler angles of each point's multi-start rigid search."""
     ranges = _EULER if shared else _EULER * 2
     configs = [c or SearchConfig(starts=32 if shared else 64) for c in configs or [None] * len(models)]
     objective = _make_rigid_objective(models, layouts, shared)
-
     starts = [_start_points(ranges, c) for c in configs]
     for st in starts:
         st[0] = 0.0  # start 0 is the identity rotation, not the box midpoint
     bests = [_best_of(r) for r in _run_problems(objective, ranges, configs, starts)]
-
-    out = []
-    for model, layout, bcfg, (best, _) in zip(
-        models, layouts, bound_configs or [None] * len(models), _polish_bests(objective, bests)
-    ):
-        x = best.point
-        ra = RigidRotation(float(x[0]), float(x[1]), float(x[2]))
-        rb = ra if shared else RigidRotation(float(x[3]), float(x[4]), float(x[5]))
-        ev = inequality.evaluate_leggett(model, rotate_settings(layout, ra, rb), mode=bound_mode, config=bcfg)
-        out.append(replace(ev, rotation_a=ra, rotation_b=rb))
-    return out
+    return [best.point for best, _ in _polish_bests(objective, bests)]
 
 
 # -- grid points --------------------------------------------------------------------------

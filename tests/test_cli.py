@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import leggett_lab
-from leggett_lab import cli
+from leggett_lab import cli, optimize
 from leggett_lab.coherent_algebra import _log_even_series
 
 
@@ -35,11 +35,12 @@ def test_reproduce_fig5_exits_zero_and_is_byte_identical(tmp_path, capsys, monke
 
 
 def test_reproduce_fig5_csv_is_pinned(tmp_path, capsys):
-    # SHA-256 prefixes of the CSV files written before the lockstep engine
+    # SHA-256 prefixes; the unoptimized files as written before the lockstep engine,
+    # the optimized ones as written by the closed-form rigid optimum
     pinned = {
-        "fig5_minus_opt.csv": "9e004282a2b5a475",
+        "fig5_minus_opt.csv": "83bfb755875d81ce",
         "fig5_minus_unopt.csv": "f4bea040299b9905",
-        "fig5_plus_opt.csv": "c9a271bf321974f5",
+        "fig5_plus_opt.csv": "5f590c1b18ac2301",
         "fig5_plus_unopt.csv": "7d13f41c4d6cedda",
     }
     argv = ["reproduce", "fig5", "--alpha", "0.4:1.2:0.4", "--starts", "8", "--seed", "0", "--output", str(tmp_path)]
@@ -52,9 +53,9 @@ def test_reproduce_fig5_csv_is_pinned(tmp_path, capsys):
 def test_reproduce_fig5_default_starts_csv_is_pinned(tmp_path, capsys):
     # five amplitudes at the default 32 starts: optimized L and chsh_B included
     pinned = {
-        "fig5_minus_opt.csv": "8a9cd5b5548c1859",
+        "fig5_minus_opt.csv": "17db2381f0f7a301",
         "fig5_minus_unopt.csv": "b544aca28a77ee6f",
-        "fig5_plus_opt.csv": "21cc6a178d95f5e8",
+        "fig5_plus_opt.csv": "210e937ca82ab1d6",
         "fig5_plus_unopt.csv": "460c2853f32a8e70",
     }
     argv = ["reproduce", "fig5", "--alpha", "0.4:2:0.4", "--seed", "0", "--output", str(tmp_path)]
@@ -216,6 +217,28 @@ def test_fig3_fault_command_stops_on_the_named_spread(tmp_path):
     assert (rc, stdout) == (1, "")
     assert err == "error: top-decile spread 9.713e-04 after 32 starts\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("state", [["--state", "pes"], ["--state", "ecs-", "--family", "on_off", "--alpha", "5"]])
+def test_optimized_scan_on_a_layout_without_term_groups_exits_2(state):
+    rc, out, err = _run(["scan-phi", "--layout", "chsh", "--phi", "0.2", "--optimize", "--starts", "4"] + state)
+    assert (rc, out) == (2, "")
+    assert err == "error: layout 'chsh' has no inequality term groups\n"
+
+
+def test_pseudospin_sweeps_do_not_search(tmp_path, monkeypatch):
+    # the pseudo-spin rigid optimum, bound and CHSH are closed forms
+    def no_search(*args, **kwargs):
+        raise AssertionError("Nelder-Mead search on a tensor model")
+
+    monkeypatch.setattr(optimize, "_nelder_mead", no_search)
+    for argv in (
+        ["reproduce", "fig5", "--alpha", "0.8:2.4:0.8", "--output", str(tmp_path)],
+        ["threshold", "--layout", "3p7", "--state", "ecs-", "--optimize"],
+        ["threshold", "--layout", "3p6", "--state", "ecs-", "--optimize"],
+    ):
+        rc, _, err = _run(argv + ["--seed", "0"])
+        assert (rc, err) == (0, "")
 
 
 # -- --config precedence: flag, then the file, then the built-in default -------------

@@ -31,6 +31,14 @@ def test_unit_norm_and_roundtrip(rng):
         assert np.allclose(to_cartesian(from_cartesian(v)), v, atol=1e-12)
 
 
+@pytest.mark.parametrize("theta", [1e-6, 1e-7, 1e-8, 0.0, np.pi])
+def test_roundtrip_near_the_poles(theta):
+    for phi in (0.0, 0.7, -2.9):
+        v = to_cartesian(Direction(theta, phi))
+        assert np.abs(to_cartesian(from_cartesian(v)) - v).max() <= 1e-15
+        assert np.abs(to_cartesian(from_cartesian(-v)) + v).max() <= 1e-15
+
+
 def test_pole_azimuth_canonicalized():
     d = from_cartesian([0.0, 0.0, 1.0])
     assert d.phi == 0.0

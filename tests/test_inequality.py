@@ -24,6 +24,7 @@ from leggett_lab import (
     simplex_minimize,
 )
 from leggett_lab import optimize
+from leggett_lab.inequality import VIOLATION_TOL
 
 _SPHERE2 = ((0.0, np.pi), (-np.pi, np.pi)) * 2
 
@@ -277,3 +278,23 @@ def test_implication_check_parity_vacuous():
     )
     assert rep.ok
     assert rep.leggett_violations == 0
+
+
+@pytest.mark.parametrize("layout_name", ["threeplus7", "threeplus6"])
+def test_leggett_violation_implies_chsh_violation_on_a_dense_grid(layout_name):
+    # the closed-form rigid optimum L* (shared and independent rotations) against the
+    # exact bound |m| f_PES, and the closed-form CHSH maximum B of the same model
+    alphas, phis = np.linspace(0.05, 6.0, 120), np.linspace(0.01, 3.1, 60)
+    layouts = [build_layout(layout_name, phi) for phi in phis]
+    violations = 0
+    for sign in (-1, +1):
+        models = [ecs_model(alpha, sign) for alpha in alphas]
+        bound = np.array([[numeric_fmin(m, lay).bound for lay in layouts] for m in models])
+        chsh_b = np.array([optimize.optimize_chsh(m).B for m in models])
+        points = [(m, lay) for m in models for lay in layouts]
+        for shared in (True, False):
+            value, _ = optimize._rigid_optimum([m for m, _ in points], [lay for _, lay in points], shared)
+            violated = value.reshape(bound.shape) > bound + VIOLATION_TOL
+            assert not (violated & (chsh_b[:, None] <= 2.0)).any()
+            violations += violated.sum()
+    assert violations > 1000  # the grid does reach the violation window

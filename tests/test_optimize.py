@@ -423,14 +423,84 @@ def test_optimize_rigid_batch_equals_each_point_alone(name):
 
 def test_rigid_batch_of_no_points_and_of_mixed_problems():
     assert optimize_rigid([], [], shared=True) == []
-    lay = build_layout("threeplus7", 0.3)
+    lay, lay6 = build_layout("threeplus7", 0.3), build_layout("threeplus6", 0.3)
+    parity = ecs_model(3.0, -1, "parity")
     with pytest.raises(ValueError):
         optimize._make_rigid_objective([pes_model(), ecs_model(1.0, -1)], [lay, lay], True)
     with pytest.raises(ValueError):
-        optimize._make_rigid_objective([pes_model()] * 2, [lay, build_layout("threeplus6", 0.3)], True)
+        optimize._make_rigid_objective([pes_model()] * 2, [lay, lay6], True)
+    # the closed form (tensor models first) and the search (parity first) reject alike
+    for shared in (True, False):
+        for models in ([pes_model(), ecs_model(1.0, -1)], [parity, ecs_model(3.0, -1)]):
+            with pytest.raises(ValueError, match="one measurement family"):
+                optimize_rigid(models, [lay, lay], shared=shared, bound_mode="analytic2d")
+        for model in (ecs_model(1.0, -1), parity):
+            with pytest.raises(ValueError, match="one layout name"):
+                optimize_rigid([model] * 2, [lay, lay6], shared=shared, bound_mode="analytic2d")
     configs = [_cfg(starts=4), _cfg(starts=4, tolerance=1e-8)]
-    with pytest.raises(ValueError):
-        optimize_rigid([pes_model()] * 2, [lay, lay], configs, shared=True, bound_mode="analytic2d")
+    with pytest.raises(ValueError, match="tolerance"):
+        optimize_rigid([parity] * 2, [lay, lay], configs, shared=True, bound_mode="analytic2d")
+
+
+@pytest.mark.parametrize(
+    "model", [pes_model(), ecs_model(1.0, -1), ecs_model(3.0, -1, "parity")], ids=lambda m: m.label
+)
+@pytest.mark.parametrize("shared", [True, False])
+def test_rigid_layout_without_term_groups_raises(model, shared):
+    with pytest.raises(ValueError, match="no inequality term groups"):
+        optimize_rigid([model], [build_layout("chsh")], [_cfg(starts=4)], shared=shared)
+    with pytest.raises(ValueError, match="no inequality term groups"):
+        optimize._make_rigid_objective([model], [build_layout("chsh")], shared)
+
+
+# -- closed-form rigid optimum of the tensor models --------------------------------------
+
+
+def _rigid_oracle(model, layout, shared, seed):
+    """The Nelder-Mead rigid maximum, evaluated with rotation matrices: the
+    default starts (identity first) and a polish of the best."""
+    ranges = _EULER3 * (1 if shared else 2)
+    objective = optimize._make_rigid_objective([model], [layout], shared)
+    cfg = _cfg(starts=32 if shared else 64, seed=seed)
+    starts = optimize._start_points(ranges, cfg)
+    starts[0] = 0.0
+    best = optimize._best_of(optimize._run_starts(objective, ranges, cfg, starts))
+    return -optimize._polish_best(objective, best)[0].value
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
+@pytest.mark.parametrize("layout_name", ["threeplus7", "threeplus6"])
+@pytest.mark.parametrize("alpha", [0.4, 1.0, 2.4, 5.0])
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_rigid_closed_form_is_the_maximum(sign, alpha, layout_name, shared):
+    model = ecs_model(alpha, sign)
+    layout = build_layout(layout_name, optimize.DEFAULT_THRESHOLD_PHI[layout_name])
+    (value,), _ = optimize._rigid_optimum([model], [layout], shared)
+    assert value >= _rigid_oracle(model, layout, shared, seed=60) - 1e-12
+    unrotated = leggett_value(model, layout)
+    assert value >= unrotated - 1e-15
+    (ev,) = optimize_rigid([model], [layout], shared=shared)
+    assert abs(ev.L - value) <= 1e-12  # the returned rotation reaches it
+    assert ev.L >= unrotated
+    if shared:
+        assert ev.rotation_a is ev.rotation_b
+
+
+def test_rigid_closed_form_shared_rotation_needs_equal_transverse_entries():
+    model = SimpleNamespace(family="pseudo_spin", tensor=(-0.5, -0.4, -1.0))
+    with pytest.raises(ValueError, match="t_1 = t_2"):
+        optimize._rigid_optimum([model], [build_layout("threeplus7", 0.3)], shared=True)
+    optimize._rigid_optimum([model], [build_layout("threeplus7", 0.3)], shared=False)  # independent: any T
+
+
+def test_euler_angles_rebuild_rotations_near_the_poles(rng):
+    angles = rng.uniform(-np.pi, np.pi, (60, 3))
+    angles[:, 1] = np.concatenate(
+        [[0.0, 1e-12, 1e-8, 1e-6, np.pi, np.pi - 1e-8, np.pi - 1e-6, 0.5 * np.pi], rng.uniform(0.0, np.pi, 52)]
+    )
+    r = optimize._rotations(angles[:, 0], angles[:, 1], angles[:, 2])
+    back = optimize._euler_zyz(r)
+    assert np.abs(optimize._rotations(back[:, 0], back[:, 1], back[:, 2]) - r).max() <= 1e-15
 
 
 # -- closed-form CHSH of the tensor models ---------------------------------------------
@@ -460,16 +530,17 @@ def test_tensor_chsh_closed_form(model):
 
 # -- amplitude threshold -----------------------------------------------------------------
 
-# ThresholdResult of the optimized pseudo-spin threshold at seed 0, field for field,
-# as the one-midpoint-at-a-time bisection gave it
+# ThresholdResult of the optimized pseudo-spin threshold at seed 0, field for field:
+# alpha*, the bracket and the evaluations as the one-midpoint-at-a-time bisection
+# gave them, the margins at the closed-form rigid optimum
 _THRESHOLD_PINS = {
     ("threeplus7", +1): (
         2.656982421875, (2.6566731770833334, 2.6572916666666666),
-        -3.4923884381310444e-05, 3.68840691145067e-06, -1.5614115240758508e-05,
+        -3.4923888573512585e-05, 3.6882847362917914e-06, -1.5614210047587562e-05,
     ),
     ("threeplus7", -1): (
         2.656982421875, (2.6566731770833334, 2.6572916666666666),
-        -3.4923763269301134e-05, 3.6882912395341805e-06, -1.5614229598170937e-05,
+        -3.492388649561917e-05, 3.6882867870957625e-06, -1.5614207983016826e-05,
     ),
     ("threeplus6", +1): (
         1.820166015625, (1.819856770833333, 1.8204752604166665),
@@ -477,7 +548,7 @@ _THRESHOLD_PINS = {
     ),
     ("threeplus6", -1): (
         1.820166015625, (1.819856770833333, 1.8204752604166665),
-        -7.637835772600354e-05, 2.5953274560119866e-05, -2.521789985632239e-05,
+        -7.637835772644763e-05, 2.5953274560119866e-05, -2.521789985632239e-05,
     ),
 }
 
