@@ -14,12 +14,18 @@ Identical argv and seed give byte-identical CSV output.  --config names a
 as starts, shared or fmt); a flag given on the command line wins over the
 file, and the file over the built-in default.  The seed comes from --seed,
 then the file, then the LEGGETT_LAB_SEED environment variable, then 0.
+
+The argument parser is built once per process and shared by every later
+call of :func:`parse_args` and :func:`run`.  A --config file never changes
+it: its defaults go into a private parser built for that one call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -100,6 +106,8 @@ def parse_range(text: str) -> list[float]:
     if len(pieces) != 3:
         raise ValueError(f"range must be lo:hi:step, got {text!r}")
     lo, hi, step = (float(p) for p in pieces)
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("range step must be positive")
     out = []
@@ -110,6 +118,8 @@ def parse_range(text: str) -> list[float]:
             break
         out.append(v)
         i += 1
+    if not out:
+        raise ValueError(f"range {text!r} has no points")
     return out
 
 
@@ -162,6 +172,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser of every call without --config: built once, never changed."""
+    return _build_parser()
+
+
 def _config_defaults(subparser: argparse.ArgumentParser, values: dict) -> dict:
     """The values of a --config file as typed defaults of the subparser's options."""
     actions = {a.dest: a for a in subparser._actions if a.option_strings and a.dest not in ("help", "config")}
@@ -181,9 +197,10 @@ def _config_defaults(subparser: argparse.ArgumentParser, values: dict) -> dict:
 
 
 def parse_args(argv) -> RunConfig:
-    parser, commands = _build_parser()
+    parser, commands = _shared_parser()
     ns = parser.parse_args(argv)
     if ns.config:
+        parser, commands = _build_parser()  # the file's defaults stay out of the shared parser
         subparser = commands[ns.command]
         subparser.set_defaults(**_config_defaults(subparser, _read_config_file(ns.config)))
         ns = parser.parse_args(argv)
@@ -302,6 +319,8 @@ def _cmd_scan(cfg: RunConfig):
     """scan-phi at a fixed amplitude, or scan-alpha at a fixed phi."""
     if cfg.command == "scan-phi":
         variable, grid = "phi", parse_range(cfg.phi or "0:1.2:0.05")
+        if cfg.state != "pes" and not cfg.alpha:
+            raise ValueError(f"scan-phi with --state {cfg.state} needs --alpha")
         task = _task(cfg, alpha=float(cfg.alpha) if cfg.alpha else None)
     else:
         variable, grid = "alpha", parse_range(cfg.alpha or "0.5:10:0.5")
@@ -393,10 +412,13 @@ _PHI_SCANS = {
 
 def _cmd_reproduce(cfg: RunConfig):
     outdir = cfg.output or "."
+    alphas = parse_range(cfg.alpha) if cfg.alpha else None
+    if cfg.figure in _PHI_SCANS:
+        layout, family, optimize, default_phis, prefix = _PHI_SCANS[cfg.figure]
+        phis = parse_range(cfg.phi or default_phis)
     os.makedirs(outdir, exist_ok=True)
     outputs = []
     rows = 0
-    alphas = parse_range(cfg.alpha) if cfg.alpha else None
 
     def emit(name, records):
         nonlocal rows
@@ -419,8 +441,6 @@ def _cmd_reproduce(cfg: RunConfig):
             outputs.append(svg_path)
 
     if cfg.figure in _PHI_SCANS:
-        layout, family, optimize, default_phis, prefix = _PHI_SCANS[cfg.figure]
-        phis = parse_range(cfg.phi or default_phis)
         for alpha in alphas or [5.0, 50.0]:
             task = ScanTask(
                 layout,

@@ -36,8 +36,8 @@ class EcsSpec:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not math.isfinite(self.alpha) or self.alpha <= 0:
+            raise ValueError("alpha must be positive and finite")
 
     @property
     def kappa(self) -> float:

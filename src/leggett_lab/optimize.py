@@ -72,7 +72,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 from .coherent_algebra import pseudospin_bloch
 from .correlations import CorrelationModel, ModelStack, ecs_model, pes_model
@@ -198,6 +197,8 @@ def _start_points(ranges, config: SearchConfig) -> np.ndarray:
     pts = np.empty((config.starts, len(ranges)))
     pts[0] = 0.5 * (lo + hi)
     if config.starts > 1:
+        from scipy.stats import qmc  # only the coefficient-family searches draw Sobol starts
+
         n = config.starts - 1
         pow2 = 1 << max(1, (n - 1).bit_length())
         with warnings.catch_warnings():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -131,13 +132,16 @@ def test_fig4_sums_the_series_once_per_amplitude(tmp_path, capsys):
     assert _log_even_series.cache_info().misses == 2  # alpha 5 and 50
 
 
-def _module_run(module, *args, **env_vars):
+def _python(*args, **env_vars):
+    """A fresh interpreter with leggett_lab importable and LEGGETT_LAB_SEED unset."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(leggett_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env_vars)
     env.pop("LEGGETT_LAB_SEED", None)
-    return subprocess.run(
-        [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def _module_run(module, *args, **env_vars):
+    return _python("-m", module, *args, **env_vars)
 
 
 @pytest.mark.parametrize("module", ["leggett_lab", "leggett_lab.cli"])
@@ -324,12 +328,93 @@ def test_bad_config_file_exits_2(text, message, tmp_path):
         (["bound", "--phi", "4"], 2),
         (["scan-phi", "--format", "svg"], 2),
         (["reproduce", "fig9"], 2),
+        (["scan-phi", "--state", "ecs-", "--phi", "0.2"], 2),
+        (["chsh", "--state", "ecs-", "--alpha", "inf"], 2),
+        (["chsh", "--state", "ecs-", "--alpha", "nan"], 2),
     ],
 )
 def test_exit_codes(argv, code):
     rc, out, err = _run(argv)
     assert (rc, out) == (code, "")
     assert err.startswith("usage: ") or err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["reproduce", "fig4", "--phi"], "0.5:0.1:0.1"),
+        (["scan-phi", "--phi"], "0.5:0.1:0.1"),
+        (["scan-alpha", "--alpha"], "2:1:0.5"),
+        (["scan-alpha", "--alpha"], "0:1:inf"),  # one nan point without the finiteness check
+    ],
+)
+def test_range_without_finite_points_exits_2(command, text, tmp_path):
+    out = tmp_path / "out"
+    rc, stdout, err = _run(command + [text, "--output", str(out)])
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error: range ") and repr(text) in err
+    assert not out.exists()
+
+
+def test_scan_phi_on_an_ecs_state_names_the_missing_alpha():
+    assert _run(["scan-phi", "--state", "ecs+", "--phi", "0.2"]) == (
+        2, "", "error: scan-phi with --state ecs+ needs --alpha\n"
+    )
+
+
+# -- one parser per process ----------------------------------------------------------
+
+
+def test_parser_is_built_once(monkeypatch):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    cli._shared_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert _run(["bound", "--seed", "0"])[0] == 0
+    assert calls
+    calls.clear()
+    for _ in range(2):
+        assert _run(["bound", "--seed", "0"])[0] == 0
+    assert calls == []
+
+
+def test_config_file_leaves_later_calls_on_the_built_in_defaults(tmp_path):
+    conf = _config_file(tmp_path, "optimize = true\nshared = false\nsvg = yes\n")
+    assert cli.parse_args(["reproduce", "fig5", "--config", conf]).optimize
+    cfg = cli.parse_args(["reproduce", "fig5", "--seed", "0"])
+    assert cfg == cli.RunConfig("reproduce", figure="fig5")
+
+
+def test_usage_error_leaves_the_parser_intact():
+    argv = ["bound", "--layout", "3p7", "--phi", "0.3", "--seed", "0"]
+    alone = _module_run("leggett_lab", *argv)
+    assert alone.returncode == 0, alone.stderr
+    assert _run(["bound", "--no-such-flag"])[0] == 2
+    assert _run(argv) == (0, alone.stdout, "")
+
+
+def test_only_the_sobol_starts_import_scipy_stats(tmp_path):
+    script = f"""
+import contextlib, io, sys
+import leggett_lab
+from leggett_lab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["threshold", "--layout", "3p7", "--state", "ecs-", "--optimize"]) == 0
+    assert cli.run(["reproduce", "fig4", "--phi", "0.1:0.3:0.1", "--output", {str(tmp_path)!r}]) == 0
+print("scipy.stats" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["bound", "--layout", "3p7", "--state", "ecs-", "--family", "parity", "--alpha", "3",
+                    "--phi", "0.75", "--seed", "0"]) == 0
+print("scipy.stats" in sys.modules)
+"""
+    res = _python("-c", script)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]
 
 
 def test_python_m_help_exits_zero():
