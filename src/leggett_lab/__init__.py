@@ -21,6 +21,7 @@ from .geometry import (
     SettingsLayout,
     angle_between,
     build_layout,
+    build_layouts,
     from_cartesian,
     rotate_settings,
     to_cartesian,

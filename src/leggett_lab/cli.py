@@ -123,6 +123,28 @@ def parse_range(text: str) -> list[float]:
     return out
 
 
+def _starts(text: str) -> int:
+    """--starts: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """--tolerance: a finite positive width, which the threshold bisection can reach."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _read_config_file(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -156,9 +178,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--optimize", action="store_true")
         p.add_argument("--independent-rotations", dest="shared", action="store_false",
                        help="rotate the two parties independently (default: one shared rotation)")
-        p.add_argument("--starts", type=int, default=32)
+        p.add_argument("--starts", type=_starts, default=32)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=1e-3)
+        p.add_argument("--tolerance", type=_tolerance, default=1e-3)
         p.add_argument("--output", default="")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
@@ -189,7 +211,10 @@ def _config_defaults(subparser: argparse.ArgumentParser, values: dict) -> dict:
         if action.nargs == 0:  # store_true / store_false: the file gives the value itself
             value = text.lower() in ("1", "true", "yes", "on")
         else:
-            value = action.type(text) if action.type else text
+            try:
+                value = action.type(text) if action.type else text
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config key {key!r} {exc}") from None
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config key {key!r} must be one of {', '.join(map(str, action.choices))}")
         defaults[key] = value

@@ -19,6 +19,11 @@ from .errors import CertificationError
 
 ORACLE_ALPHA_MAX = 3.0  # two-mode Fock oracles stay cheap below this
 MIN_COEFF_ALPHA = 0.05  # Gram matrix conditioning floor for coefficient algebra
+# Largest amplitude accepted.  The series of K(alpha) and m(alpha) has about
+# alpha^2 / 2 terms (5,929 at the cap), and its log-domain sum loses accuracy
+# as alpha^2 grows: against a 40-digit sum, K is off by 3e-12 at alpha 50 and
+# by 3e-11 at 100.  The paper's largest amplitude is 50.
+MAX_ALPHA = 100.0
 
 FAMILIES = ("onoff", "parity", "sx", "sy", "sz")
 
@@ -28,7 +33,7 @@ FAMILIES = ("onoff", "parity", "sx", "sy", "sz")
 
 @dataclass(frozen=True)
 class EcsSpec:
-    """Entangled coherent state N(|a>|-a> + sign |-a>|a>), real a > 0."""
+    """Entangled coherent state N(|a>|-a> + sign |-a>|a>), real 0 < a <= MAX_ALPHA."""
 
     alpha: float
     sign: int
@@ -36,8 +41,8 @@ class EcsSpec:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        if not math.isfinite(self.alpha) or self.alpha <= 0:
-            raise ValueError("alpha must be positive and finite")
+        if not 0.0 < self.alpha <= MAX_ALPHA:
+            raise ValueError(f"alpha must be positive and at most {MAX_ALPHA:g}, got {self.alpha!r}")
 
     @property
     def kappa(self) -> float:
@@ -70,8 +75,11 @@ def _log_even_series(alpha: float) -> float:
     Terms evaluated in the log domain; the grid of n extends far enough past
     the peak (2n ~ a^2) that dropped terms sit > 60 nats below the maximum.
     Cached per amplitude: a sweep asks for K(a) and m(a) at every grid point
-    but at few distinct amplitudes.
+    but at few distinct amplitudes.  alpha above MAX_ALPHA raises ValueError
+    before the terms are allocated.
     """
+    if alpha > MAX_ALPHA:
+        raise ValueError(f"alpha must be at most {MAX_ALPHA:g}, got {alpha!r}")
     x = alpha * alpha
     peak = max(1.0, 0.5 * x)
     n_hi = int(peak + 12.0 * math.sqrt(peak + 4.0) + 80.0)

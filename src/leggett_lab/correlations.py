@@ -55,17 +55,28 @@ and B(v; b) is A with h_B.
   can exceed quantum bounds: optimized parity CHSH for ECS- reaches
   B = 3.669 at alpha = 0.3, above Tsirelson's 2 sqrt 2.
 
-Two evaluators
---------------
-The constants and maps are computed once per model.  The facade methods
-correlation, local_average_a and local_average_b evaluate one point in
-scalar ``math``; the ``batch_*`` methods evaluate arrays of directions in
-numpy for the search objectives of :mod:`leggett_lab.optimize`.  The
-batched s is a per-row np.matmul (with diag(t) for E), never one BLAS
-product across the batch axis, so no row depends on the rows around it.
-:class:`ModelStack` evaluates E for a batch whose rows belong to different
-models of one family, with the same arithmetic on constants looked up per
-row.
+Evaluators
+----------
+The constants and maps are computed once per model.  Every sweep evaluates
+arrays:
+
+* An inequality value reads a layout's settings as (n, 3) arrays: its unit
+  vectors for the singlet and pseudo-spin, the reflection features of its
+  Directions for on/off and parity (:meth:`CorrelationModel.layout_features`).
+  ``term_correlation`` gives E of every term of a stack of points, under
+  one model or (:class:`ModelStack`) one model per point.  It is
+  elementwise and in the order of operations of the scalar facade, so
+  every E is bit for bit the facade's.
+* The searches of :mod:`leggett_lab.optimize` evaluate E through
+  ``batch_correlation``, a per-row np.matmul (with diag(t)), and the local
+  averages through ``batch_local_averages``.  A row never shares one BLAS
+  product with the rows around it, so no row depends on its neighbours.
+  :class:`ModelStack` does the same for a batch whose rows belong to
+  different models of one family, with the constants looked up per row.
+
+The facade methods correlation, local_average_a and local_average_b
+evaluate one point in scalar ``math``.  They serve I/O (the CHSH value at
+named settings) and are the test oracle of the array evaluators.
 """
 
 from __future__ import annotations
@@ -155,14 +166,17 @@ class _Representation(NamedTuple):
     vector_feature: Callable  # f of unit vectors (..., 3), numpy
     hidden_a: Callable  # h_A(theta, phi, xp)
     hidden_b: Callable
+    hidden_radius: float | None  # |h(u)| of the tensor models
 
 
 def _representation(family: str, ecs: EcsSpec | None) -> _Representation:
     p, q, kappa = 0.0, 1.0, 0.0
     feature, vector_feature = _unit, np.asarray
+    radius = None
     if family == PES_FAMILY:
         t = (-1.0, -1.0, -1.0)
         hidden_a = hidden_b = _unit
+        radius = 1.0
     elif family == "pseudo_spin":
         K = kappa_K(ecs.alpha)
         if ecs.sign < 0:
@@ -170,15 +184,17 @@ def _representation(family: str, ecs: EcsSpec | None) -> _Representation:
         else:
             kt = math.tanh(2.0 * ecs.alpha**2) * K
             t = (kt, kt, 1.0)
-        mx, my, mz = (float(c) for c in pseudospin_bloch(ecs.alpha))
+        m = pseudospin_bloch(ecs.alpha)
+        mx, my, mz = m.tolist()
         hidden_a, hidden_b = _reflected_bloch((mx, my, mz)), _reflected_bloch((-mx, my, mz))
+        radius = math.sqrt(m.dot(m))  # np.linalg.norm(m), bit for bit
     else:
         m = operator_elements("onoff" if family == "on_off" else "parity", ecs.alpha)
         t = (1.0, 1.0, -1.0) if ecs.sign > 0 else (-1.0, -1.0, -1.0)
         p, q, kappa = float(m[0, 0].real), float(m[0, 1].real), ecs.kappa
         feature, vector_feature = _reflection, _reflection_of_vectors
         hidden_a, hidden_b = _rotated_z, _rotated_minus_z
-    return _Representation(t, np.array(t), p, q, kappa, feature, vector_feature, hidden_a, hidden_b)
+    return _Representation(t, np.array(t), p, q, kappa, feature, vector_feature, hidden_a, hidden_b, radius)
 
 
 # -- model facade ---------------------------------------------------------------
@@ -208,6 +224,12 @@ class CorrelationModel:
         """t when E(a, b) = sum_c t_c a_c b_c is bilinear in the setting vectors
         (the singlet and pseudo-spin); None for on/off and parity."""
         return self._rep.t if self.family in (PES_FAMILY, "pseudo_spin") else None
+
+    @property
+    def hidden_radius(self) -> float | None:
+        """|h(u)|, the same at every hidden direction u for the tensor models:
+        1 for the singlet, |m(alpha)| for pseudo-spin; None for on/off and parity."""
+        return self._rep.hidden_radius
 
     @property
     def label(self) -> str:
@@ -251,6 +273,14 @@ class CorrelationModel:
         """f of each direction in dirs: (n, 3)."""
         return np.array([self._rep.feature(d.theta, d.phi, math) for d in dirs])
 
+    def layout_features(self, layout) -> tuple:
+        """f of the a and b settings of a layout, (n, 3) and (m, 3): the unit
+        vectors for the tensor models, the features of the Directions for
+        on/off and parity.  Either is bit for bit the feature the facade uses."""
+        if self.tensor is not None:
+            return layout.a, layout.b
+        return self.setting_features(layout.a_list), self.setting_features(layout.b_list)
+
     def batch_features(self, theta, phi) -> np.ndarray:
         """f of directions given as angle arrays: (..., 3)."""
         return _stacked(self._rep.feature(theta, phi, np))
@@ -264,6 +294,12 @@ class CorrelationModel:
         r = self._rep
         return _batch_correlation(fa, fb, r.t_array, r.p * r.p, r.q * r.q, r.kappa * r.kappa)
 
+    def term_correlation(self, fa, fb) -> np.ndarray:
+        """E between fa[..., k, :] and fb[..., k, :] for feature arrays (..., T, 3): (..., T).
+        Bit for bit the facade's correlation of each pair (see :func:`_term_sums`)."""
+        s = _term_sums(fa, fb, self._rep.t_array)
+        return s if self.tensor is not None else self._correlation_of(s)
+
     def batch_local_averages(self, party: str, settings, theta, phi) -> np.ndarray:
         """A(u; a_i) (party "a") or B(v; b_i) (party "b") for the setting
         features (n, 3) at hidden angle arrays of shape (k,): (k, n)."""
@@ -273,10 +309,11 @@ class CorrelationModel:
 
 
 class ModelStack:
-    """Models of one family evaluated in one batch: row r belongs to models[owners[r]].
+    """Models of one family evaluated in one batch, the constants looked up per row.
 
-    Each row's E is bit for bit the batch_correlation of its own model: the
-    constants are looked up per row, and the arithmetic is elementwise.
+    batch_correlation gives row r the E of models[owners[r]], bit for bit
+    that model's batch_correlation; term_correlation gives point p the E of
+    models[p], bit for bit that model's term_correlation.
     """
 
     def __init__(self, models):
@@ -284,15 +321,39 @@ class ModelStack:
             raise ValueError("stacked models must share one measurement family")
         reps = [m._rep for m in models]
         self.batch_vector_features = models[0].batch_vector_features
-        self._t = np.array([r.t for r in reps])[:, None, :]
-        consts = np.array([(r.p * r.p, r.q * r.q, r.kappa * r.kappa) for r in reps])[:, :, None, None]
-        self._c0, self._c1, self._d1 = consts[:, 0], consts[:, 1], consts[:, 2]
+        self._bilinear = models[0].tensor is not None
+        self._t = np.array([r.t for r in reps])
+        self._c0, self._c1, self._d1 = np.array([(r.p * r.p, r.q * r.q, r.kappa * r.kappa) for r in reps]).T
 
     def batch_correlation(self, fa, fb, owners) -> np.ndarray:
         """E of row r between fa[r] (n, 3) and fb[r] (m, 3) under models[owners[r]]: (k, n, m)."""
         return _batch_correlation(
-            fa, fb, self._t[owners], self._c0[owners], self._c1[owners], self._d1[owners]
+            fa,
+            fb,
+            self._t[owners][:, None, :],
+            self._c0[owners][:, None, None],
+            self._c1[owners][:, None, None],
+            self._d1[owners][:, None, None],
         )
+
+    def term_correlation(self, fa, fb) -> np.ndarray:
+        """E of point p between fa[p, k] and fb[p, k] under models[p], for
+        feature arrays (P, T, 3), or (T, 3) shared by every point: (P, T)."""
+        s = _term_sums(fa, fb, self._t[:, None, :])
+        return s if self._bilinear else _ratio(s, self._c0[:, None], self._c1[:, None], self._d1[:, None])
+
+
+def _term_sums(fa, fb, t):
+    """s = sum_c t_c fa_c fb_c of each pair of feature rows, elementwise in
+    the scalar facade's order: (t_c fa_c) fb_c for each c (multiplication
+    commutes exactly), summed left to right.  Through the ratio this is bit
+    for bit CorrelationModel.correlation.  The tensor models skip the ratio:
+    with (P^2, Q^2, kappa^2) = (0, 1, 0) it returns s exactly, up to the sign
+    of a zero.
+    """
+    p = fa * t
+    p *= fb
+    return p[..., 0] + p[..., 1] + p[..., 2]
 
 
 def _batch_correlation(fa, fb, t, c0, c1, d1):

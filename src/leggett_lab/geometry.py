@@ -3,12 +3,17 @@
 Spherical convention used project-wide: polar angle theta is measured from +z,
 azimuth phi from +x toward +y.  A direction at the poles (sin(theta) ~ 0) is
 canonicalized to phi = 0.
+
+A layout holds its settings as (n, 3) unit-vector arrays, which is what the
+evaluators read, together with the (theta, phi) angles they were computed
+from.  A :class:`Direction` is the input and output form.  A grid of
+layouts is built as arrays in one pass (:func:`build_layouts`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,10 +87,16 @@ def _rot_y(a: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SettingsLayout:
     """A named measurement-setting geometry with its inequality structure.
 
+    ``a`` and ``b`` hold the settings of the two parties as read-only (n, 3)
+    unit-vector arrays.  ``angles`` is the pair of read-only (n, 2) arrays of
+    the (theta, phi) those vectors were computed from, or None for a layout
+    whose vectors were rotated as arrays.  ``a_list`` and ``b_list`` give
+    the settings as Directions: of those angles, or of the vectors when
+    there are none.
     ``groups`` holds (weight, [(a_index, b_index), ...]) with 0-based indices;
     the inequality value is sum over groups of weight * |sum of correlations|.
     ``bound_pairs`` lists (j, j2, weight): b-side index pairs that share an
@@ -94,10 +105,49 @@ class SettingsLayout:
 
     name: str
     phi: float
-    a_list: tuple
-    b_list: tuple
+    a: np.ndarray
+    b: np.ndarray
     groups: tuple
     bound_pairs: tuple
+    angles: tuple | None = None
+
+    @property
+    def a_list(self) -> tuple:
+        return self._directions(0)
+
+    @property
+    def b_list(self) -> tuple:
+        return self._directions(1)
+
+    def _directions(self, party: int) -> tuple:
+        if self.angles is None:
+            return tuple(from_cartesian(v) for v in (self.a, self.b)[party])
+        return tuple(Direction(theta, phi) for theta, phi in self.angles[party].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, SettingsLayout):
+            return NotImplemented
+        mine = (self.name, self.phi, self.groups, self.bound_pairs, self.angles is None)
+        theirs = (other.name, other.phi, other.groups, other.bound_pairs, other.angles is None)
+        arrays = zip((self.a, self.b) + (self.angles or ()), (other.a, other.b) + (other.angles or ()))
+        return mine == theirs and all(np.array_equal(x, y) for x, y in arrays)
+
+
+def _layouts(name, phis, angles, n_a: int, groups, bound_pairs) -> list:
+    """The layouts of one name at each phi of phis, from the (P, n_a + n_b, 2)
+    angles of their settings, party A's first.  The unit vectors
+    (sin t cos p, sin t sin p, cos t) of every setting of every point are
+    computed in one pass: the formula of :func:`to_cartesian`, in numpy."""
+    st = np.sin(angles[..., 0])
+    v = np.empty(angles.shape[:-1] + (3,))
+    v[..., 0] = st * np.cos(angles[..., 1])
+    v[..., 1] = st * np.sin(angles[..., 1])
+    v[..., 2] = np.cos(angles[..., 0])
+    v.flags.writeable = angles.flags.writeable = False
+    return [
+        SettingsLayout(name, phi, v[k, :n_a], v[k, n_a:], groups, bound_pairs, (angles[k, :n_a], angles[k, n_a:]))
+        for k, phi in enumerate(phis)
+    ]
 
 
 def build_layout(name: str, phi: float = 0.0) -> SettingsLayout:
@@ -107,52 +157,49 @@ def build_layout(name: str, phi: float = 0.0) -> SettingsLayout:
     are stored so that each collapses onto its reference direction at phi = 0
     (the relative angle of every phi-labelled pair is phi).
     """
-    if not 0.0 <= phi <= math.pi:
-        raise ValueError(f"phi must lie in [0, pi], got {phi}")
+    return build_layouts(name, [phi])[0]
+
+
+def build_layouts(name: str, phis) -> list:
+    """:func:`build_layout` at every phi of a grid, the settings of all points
+    built as one array of angles and one of unit vectors."""
+    phis = [float(phi) for phi in phis]
+    for phi in phis:
+        if not 0.0 <= phi <= math.pi:
+            raise ValueError(f"phi must lie in [0, pi], got {phi}")
+    phi = np.array(phis)
     half = 0.5 * math.pi
+    x, y, z = (half, 0.0), (half, half), (0.0, 0.0)  # the coordinate axes as (theta, phi)
     if name == "original":
-        a1, a2 = Direction(half, 0.0), Direction(0.0, 0.0)
-        b = (Direction(half + phi, 0.0), Direction(phi, half), a2)
+        a = (x, z)
+        b = ((half + phi, 0.0), (phi, half), z)
         groups = ((1.0, ((0, 0), (1, 2))), (1.0, ((1, 1), (1, 2))))
         bound_pairs = ((1, 2, 1.0),)
-        return SettingsLayout(name, phi, (a1, a2), b, groups, bound_pairs)
-    if name == "threeplus7":
-        a = (Direction(half, 0.0), Direction(half, half), Direction(0.0, 0.0))
-        b = (
-            Direction(half, phi),
-            Direction(half, half + phi),
-            Direction(half + phi, half),
-            Direction(phi, half),
-            a[0],
-            a[1],
-            a[2],
-        )
+    elif name == "threeplus7":
+        a = (x, y, z)
+        b = ((half, phi), (half, half + phi), (half + phi, half), (phi, half), x, y, z)
         groups = (
             (0.5, ((0, 0), (1, 1), (0, 4), (1, 5))),
             (0.5, ((1, 2), (2, 3), (1, 5), (2, 6))),
         )
         bound_pairs = ((0, 4, 0.5), (1, 5, 0.5), (2, 5, 0.5), (3, 6, 0.5))
-        return SettingsLayout(name, phi, a, b, groups, bound_pairs)
-    if name == "threeplus6":
-        a = (Direction(half, 0.0), Direction(half, half), Direction(0.0, 0.0))
+    elif name == "threeplus6":
+        a = (x, y, z)
         h = 0.5 * phi
-        b = (
-            Direction(half, h),
-            Direction(half, -h),
-            Direction(half - h, half),
-            Direction(half + h, half),
-            Direction(h, 0.0),
-            Direction(h, math.pi),
-        )
+        b = ((half, h), (half, -h), (half - h, half), (half + h, half), (h, 0.0), (h, math.pi))
         w = 2.0 / 3.0
         groups = ((w, ((0, 0), (0, 1))), (w, ((1, 2), (1, 3))), (w, ((2, 4), (2, 5))))
         bound_pairs = ((0, 1, w), (2, 3, w), (4, 5, w))
-        return SettingsLayout(name, phi, a, b, groups, bound_pairs)
-    if name == "chsh":
-        a = (Direction(half, 0.0), Direction(half, half))
-        b = (Direction(half, -0.75 * math.pi), Direction(half, 0.75 * math.pi))
-        return SettingsLayout(name, phi, a, b, (), ())
-    raise ValueError(f"unknown layout name {name!r}")
+    elif name == "chsh":
+        a = (x, y)
+        b = ((half, -0.75 * math.pi), (half, 0.75 * math.pi))
+        groups = bound_pairs = ()
+    else:
+        raise ValueError(f"unknown layout name {name!r}")
+    angles = np.empty((len(phis), len(a) + len(b), 2))
+    for k, (theta, azimuth) in enumerate(a + b):
+        angles[:, k, 0], angles[:, k, 1] = theta, azimuth
+    return _layouts(name, phis, angles, len(a), groups, bound_pairs)
 
 
 def rotate_settings(
@@ -163,10 +210,12 @@ def rotate_settings(
     """Rotate every a-direction by rotation_a and every b-direction by
     rotation_b (rotation_a again when rotation_b is None, i.e. a shared
     rigid-body rotation of both parties).  All relative angles inside a
-    party are preserved."""
+    party are preserved.  The rotated settings are Directions, and the
+    vectors of the new layout are computed from their angles."""
     if rotation_b is None:
         rotation_b = rotation_a
     ma, mb = rotation_a.as_matrix(), rotation_b.as_matrix()
-    a_new = tuple(from_cartesian(ma @ to_cartesian(d)) for d in layout.a_list)
-    b_new = tuple(from_cartesian(mb @ to_cartesian(d)) for d in layout.b_list)
-    return replace(layout, a_list=a_new, b_list=b_new)
+    a_new = [from_cartesian(ma @ to_cartesian(d)) for d in layout.a_list]
+    b_new = [from_cartesian(mb @ to_cartesian(d)) for d in layout.b_list]
+    angles = np.array([[(d.theta, d.phi) for d in a_new + b_new]])
+    return _layouts(layout.name, [layout.phi], angles, len(a_new), layout.groups, layout.bound_pairs)[0]

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .correlations import CorrelationModel
-from .geometry import Direction, RigidRotation, SettingsLayout, build_layout
+from .correlations import CorrelationModel, ModelStack
+from .geometry import Direction, SettingsLayout, build_layout
 
 VIOLATION_TOL = 1e-7  # margin above which a violation verdict is issued
 
@@ -47,9 +48,7 @@ class LeggettEvaluation:
     bound: BoundResult
     margin: float
     violated: bool
-    layout: SettingsLayout
-    rotation_a: RigidRotation | None = None
-    rotation_b: RigidRotation | None = None
+    layout: SettingsLayout  # the settings L was evaluated at (rotated ones after optimize_rigid)
 
 
 @dataclass(frozen=True)
@@ -59,15 +58,58 @@ class ChshEvaluation:
     violated: bool
 
 
-def leggett_value(model: CorrelationModel, layout: SettingsLayout) -> float:
-    """sum_groups weight * |sum_terms E(a_i, b_j)| with the layout's vectors."""
-    if not layout.groups:
-        raise ValueError(f"layout {layout.name!r} has no inequality term groups")
+def leggett_value(model, layout):
+    """sum_groups weight * |sum_terms E(a_i, b_j)| with the layout's settings.
+
+    model is a CorrelationModel and layout a SettingsLayout, and the value is
+    a float; or either is a sequence of P of them, the other then applying
+    to every point, and the value is the (P,) array of the points.  The
+    models share one measurement family and the layouts one set of term
+    groups.  E of every term of every point comes from one
+    ``term_correlation`` call (of the model, or of a :class:`ModelStack`)
+    on the features of :meth:`CorrelationModel.layout_features`, and the
+    sums run in the order of the terms, so each value is bit for bit the
+    sum of the scalar ``model.correlation`` terms.
+    """
+    single = isinstance(model, CorrelationModel), isinstance(layout, SettingsLayout)
+    models = [model] if single[0] else list(model)
+    layouts = [layout] if single[1] else list(layout)
+    if len(models) > 1 and len(layouts) > 1 and len(models) != len(layouts):
+        raise ValueError(f"{len(models)} models for {len(layouts)} layouts")
+    groups = layouts[0].groups
+    if not groups:
+        raise ValueError(f"layout {layouts[0].name!r} has no inequality term groups")
+    if any(lay.groups != groups for lay in layouts):
+        raise ValueError("the layouts of one evaluation must share their term groups")
+    ia, jb = _term_indices(groups)
+    features = [models[0].layout_features(lay) for lay in layouts]
+    if len(features) == 1:
+        fa, fb = features[0]
+    else:
+        fa = np.array([f for f, _ in features])
+        fb = np.array([f for _, f in features])
+    same = all(m is models[0] for m in models)
+    e = (models[0] if same else ModelStack(models)).term_correlation(fa.take(ia, -2), fb.take(jb, -2))
+    columns = iter(e.T)  # E of each term: a float for one point, a (P,) array for P
     total = 0.0
-    for weight, terms in layout.groups:
-        s = sum(model.correlation(layout.a_list[i], layout.b_list[j]) for i, j in terms)
-        total += weight * abs(s)
-    return total
+    for weight, terms in groups:
+        s = next(columns)
+        for _ in terms[1:]:
+            s = s + next(columns)
+        total = total + weight * abs(s)
+    if all(single):
+        return float(total)
+    points = max(len(models), len(layouts))
+    return total if np.shape(total) == (points,) else np.full(points, total)
+
+
+@lru_cache(maxsize=None)
+def _term_indices(groups) -> tuple:
+    """The a and b setting index of every term of the groups, in order: two read-only (T,) arrays."""
+    terms = [term for _, group in groups for term in group]
+    ia, jb = np.array([i for i, _ in terms]), np.array([j for _, j in terms])
+    ia.flags.writeable = jb.flags.writeable = False
+    return ia, jb
 
 
 def analytic_fmin(layout_name: str, phi: float) -> float:
@@ -180,10 +222,30 @@ def evaluate_leggett(
     config=None,
 ) -> LeggettEvaluation:
     """L, its bound and the verdict at the layout's fixed settings (the bound first)."""
-    bound = leggett_bound(model, layout, mode=mode, config=config)
-    value = leggett_value(model, layout)
-    margin = value - bound.bound
-    return LeggettEvaluation(value, bound, margin, margin > VIOLATION_TOL, layout)
+    return evaluate_points([model], [layout], mode, [config])[0]
+
+
+def evaluate_points(models, layouts, mode: str = "state_corrected", configs=None, values=None) -> list:
+    """The LeggettEvaluation of models[g] on layouts[g] at each point g.
+
+    The bounds come first, point by point in order with configs[g] (None,
+    or a None entry, takes the default), so the first point whose bound
+    fails raises.  L of every point is then one :func:`leggett_value` call,
+    unless values gives it.
+    """
+    if not models:
+        return []
+    bounds = [
+        leggett_bound(model, layout, mode=mode, config=config)
+        for model, layout, config in zip(models, layouts, configs or [None] * len(models))
+    ]
+    if values is None:
+        values = leggett_value(models, layouts)
+    out = []
+    for value, bound, layout in zip(values, bounds, layouts):
+        margin = float(value) - bound.bound
+        out.append(LeggettEvaluation(float(value), bound, margin, margin > VIOLATION_TOL, layout))
+    return out
 
 
 def chsh_value(

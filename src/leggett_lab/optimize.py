@@ -54,8 +54,9 @@ products are stacked per row (np.matmul over a leading batch axis), never
 one BLAS product across the batch axis, which can round a row differently
 depending on the rows around it.  So every start follows exactly the
 trajectory it would follow alone, whichever problems share its batch.  The
-closed-form rigid optimum keeps the same contract: its eigenproblems and
-decompositions are per point.
+closed-form rigid optimum and the array evaluation of L keep the same
+contract: the eigenproblems, decompositions and rotations of the setting
+vectors are per point, and every E of L is elementwise.
 
 The bound, CHSH and rigid-rotation objectives are the same code for all
 four measurement families: each evaluates its model through the batched
@@ -73,7 +74,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coherent_algebra import pseudospin_bloch
 from .correlations import CorrelationModel, ModelStack, ecs_model, pes_model
 from .errors import ConvergenceError
 from .geometry import (
@@ -81,9 +81,9 @@ from .geometry import (
     RigidRotation,
     SettingsLayout,
     build_layout,
+    build_layouts,
     from_cartesian,
     rotate_settings,
-    to_cartesian,
 )
 from . import inequality
 from .inequality import BoundResult, ChshEvaluation, LeggettEvaluation, chsh_value
@@ -336,8 +336,8 @@ def _make_rigid_objective(models, layouts, shared: bool):
     """
     groups = _rigid_groups(models, layouts)
     stack = ModelStack(models)
-    A0 = np.array([[to_cartesian(d) for d in lay.a_list] for lay in layouts])
-    B0 = np.array([[to_cartesian(d) for d in lay.b_list] for lay in layouts])
+    A0 = np.array([lay.a for lay in layouts])
+    B0 = np.array([lay.b for lay in layouts])
 
     def objective(x, owners=None):
         if owners is None:
@@ -422,9 +422,7 @@ def numeric_fmin(
     if layout.name not in ("threeplus7", "threeplus6"):
         raise ValueError(f"numeric bound supports threeplus7/threeplus6, not {layout.name!r}")
     if model.tensor is not None:
-        f = inequality.pes_fmin(layout.name, layout.phi)
-        if model.family == "pseudo_spin":
-            f = float(np.linalg.norm(pseudospin_bloch(model.ecs.alpha))) * f
+        f = model.hidden_radius * inequality.pes_fmin(layout.name, layout.phi)
         return BoundResult(f, 4.0 - f, None, None, (), "state_corrected", f_direct=f, f_triangle=f)
     config = config or SearchConfig()
     direct, triangle, weighted_terms = _bound_objectives(model, layout)
@@ -536,31 +534,17 @@ def _signed_term_matrices(layouts, groups) -> np.ndarray:
     Outer products and sums are elementwise, so no point depends on the
     points that share its batch.
     """
-    a = np.array([[to_cartesian(d) for d in lay.a_list] for lay in layouts])
-    b = np.array([[to_cartesian(d) for d in lay.b_list] for lay in layouts])
+    a = np.array([lay.a for lay in layouts])
+    b = np.array([lay.b for lay in layouts])
     per_group = [w * sum(b[:, j, :, None] * a[:, i, None, :] for i, j in terms) for w, terms in groups]
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(groups))))
     return sum(signs[:, g, None, None] * m[:, None] for g, m in enumerate(per_group))
 
 
-def _euler_zyz(r) -> np.ndarray:
-    """ZYZ Euler angles (z1, y, z2) of rotation matrices r (k, 3, 3): (k, 3).
-
-    z1 and y come from the third column.  z2 comes from z1 + z2, read off the
-    upper-left block where it is scaled by 1 + cos y, or from z1 - z2, scaled
-    by 1 - cos y, whichever scale is at least 1; so the angles rebuild r to
-    rounding even where sin y is tiny and z1 alone is poorly determined.
-    """
-    z1 = np.arctan2(r[:, 1, 2], r[:, 0, 2])
-    y = np.arctan2(np.hypot(r[:, 0, 2], r[:, 1, 2]), r[:, 2, 2])
-    plus = np.arctan2(r[:, 1, 0] - r[:, 0, 1], r[:, 0, 0] + r[:, 1, 1])
-    minus = np.arctan2(-(r[:, 1, 0] + r[:, 0, 1]), r[:, 1, 1] - r[:, 0, 0])
-    return np.stack([z1, y, np.where(r[:, 2, 2] >= 0.0, plus - z1, z1 - minus)], axis=1)
-
-
 def _rigid_optimum(models, layouts, shared: bool) -> tuple[np.ndarray, np.ndarray]:
     """The maximal inequality value over rigid rotations of each tensor-model
-    point, and Euler angles that reach it: ((P,), (P, 3) or (P, 6)).
+    point, and rotation matrices R_a, R_b that reach it: ((P,), ((P, 3, 3), (P, 3, 3))).
+    R_a is R_b for a shared rotation.
 
     See :func:`optimize_rigid` for the derivation.  Raises ValueError for a
     shared rotation when a model's t_1 != t_2.
@@ -577,11 +561,8 @@ def _rigid_optimum(models, layouts, shared: bool) -> tuple[np.ndarray, np.ndarra
         values = t[:, :1] * trace + lam[..., -1]
         best = np.argmax(values, axis=1)
         n = vec[points, best, :, -1]  # R^T z = n: the third row of R
-        angles = np.stack(
-            [np.zeros(len(n)), np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], -n[:, 0])],
-            axis=1,
-        )
-        return values[points, best], angles
+        r = _rotations(np.zeros(len(n)), np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2]), np.arctan2(n[:, 1], -n[:, 0]))
+        return values[points, best], (r, r)
     x, st, yh = np.linalg.svd(t[:, :, None] * np.eye(3))  # T = X diag(st) Yh
     p, sm, qh = np.linalg.svd(m)  # M_sigma = P diag(sm) Qh
     det_t = (np.linalg.det(x) * np.linalg.det(yh))[:, None]
@@ -597,7 +578,7 @@ def _rigid_optimum(models, layouts, shared: bool) -> tuple[np.ndarray, np.ndarra
     fix_a[:, 2] = np.sign(np.linalg.det(x) * np.linalg.det(qh))
     rb = np.matmul(yh.transpose(0, 2, 1) * fix_b[:, None, :], p.transpose(0, 2, 1))
     ra = np.matmul(x * fix_a[:, None, :], qh)
-    return values[points, best], np.concatenate([_euler_zyz(ra), _euler_zyz(rb)], axis=1)
+    return values[points, best], (ra, rb)
 
 
 def optimize_rigid(
@@ -643,10 +624,12 @@ def optimize_rigid(
       V = R_a^T = Q B X^T with A = diag(1, 1, det Y det P) and
       B = diag(1, 1, det Q det X).
 
-    The returned evaluation is computed at the rotated settings through
-    :func:`leggett_lab.inequality.evaluate_leggett`; where its L does not
-    beat the unrotated value (the identity is optimal, up to rounding), the
-    unrotated evaluation is returned with identity rotations.
+    R_a and R_b act on the layouts' (n, 3) vector arrays of all points at
+    once, and L at the rotated settings of every point is one
+    :func:`leggett_lab.inequality.leggett_value` call.  Where it does not
+    beat the unrotated L (the identity is optimal, up to rounding), the
+    point keeps its unrotated settings; the pick is array-wide.  The layout
+    of each returned evaluation holds the settings it was evaluated at.
 
     On/off and parity are searched.  Point g is searched with configs[g]
     (default: 32 starts for a shared rotation, 64 for independent ones; None
@@ -654,25 +637,36 @@ def optimize_rigid(
     The starts of all points advance as one lockstep batch, and every
     point's best start is polished in one more batch; each point follows
     exactly the trajectory it would follow alone.  The identity rotation is
-    always start 0.
+    always start 0.  The best angles rotate each layout's Directions
+    (:func:`leggett_lab.geometry.rotate_settings`), whose features the
+    coefficient models read.
     """
     if not models:
         return []
-    closed = models[0].tensor is not None
-    if closed:
-        angles = _rigid_optimum(models, layouts, shared)[1]
-    else:
-        angles = _searched_angles(models, layouts, configs, shared)
-    out = []
-    for model, layout, bcfg, x in zip(models, layouts, bound_configs or [None] * len(models), angles):
-        ra = RigidRotation(float(x[0]), float(x[1]), float(x[2]))
-        rb = ra if shared else RigidRotation(float(x[3]), float(x[4]), float(x[5]))
-        ev = inequality.evaluate_leggett(model, rotate_settings(layout, ra, rb), mode=bound_mode, config=bcfg)
-        if closed and not ev.L > inequality.leggett_value(model, layout):
-            ev = inequality.evaluate_leggett(model, layout, mode=bound_mode, config=bcfg)
-            ra = rb = RigidRotation.identity()
-        out.append(replace(ev, rotation_a=ra, rotation_b=rb))
-    return out
+    if models[0].tensor is None:
+        rotated = []
+        for layout, x in zip(layouts, _searched_angles(models, layouts, configs, shared)):
+            ra = RigidRotation(float(x[0]), float(x[1]), float(x[2]))
+            rb = ra if shared else RigidRotation(float(x[3]), float(x[4]), float(x[5]))
+            rotated.append(rotate_settings(layout, ra, rb))
+        return inequality.evaluate_points(models, rotated, bound_mode, bound_configs)
+    ra, rb = _rigid_optimum(models, layouts, shared)[1]
+    a = np.matmul(np.array([lay.a for lay in layouts]), ra.transpose(0, 2, 1))
+    b = np.matmul(np.array([lay.b for lay in layouts]), rb.transpose(0, 2, 1))
+    a.flags.writeable = b.flags.writeable = False
+    rotated = [
+        SettingsLayout(lay.name, lay.phi, a[g], b[g], lay.groups, lay.bound_pairs) for g, lay in enumerate(layouts)
+    ]
+    unrotated_value = inequality.leggett_value(models, layouts)
+    rotated_value = inequality.leggett_value(models, rotated)
+    better = rotated_value > unrotated_value
+    return inequality.evaluate_points(
+        models,
+        [r if up else lay for r, lay, up in zip(rotated, layouts, better)],
+        bound_mode,
+        bound_configs,
+        np.where(better, rotated_value, unrotated_value),
+    )
 
 
 def _searched_angles(models, layouts, configs, shared: bool) -> list[np.ndarray]:
@@ -701,18 +695,26 @@ def _evaluate(
     """The inequality evaluation of models[g] on layouts[g] at each point g.
 
     Point g bounds with SearchConfig(starts, seeds[g]).  Without optimize the
-    settings are fixed; with it, the rigid rotations of all points are
-    searched as one batch (:func:`optimize_rigid`), point g with
-    SearchConfig(rigid_starts, stable_seed(seeds[g], "rigid")).
+    settings are fixed, and L of all points is one array evaluation
+    (:func:`leggett_lab.inequality.evaluate_points`); with it, the rigid
+    rotations of all points are optimized as one batch
+    (:func:`optimize_rigid`), point g searched with
+    SearchConfig(rigid_starts, stable_seed(seeds[g], "rigid")).  Points of a
+    closed-form family get no configs, and their seeds are not read.
     """
-    bcfgs = [SearchConfig(starts, seed) for seed in seeds]
+    searched = _searched(models)
+    bcfgs = [SearchConfig(starts, seed) for seed in seeds] if searched else None
     if not optimize:
-        return [
-            inequality.evaluate_leggett(model, layout, mode=bound_mode, config=bcfg)
-            for model, layout, bcfg in zip(models, layouts, bcfgs)
-        ]
-    ocfgs = [SearchConfig(rigid_starts, stable_seed(seed, "rigid")) for seed in seeds]
+        return inequality.evaluate_points(models, layouts, bound_mode, bcfgs)
+    ocfgs = [SearchConfig(rigid_starts, stable_seed(seed, "rigid")) for seed in seeds] if searched else None
     return optimize_rigid(models, layouts, ocfgs, shared=shared, bound_mode=bound_mode, bound_configs=bcfgs)
+
+
+def _searched(models) -> bool:
+    """Whether the points of models are searched, so draw seeds: on/off and
+    parity are; the singlet and pseudo-spin, whose bound, CHSH maximum and
+    rigid optimum are closed forms, search nothing."""
+    return bool(models) and models[0].tensor is None
 
 
 # -- threshold bisection ------------------------------------------------------------------
@@ -803,8 +805,10 @@ def threshold_alpha(
     same seed reproduces the result bit for bit.  All-positive margins give
     verdict "always", all-nonpositive "never".
 
-    The rigid searches of the coarse grid run as one batch, and so do those
-    of the bisection when speculation is safe: the root is predicted from
+    The coarse grid is one evaluation (:func:`_evaluate`): its bounds point
+    by point, then L of all its amplitudes as one array, at fixed settings
+    or after one batch of rigid optimizations.  The bisection batches its
+    rigid optimizations too when speculation is safe: the root is predicted from
     the known margins (:func:`_predict_root`), the midpoints that bisection
     would visit if that prediction held are evaluated together, down to the
     alpha* midpoint of the final interval, and the ordinary bisection then
@@ -819,7 +823,11 @@ def threshold_alpha(
     singlet or pseudo-spin) or with a bound mode other than state_corrected.
     Elsewhere a raised ConvergenceError of a speculative point could stop a
     run that bisection finishes, so each batch holds the next midpoint only.
+    A tolerance that is not finite and positive raises ValueError: the
+    bisection could not reach it.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     if layout_name not in DEFAULT_THRESHOLD_PHI:
         raise ValueError(f"threshold supports threeplus7/threeplus6, not {layout_name!r}")
     if phi is None:
@@ -828,10 +836,14 @@ def threshold_alpha(
 
     def margins(alphas) -> list[float]:
         """The margin at each amplitude; the rigid searches of all of them run as one batch."""
+        models = [_model(family, sign, alpha) for alpha in alphas]
+        seeds = [None] * len(alphas)
+        if _searched(models):
+            seeds = [stable_seed(seed, layout_name, family, sign, round(alpha, 12)) for alpha in alphas]
         evs = _evaluate(
-            [_model(family, sign, alpha) for alpha in alphas],
+            models,
             [layout] * len(alphas),
-            [stable_seed(seed, layout_name, family, sign, round(alpha, 12)) for alpha in alphas],
+            seeds,
             optimized,
             shared,
             bound_mode,
@@ -912,17 +924,19 @@ class ScanTask:
 
 
 def _record(task: ScanTask, index: int, alpha, phi, model, seed, ev: LeggettEvaluation) -> SweepRecord:
+    """The row of one point; seed is None for a closed-form family, whose searches take no config."""
     f_corr = ev.bound.f_min if ev.bound.mode == "state_corrected" else None
     try:
         f_an = inequality.analytic_fmin(task.layout_name, phi)
     except ValueError:
         f_an = None
     if f_corr is None and task.layout_name != "original":
-        f_corr = numeric_fmin(model, ev.layout, SearchConfig(task.starts, seed)).f_min
+        f_corr = numeric_fmin(model, ev.layout, None if seed is None else SearchConfig(task.starts, seed)).f_min
 
     chsh_b = None
     if task.include_chsh:
-        chsh_b = optimize_chsh(model, SearchConfig(task.starts, stable_seed(seed, "chsh"))).B
+        config = None if seed is None else SearchConfig(task.starts, stable_seed(seed, "chsh"))
+        chsh_b = optimize_chsh(model, config).B
 
     return SweepRecord(
         index=index,
@@ -943,34 +957,35 @@ def _record(task: ScanTask, index: int, alpha, phi, model, seed, ev: LeggettEval
 def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
     """Evaluate the task at every grid point.
 
-    Records come back in grid order; each point draws its own seed from the
-    task seed and its index.  With task.optimize the rigid searches of all
-    points run as one batch (:func:`optimize_rigid`); without it each point
-    is evaluated and recorded before the next, so a scan stops at its first
-    failing point."""
-    grid = list(grid)
+    Records come back in grid order; each point of a searched family draws
+    its own seed from the task seed and its index.  The whole grid is one
+    evaluation (:func:`_evaluate`): the layouts and models of every point are
+    built first (a phi scan builds its layouts as one array and shares one
+    model, an alpha scan shares one layout), then the bounds point by point,
+    and L of all points as one array.  With task.optimize the rigid
+    rotations of all points are optimized as one batch
+    (:func:`optimize_rigid`).  A point that fails stops the scan with no
+    records."""
+    grid = [float(g) for g in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be monotone nondecreasing")
     if variable == "phi":
-        coords = [(i, task.alpha, float(g)) for i, g in enumerate(grid)]
+        coords = [(task.alpha, g) for g in grid]
+        layouts = build_layouts(task.layout_name, grid)
+        models = [_model(task.family, task.sign, task.alpha)] * len(grid)
     elif variable == "alpha":
         if task.phi is None:
             raise ValueError("alpha scan needs task.phi")
-        coords = [(i, float(g), task.phi) for i, g in enumerate(grid)]
+        coords = [(g, task.phi) for g in grid]
+        layouts = [build_layout(task.layout_name, task.phi)] * len(grid)
+        models = [_model(task.family, task.sign, g) for g in grid]
     else:
         raise ValueError("variable must be 'phi' or 'alpha'")
-    records = []
-    for batch in [coords] if task.optimize else [[c] for c in coords]:
-        layouts, models = [], []
-        for _, alpha, phi in batch:  # point by point, so the first invalid point raises first
-            layouts.append(build_layout(task.layout_name, phi))
-            models.append(_model(task.family, task.sign, alpha))
-        seeds = [stable_seed(task.seed, task.layout_name, task.family, i) for i, _, _ in batch]
-        evs = _evaluate(
-            models, layouts, seeds, task.optimize, task.shared, task.bound_mode, task.starts, task.starts
-        )
-        records += [
-            _record(task, i, alpha, phi, model, seed, ev)
-            for (i, alpha, phi), model, seed, ev in zip(batch, models, seeds, evs)
-        ]
-    return records
+    seeds = [None] * len(grid)
+    if _searched(models):
+        seeds = [stable_seed(task.seed, task.layout_name, task.family, i) for i in range(len(grid))]
+    evs = _evaluate(models, layouts, seeds, task.optimize, task.shared, task.bound_mode, task.starts, task.starts)
+    return [
+        _record(task, i, alpha, phi, model, seed, ev)
+        for i, ((alpha, phi), model, seed, ev) in enumerate(zip(coords, models, seeds, evs))
+    ]

@@ -11,13 +11,15 @@ def stable_seed(*parts) -> int:
     Hash-based so that nested tasks (grid point index, start index, ...)
     get independent streams that do not depend on execution order.
     """
-    payload = "::".join(str(p) for p in parts).encode("utf-8")
+    payload = "::".join(map(str, parts)).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "little") % (2**32)
 
 
 def fmt12(x) -> str:
     """Format a number with 12 significant digits (CSV cell format)."""
+    if type(x) is float:  # the common cell, first
+        return f"{x:.12g}"
     if x is None:
         return ""
     if isinstance(x, bool):

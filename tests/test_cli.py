@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import leggett_lab
-from leggett_lab import cli, optimize
+from leggett_lab import cli, correlations, optimize
 from leggett_lab.coherent_algebra import _log_even_series
 
 
@@ -245,6 +245,23 @@ def test_pseudospin_sweeps_do_not_search(tmp_path, monkeypatch):
         assert (rc, err) == (0, "")
 
 
+def test_fixed_setting_sweeps_never_call_the_scalar_correlation(tmp_path, monkeypatch):
+    # fig4, the four unoptimized thresholds and the optimized ones evaluate L on arrays
+    def scalar(*args, **kwargs):
+        raise AssertionError("scalar correlation facade reached")
+
+    monkeypatch.setattr(correlations.CorrelationModel, "correlation", scalar)
+    thresholds = [
+        ["threshold", "--layout", layout, "--state", state, *optimize]
+        for optimize in ([], ["--optimize"])
+        for layout in ("3p7", "3p6")
+        for state in ("ecs-", "ecs+")
+    ]
+    for argv in [["reproduce", "fig4", "--output", str(tmp_path)]] + thresholds:
+        rc, _, err = _run(argv + ["--seed", "0"])
+        assert (rc, err) == (0, ""), argv
+
+
 # -- --config precedence: flag, then the file, then the built-in default -------------
 
 # key -> (file value, flag, from the file, from the flag, built-in default); the flag
@@ -331,6 +348,9 @@ def test_bad_config_file_exits_2(text, message, tmp_path):
         (["scan-phi", "--state", "ecs-", "--phi", "0.2"], 2),
         (["chsh", "--state", "ecs-", "--alpha", "inf"], 2),
         (["chsh", "--state", "ecs-", "--alpha", "nan"], 2),
+        (["chsh", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--optimize", "--starts", "0"], 2),
+        (["bound", "--layout", "3p7", "--state", "ecs-", "--family", "on_off", "--starts", "-4"], 2),
+        (["scan-phi", "--state", "pes", "--phi", "0.2", "--starts", "x"], 2),
     ],
 )
 def test_exit_codes(argv, code):
@@ -354,6 +374,29 @@ def test_range_without_finite_points_exits_2(command, text, tmp_path):
     assert (rc, stdout) == (2, "")
     assert err.startswith("error: range ") and repr(text) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+def test_threshold_tolerance_that_bisection_cannot_reach_exits_2(tolerance):
+    # in a subprocess with a timeout: each of these values once kept the bisection looping
+    res = _module_run("leggett_lab", "threshold", "--layout", "3p6", "--state", "ecs-", "--tolerance", tolerance)
+    assert res.returncode == 2 and res.stdout == ""
+    assert f"argument --tolerance: must be a finite positive number, got {tolerance!r}" in res.stderr
+
+
+def test_threshold_alpha_rejects_a_tolerance_it_cannot_reach():
+    for tolerance in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            optimize.threshold_alpha("pseudo_spin", -1, "threeplus6", tolerance=tolerance)
+
+
+@pytest.mark.parametrize("alpha", ["1e200", "1e10"])
+@pytest.mark.parametrize("command", [["chsh"], ["scan-phi", "--phi", "0.3"], ["bound", "--layout", "3p7"]])
+def test_amplitude_above_the_cap_exits_2(command, alpha):
+    for family in ("pseudo_spin", "on_off"):
+        rc, out, err = _run(command + ["--state", "ecs-", "--family", family, "--alpha", alpha, "--seed", "0"])
+        assert (rc, out) == (2, "")
+        assert err == f"error: alpha must be positive and at most 100, got {float(alpha)!r}\n"
 
 
 def test_scan_phi_on_an_ecs_state_names_the_missing_alpha():

@@ -8,6 +8,7 @@ from leggett_lab import (
     RigidRotation,
     angle_between,
     build_layout,
+    build_layouts,
     from_cartesian,
     rotate_settings,
     to_cartesian,
@@ -131,6 +132,29 @@ def test_layout_phi0_collapse_threeplus6():
             assert np.allclose(
                 to_cartesian(lay.a_list[i]), to_cartesian(lay.b_list[j]), atol=1e-12
             )
+
+
+@pytest.mark.parametrize("name", ["original", "threeplus7", "threeplus6", "chsh"])
+def test_layout_grid_equals_each_layout_and_its_angles(name):
+    phis = np.linspace(0.0, np.pi, 9)
+    grid = build_layouts(name, phis)
+    for phi, lay in zip(phis, grid):
+        alone = build_layout(name, phi)
+        assert lay == alone and lay.phi == phi
+        for vectors, dirs in ((lay.a, lay.a_list), (lay.b, lay.b_list)):
+            assert not vectors.flags.writeable
+            assert np.abs(vectors - [to_cartesian(d) for d in dirs]).max() <= 1e-15
+    assert build_layouts(name, []) == []
+    with pytest.raises(ValueError, match="got 3.5"):
+        build_layouts(name, [0.1, 3.5, -1.0])
+
+
+def test_layout_equality_compares_values():
+    lay = build_layout("threeplus7", 0.3)
+    assert lay == build_layout("threeplus7", 0.3)
+    assert lay != build_layout("threeplus7", 0.31)
+    rotated = rotate_settings(lay, RigidRotation(0.2, 0.4, 0.6))
+    assert rotated != lay and rotated == rotate_settings(lay, RigidRotation(0.2, 0.4, 0.6))
 
 
 def test_layout_rejects_bad_input():

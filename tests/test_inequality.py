@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from leggett_lab import (
     ConvergenceError,
     Direction,
+    RigidRotation,
     SearchConfig,
     analytic_fmin,
     build_layout,
@@ -21,6 +23,7 @@ from leggett_lab import (
     pes_fmin,
     pes_model,
     pseudospin_bloch,
+    rotate_settings,
     simplex_minimize,
 )
 from leggett_lab import optimize
@@ -55,11 +58,68 @@ def test_leggett_value_group_exchange_invariance():
     lay = build_layout("threeplus6", 0.4)
     swapped = lay.groups[0][1][::-1]
     groups = ((lay.groups[0][0], swapped),) + lay.groups[1:]
-    from dataclasses import replace
-
     lay2 = replace(lay, groups=groups)
     m = ecs_model(1.0, -1)
     assert leggett_value(m, lay) == pytest.approx(leggett_value(m, lay2), abs=1e-15)
+
+
+def _facade_value(model, layout):
+    """The inequality value summed from scalar CorrelationModel.correlation terms."""
+    return sum(
+        w * abs(sum(model.correlation(layout.a_list[i], layout.b_list[j]) for i, j in terms))
+        for w, terms in layout.groups
+    )
+
+
+_ARRAY_PATH_MODELS = [pes_model()] + [
+    ecs_model(alpha, sign, family)
+    for family in ("pseudo_spin", "on_off", "parity")
+    for sign in (-1, +1)
+    for alpha in (0.6, 2.0)
+]
+
+
+@pytest.mark.parametrize("model", _ARRAY_PATH_MODELS, ids=lambda m: m.label)
+@pytest.mark.parametrize("layout_name", ["threeplus7", "threeplus6"])
+def test_batched_leggett_value_matches_the_scalar_facade(model, layout_name, rng):
+    fixed = [build_layout(layout_name, phi) for phi in (0.0, 0.3, 1.1, np.pi)]
+    rotated = [
+        rotate_settings(lay, RigidRotation(*rng.uniform(0, 2 * np.pi, 3)), RigidRotation(*rng.uniform(0, 2 * np.pi, 3)))
+        for lay in fixed
+    ]
+    # rotated as arrays, as the closed-form rigid optimum rotates them
+    q = np.linalg.qr(rng.normal(size=(2 * len(fixed), 3, 3)))[0]
+    q *= np.sign(np.linalg.det(q))[:, None, None]
+    by_matrix = [
+        replace(lay, a=lay.a @ q[2 * k].T, b=lay.b @ q[2 * k + 1].T, angles=None) for k, lay in enumerate(fixed)
+    ]
+    layouts = fixed + rotated + by_matrix
+    want = np.array([_facade_value(model, lay) for lay in layouts])
+    batched = leggett_value(model, layouts)
+    assert batched.shape == (len(layouts),)
+    assert np.abs(batched - want).max() <= 1e-12
+    assert [leggett_value(model, lay) for lay in layouts] == list(batched)
+    # one model per point gives the same values as the shared model
+    assert np.array_equal(leggett_value([model] * len(layouts), layouts), batched)
+
+
+def test_leggett_value_of_models_stacked_on_one_layout():
+    layout = build_layout("threeplus7", 0.25)
+    for family in ("pseudo_spin", "parity"):
+        models = [ecs_model(alpha, -1, family) for alpha in (0.4, 1.0, 3.0)]
+        batched = leggett_value(models, layout)
+        want = [_facade_value(m, layout) for m in models]
+        assert np.abs(batched - want).max() <= 1e-12
+        assert list(batched) == [leggett_value(m, layout) for m in models]
+    # one model object repeated is one model; each point still gets its value
+    assert leggett_value([models[0]] * 3, layout).tolist() == [leggett_value(models[0], layout)] * 3
+    assert leggett_value(models[0], [layout]).tolist() == [leggett_value(models[0], layout)]
+    with pytest.raises(ValueError, match="share one measurement family"):
+        leggett_value([pes_model(), ecs_model(1.0, -1)], layout)
+    with pytest.raises(ValueError, match="3 models for 2 layouts"):
+        leggett_value(models, [layout, layout])
+    with pytest.raises(ValueError, match="share their term groups"):
+        leggett_value(models[0], [layout, build_layout("threeplus6", 0.25)])
 
 
 def test_leggett_value_in_range(rng):

@@ -79,6 +79,12 @@ def test_optimize_chsh_onoff_no_violation():
     assert ev.B <= 2.0 + 1e-6
 
 
+def _one_rotation(rotated, layout):
+    """Whether rotated keeps every a_i . b_j of layout: as the settings of each
+    party span space, one rotation of both parties does that and no other."""
+    return np.abs(rotated.a @ rotated.b.T - layout.a @ layout.b.T).max() <= 1e-12
+
+
 def test_optimize_rigid_identity_floor():
     lay = build_layout("threeplus7", 0.25)
     model = ecs_model(4.0, +1)
@@ -91,7 +97,7 @@ def test_optimize_rigid_identity_floor():
         bound_configs=[_cfg(starts=16, seed=7)],
     )
     assert ev.L >= unopt - 1e-9
-    assert ev.rotation_a is ev.rotation_b  # shared mode uses one rotation
+    assert _one_rotation(ev.layout, lay)  # shared mode uses one rotation
 
 
 def test_optimize_rigid_pes_threeplus6_no_gain():
@@ -483,7 +489,7 @@ def test_rigid_closed_form_is_the_maximum(sign, alpha, layout_name, shared):
     assert abs(ev.L - value) <= 1e-12  # the returned rotation reaches it
     assert ev.L >= unrotated
     if shared:
-        assert ev.rotation_a is ev.rotation_b
+        assert _one_rotation(ev.layout, layout)
 
 
 def test_rigid_closed_form_shared_rotation_needs_equal_transverse_entries():
@@ -491,16 +497,6 @@ def test_rigid_closed_form_shared_rotation_needs_equal_transverse_entries():
     with pytest.raises(ValueError, match="t_1 = t_2"):
         optimize._rigid_optimum([model], [build_layout("threeplus7", 0.3)], shared=True)
     optimize._rigid_optimum([model], [build_layout("threeplus7", 0.3)], shared=False)  # independent: any T
-
-
-def test_euler_angles_rebuild_rotations_near_the_poles(rng):
-    angles = rng.uniform(-np.pi, np.pi, (60, 3))
-    angles[:, 1] = np.concatenate(
-        [[0.0, 1e-12, 1e-8, 1e-6, np.pi, np.pi - 1e-8, np.pi - 1e-6, 0.5 * np.pi], rng.uniform(0.0, np.pi, 52)]
-    )
-    r = optimize._rotations(angles[:, 0], angles[:, 1], angles[:, 2])
-    back = optimize._euler_zyz(r)
-    assert np.abs(optimize._rotations(back[:, 0], back[:, 1], back[:, 2]) - r).max() <= 1e-15
 
 
 # -- closed-form CHSH of the tensor models ---------------------------------------------
@@ -548,7 +544,7 @@ _THRESHOLD_PINS = {
     ),
     ("threeplus6", -1): (
         1.820166015625, (1.819856770833333, 1.8204752604166665),
-        -7.637835772644763e-05, 2.5953274560119866e-05, -2.521789985632239e-05,
+        -7.637835772644763e-05, 2.5953274560119866e-05, -2.521789985676648e-05,
     ),
 }
 
@@ -650,13 +646,13 @@ def test_coefficient_threshold_speculates_only_without_a_searched_bound(family, 
 
 def test_unoptimized_threshold_evaluates_each_margin_once(monkeypatch):
     calls = []
-    evaluate = optimize.inequality.evaluate_leggett
+    evaluate = optimize.inequality.evaluate_points
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].ecs.alpha)
-        return evaluate(*args, **kwargs)
+    def counted(models, *args, **kwargs):
+        calls.extend(m.ecs.alpha for m in models)
+        return evaluate(models, *args, **kwargs)
 
-    monkeypatch.setattr(optimize.inequality, "evaluate_leggett", counted)
+    monkeypatch.setattr(optimize.inequality, "evaluate_points", counted)
     res = threshold_alpha("pseudo_spin", -1, "threeplus7", seed=1)
     assert res.verdict == "threshold"
     assert len(calls) == res.evaluations == 27
