@@ -1,19 +1,31 @@
 """Command-line front end: deterministic sweeps, thresholds, and figure data.
 
-Commands
---------
+Commands and the flags each one reads
+-------------------------------------
 scan-phi    sweep the inequality parameter phi at fixed amplitude
+            --state --family --layout --alpha --phi --bound --optimize
+            --independent-rotations --starts --seed --output --format --svg
 scan-alpha  sweep the state amplitude alpha at fixed phi
+            --state --family --layout --alpha --phi --bound --optimize
+            --independent-rotations --starts --seed --output --format --svg
 threshold   bisection for the violation-threshold amplitude
+            --state --family --layout --phi --bound --optimize
+            --independent-rotations --starts --seed --tolerance --output
 chsh        CHSH value (canonical settings or optimized)
+            --state --family --alpha --optimize --starts --seed --output
 bound       bound term f_min for one layout/model/phi
+            --state --family --layout --alpha --phi --starts --seed --output
 reproduce   preset sweeps behind the figure data (fig3..fig6)
+            --alpha --phi --independent-rotations --starts --seed --output --svg
 
-Identical argv and seed give byte-identical CSV output.  --config names a
-"key = value" file whose keys are option names (the dest of each flag, such
-as starts, shared or fmt); a flag given on the command line wins over the
-file, and the file over the built-in default.  The seed comes from --seed,
-then the file, then the LEGGETT_LAB_SEED environment variable, then 0.
+A flag that its command does not read exits 2 ("unrecognized arguments"),
+and so does --independent-rotations on reproduce fig4 and fig6, which never
+optimize.  Every command also takes --config, which names a "key = value"
+file whose keys are the option names of its flags (the dest of each flag,
+such as starts, shared or fmt); a key that the command does not read exits 2
+too.  A flag given on the command line wins over the file, and the file over
+the built-in default (RunConfig's).  argv is the only input, so identical
+argv gives byte-identical output; the seed is --seed, then the file, then 0.
 
 The argument parser is built once per process and shared by every later
 call of :func:`parse_args` and :func:`run`.  A --config file never changes
@@ -56,7 +68,6 @@ LAYOUT_ALIASES = {
 }
 STATES = ("pes", "ecs+", "ecs-")
 FAMILIES = ("pseudo_spin", "on_off", "parity")
-COMMANDS = ("scan-phi", "scan-alpha", "threshold", "chsh", "bound", "reproduce")
 
 CSV_COLUMNS = (
     "index",
@@ -76,7 +87,7 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed command configuration."""
+    """Parsed command configuration; a flag its command does not give keeps the default here."""
 
     command: str
     state: str = "pes"
@@ -145,6 +156,40 @@ def _tolerance(text: str) -> float:
     return value
 
 
+# every flag and its add_argument keywords; a flag a command does not give
+# stays out of the namespace, so RunConfig holds the one set of defaults
+_OPTIONS = {
+    "--state": dict(choices=STATES),
+    "--family": dict(choices=FAMILIES),
+    "--layout": dict(choices=sorted(LAYOUT_ALIASES)),
+    "--alpha": dict(help="value or lo:hi:step"),
+    "--phi": dict(help="value or lo:hi:step"),
+    "--bound": dict(choices=("corrected", "analytic")),
+    "--optimize": dict(action="store_true"),
+    "--independent-rotations": dict(dest="shared", action="store_false",
+                                    help="rotate the two parties independently (default: one shared rotation)"),
+    "--starts": dict(type=_starts),
+    "--seed": dict(type=int),
+    "--tolerance": dict(type=_tolerance),
+    "--output": dict(),
+    "--format": dict(dest="fmt", choices=("csv", "json")),
+    "--svg": dict(action="store_true", help="also emit an SVG plot"),
+}
+
+# the flags each command reads (the module docstring lists the same)
+_SCAN_FLAGS = ("--state", "--family", "--layout", "--alpha", "--phi", "--bound", "--optimize",
+               "--independent-rotations", "--starts", "--seed", "--output", "--format", "--svg")
+FLAGS = {
+    "scan-phi": _SCAN_FLAGS,
+    "scan-alpha": _SCAN_FLAGS,
+    "threshold": ("--state", "--family", "--layout", "--phi", "--bound", "--optimize",
+                  "--independent-rotations", "--starts", "--seed", "--tolerance", "--output"),
+    "chsh": ("--state", "--family", "--alpha", "--optimize", "--starts", "--seed", "--output"),
+    "bound": ("--state", "--family", "--layout", "--alpha", "--phi", "--starts", "--seed", "--output"),
+    "reproduce": ("--alpha", "--phi", "--independent-rotations", "--starts", "--seed", "--output", "--svg"),
+}
+
+
 def _read_config_file(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -166,31 +211,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="Leggett/CHSH inequality laboratory for entangled coherent states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default="", help="key = value defaults file")
-        p.add_argument("--state", choices=STATES, default="pes")
-        p.add_argument("--family", choices=FAMILIES, default="pseudo_spin")
-        p.add_argument("--layout", choices=sorted(LAYOUT_ALIASES), default="3p6")
-        p.add_argument("--alpha", default="", help="value or lo:hi:step")
-        p.add_argument("--phi", default="", help="value or lo:hi:step")
-        p.add_argument("--bound", choices=("corrected", "analytic"), default="corrected")
-        p.add_argument("--optimize", action="store_true")
-        p.add_argument("--independent-rotations", dest="shared", action="store_false",
-                       help="rotate the two parties independently (default: one shared rotation)")
-        p.add_argument("--starts", type=_starts, default=32)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tolerance", type=_tolerance, default=1e-3)
-        p.add_argument("--output", default="")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--svg", action="store_true", help="also emit an SVG plot")
-
     commands = {}
-    for name in COMMANDS:
-        commands[name] = sub.add_parser(name)
+    for name, flags in FLAGS.items():
+        commands[name] = p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         if name == "reproduce":
-            commands[name].add_argument("figure", choices=("fig3", "fig4", "fig5", "fig6"))
-        common(commands[name])
+            p.add_argument("figure", choices=("fig3", "fig4", "fig5", "fig6"))
+        p.add_argument("--config", help="key = value defaults file")
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser, commands
 
 
@@ -223,31 +251,18 @@ def _config_defaults(subparser: argparse.ArgumentParser, values: dict) -> dict:
 
 def parse_args(argv) -> RunConfig:
     parser, commands = _shared_parser()
-    ns = parser.parse_args(argv)
-    if ns.config:
+    fields = vars(parser.parse_args(argv))
+    if "config" in fields:
         parser, commands = _build_parser()  # the file's defaults stay out of the shared parser
-        subparser = commands[ns.command]
-        subparser.set_defaults(**_config_defaults(subparser, _read_config_file(ns.config)))
-        ns = parser.parse_args(argv)
-    seed = ns.seed if ns.seed is not None else os.environ.get("LEGGETT_LAB_SEED", "0")
-    return RunConfig(
-        command=ns.command,
-        state=ns.state,
-        family=ns.family,
-        layout=LAYOUT_ALIASES[ns.layout],
-        alpha=ns.alpha,
-        phi=ns.phi,
-        bound=ns.bound,
-        optimize=ns.optimize,
-        shared=ns.shared,
-        starts=ns.starts,
-        seed=int(seed),
-        tolerance=ns.tolerance,
-        figure=getattr(ns, "figure", ""),
-        output=ns.output,
-        fmt=ns.fmt,
-        svg=ns.svg,
-    )
+        subparser = commands[fields["command"]]
+        subparser.set_defaults(**_config_defaults(subparser, _read_config_file(fields["config"])))
+        fields = vars(parser.parse_args(argv))
+        del fields["config"]
+    if fields.get("figure") in _FIXED_SETTINGS_FIGURES and not fields.get("shared", True):
+        commands["reproduce"].error(f"argument --independent-rotations: reproduce {fields['figure']} never optimizes")
+    if "layout" in fields:
+        fields["layout"] = LAYOUT_ALIASES[fields["layout"]]
+    return RunConfig(**fields)
 
 
 # -- output ----------------------------------------------------------------------
@@ -281,33 +296,30 @@ def _records_json(records) -> list[dict]:
     return [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
 
 
-def _write_records(cfg: RunConfig, records, variable: str) -> list[str]:
-    """The rows of a scan over variable ("phi" or "alpha"), and their SVG plot with --svg."""
-    stem = f"scan_{variable}"
-    outputs = []
-    base = cfg.output or f"{stem}.{ 'json' if cfg.fmt == 'json' else 'csv' }"
-    if cfg.fmt == "json":
-        with open(base, "w", encoding="utf-8", newline="\n") as fh:
+def _write_records(path: str, records, variable: str, title: str, fmt: str = "csv", svg: bool = False) -> list[str]:
+    """The rows of a sweep over variable ("phi" or "alpha") as CSV or JSON at
+    path, and with svg their plot against variable next to it; the paths written."""
+    if fmt == "json":
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(_records_json(records), fh, sort_keys=True)
             fh.write("\n")
     else:
-        write_csv(base, records)
-    outputs.append(base)
-    if cfg.svg:
-        from .svg import line_chart
+        write_csv(path, records)
+    if not svg:
+        return [path]
+    from .svg import line_chart
 
-        xs = [getattr(r, variable) for r in records]
-        series = [
-            ("L", xs, [r.L for r in records]),
-            ("bound", xs, [r.bound_used for r in records]),
-        ]
-        if any(r.chsh_B is not None for r in records):
-            series.append(("CHSH", xs, [r.chsh_B or 0.0 for r in records]))
-        svg_path = os.path.splitext(base)[0] + ".svg"
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(line_chart(series, title=stem, x_label=variable))
-        outputs.append(svg_path)
-    return outputs
+    xs = [getattr(r, variable) for r in records]
+    series = [
+        ("L", xs, [r.L for r in records]),
+        ("bound", xs, [r.bound_used for r in records]),
+    ]
+    if any(r.chsh_B is not None for r in records):
+        series.append(("CHSH", xs, [r.chsh_B or 0.0 for r in records]))
+    svg_path = os.path.splitext(path)[0] + ".svg"
+    with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(line_chart(series, title=title, x_label=variable))
+    return [path, svg_path]
 
 
 def _model_args(cfg: RunConfig):
@@ -351,7 +363,8 @@ def _cmd_scan(cfg: RunConfig):
         variable, grid = "alpha", parse_range(cfg.alpha or "0.5:10:0.5")
         task = _task(cfg, phi=float(cfg.phi) if cfg.phi else DEFAULT_THRESHOLD_PHI.get(cfg.layout, 0.5))
     records = scan(variable, grid, task)
-    outputs = _write_records(cfg, records, variable)
+    stem = f"scan_{variable}"
+    outputs = _write_records(cfg.output or f"{stem}.{cfg.fmt}", records, variable, stem, cfg.fmt, cfg.svg)
     best = max(records, key=lambda r: r.margin)
     return {
         "command": cfg.command,
@@ -433,39 +446,16 @@ _PHI_SCANS = {
     "fig4": ("threeplus7", "pseudo_spin", False, "0.02:1.0:0.02", "fig4_alpha"),
     "fig6": ("threeplus6", "pseudo_spin", False, "0.02:1.4:0.02", "fig6_phiscan_alpha"),
 }
+_FIXED_SETTINGS_FIGURES = ("fig4", "fig6")  # they never optimize, so no --independent-rotations
 
 
 def _cmd_reproduce(cfg: RunConfig):
     outdir = cfg.output or "."
     alphas = parse_range(cfg.alpha) if cfg.alpha else None
+    sweeps = []  # (CSV name, scan variable, grid, task)
     if cfg.figure in _PHI_SCANS:
         layout, family, optimize, default_phis, prefix = _PHI_SCANS[cfg.figure]
         phis = parse_range(cfg.phi or default_phis)
-    os.makedirs(outdir, exist_ok=True)
-    outputs = []
-    rows = 0
-
-    def emit(name, records):
-        nonlocal rows
-        path = os.path.join(outdir, name)
-        write_csv(path, records)
-        outputs.append(path)
-        rows += len(records)
-        if cfg.svg:
-            from .svg import line_chart
-
-            xs = [r.phi if r.alpha is None or len({q.alpha for q in records}) == 1 else r.alpha for r in records]
-            svg_path = os.path.splitext(path)[0] + ".svg"
-            with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(
-                    line_chart(
-                        [("L", xs, [r.L for r in records]), ("bound", xs, [r.bound_used for r in records])],
-                        title=name,
-                    )
-                )
-            outputs.append(svg_path)
-
-    if cfg.figure in _PHI_SCANS:
         for alpha in alphas or [5.0, 50.0]:
             task = ScanTask(
                 layout,
@@ -477,7 +467,7 @@ def _cmd_reproduce(cfg: RunConfig):
                 starts=cfg.starts,
                 seed=cfg.seed,
             )
-            emit(f"{prefix}{alpha:g}.csv", scan("phi", phis, task))
+            sweeps.append((f"{prefix}{alpha:g}.csv", "phi", phis, task))
     if cfg.figure == "fig5":
         grid = alphas or parse_range("0.4:10:0.4")
         phi = float(cfg.phi) if cfg.phi else DEFAULT_THRESHOLD_PHI["threeplus7"]
@@ -494,7 +484,7 @@ def _cmd_reproduce(cfg: RunConfig):
                     starts=cfg.starts,
                     seed=cfg.seed,
                 )
-                emit(f"fig5_{tag}_{opt_tag}.csv", scan("alpha", grid, task))
+                sweeps.append((f"fig5_{tag}_{opt_tag}.csv", "alpha", grid, task))
     if cfg.figure == "fig6":
         task = ScanTask(
             "threeplus6",
@@ -505,7 +495,14 @@ def _cmd_reproduce(cfg: RunConfig):
             starts=cfg.starts,
             seed=cfg.seed,
         )
-        emit("fig6_alphascan.csv", scan("alpha", alphas or parse_range("0.4:10:0.4"), task))
+        sweeps.append(("fig6_alphascan.csv", "alpha", alphas or parse_range("0.4:10:0.4"), task))
+    os.makedirs(outdir, exist_ok=True)
+    outputs = []
+    rows = 0
+    for name, variable, grid, task in sweeps:
+        records = scan(variable, grid, task)
+        outputs += _write_records(os.path.join(outdir, name), records, variable, name, svg=cfg.svg)
+        rows += len(records)
     return {
         "command": cfg.command,
         "figure": cfg.figure,

@@ -32,9 +32,6 @@ class BoundResult:
 
     f_min: float
     bound: float
-    argmin_u: Direction | None
-    argmin_v: Direction | None
-    per_term: tuple
     mode: str  # "analytic2d" | "state_corrected"
     f_direct: float | None = None
     f_triangle: float | None = None
@@ -207,7 +204,7 @@ def leggett_bound(
     """
     if mode == "analytic2d":
         f = analytic_fmin(layout.name, layout.phi)
-        return BoundResult(f, 4.0 - f, None, None, (), "analytic2d")
+        return BoundResult(f, 4.0 - f, "analytic2d")
     if mode != "state_corrected":
         raise ValueError(f"unknown bound mode {mode!r}")
     if _numeric_fmin_impl is None:  # pragma: no cover - import order guard

@@ -365,8 +365,7 @@ def _bound_objectives(model: CorrelationModel, layout: SettingsLayout):
 
     direct maps rows (t_u, p_u, t_v, p_v) to sum_groups w * sum_terms
     |A(u; a_i) - B(v; b_j)|; triangle maps rows (t_v, p_v) to
-    sum w * |B(v; b_j) - B(v; b_j')| over layout.bound_pairs;
-    weighted_terms gives the direct objective's terms, (k, n_terms).
+    sum w * |B(v; b_j) - B(v; b_j')| over layout.bound_pairs.
     """
     flat = [(w, i, j) for w, group in layout.groups for i, j in group]
     weights = np.array([w for w, _, _ in flat])
@@ -377,18 +376,16 @@ def _bound_objectives(model: CorrelationModel, layout: SettingsLayout):
     pair_w = np.array([w for _, _, w in layout.bound_pairs])
     fa, fb = model.setting_features(layout.a_list), model.setting_features(layout.b_list)
 
-    def terms(x):
-        abar = model.batch_local_averages("a", fa, x[:, 0], x[:, 1])
-        return np.abs(abar[:, ia] - model.batch_local_averages("b", fb, x[:, 2], x[:, 3])[:, jb])
-
     def direct(x, owners=None):
-        return _row_dots(terms(x), weights)
+        abar = model.batch_local_averages("a", fa, x[:, 0], x[:, 1])
+        bbar = model.batch_local_averages("b", fb, x[:, 2], x[:, 3])
+        return _row_dots(np.abs(abar[:, ia] - bbar[:, jb]), weights)
 
     def triangle(x, owners=None):
         vals = model.batch_local_averages("b", fb, x[:, 0], x[:, 1])
         return _row_dots(np.abs(vals[:, pair_j] - vals[:, pair_j2]), pair_w)
 
-    return direct, triangle, lambda x: weights * terms(x)
+    return direct, triangle
 
 
 def numeric_fmin(
@@ -408,7 +405,7 @@ def numeric_fmin(
     reflected about u; as u ranges over the sphere, w covers the sphere of
     radius |m| (likewise on the B side, |m_b| = |m|).  The objective is
     therefore |m| times the singlet's and f_min = |m(alpha)| * pes_fmin.
-    Both are reported with f_direct = f_triangle = f_min, no argmin and zero
+    Both are reported with f_direct = f_triangle = f_min and zero
     evaluations.
 
     For the other families two formulations are computed.  The direct form
@@ -423,9 +420,9 @@ def numeric_fmin(
         raise ValueError(f"numeric bound supports threeplus7/threeplus6, not {layout.name!r}")
     if model.tensor is not None:
         f = model.hidden_radius * inequality.pes_fmin(layout.name, layout.phi)
-        return BoundResult(f, 4.0 - f, None, None, (), "state_corrected", f_direct=f, f_triangle=f)
+        return BoundResult(f, 4.0 - f, "state_corrected", f_direct=f, f_triangle=f)
     config = config or SearchConfig()
-    direct, triangle, weighted_terms = _bound_objectives(model, layout)
+    direct, triangle = _bound_objectives(model, layout)
     results = _run_starts(direct, _SPHERE * 2, config)
     best = _best_of(results)
     pn = 0
@@ -451,15 +448,9 @@ def numeric_fmin(
     f_direct = max(0.0, best.value)
     f_triangle = max(0.0, tri_best.value)
     f_min = max(f_direct, f_triangle)
-    u = Direction(float(best.point[0]), float(best.point[1]))
-    v = Direction(float(best.point[2]), float(best.point[3]))
-    per_term = weighted_terms(best.point[None])[0]
     return BoundResult(
         f_min=f_min,
         bound=4.0 - f_min,
-        argmin_u=u,
-        argmin_v=v,
-        per_term=tuple(float(t) for t in per_term),
         mode="state_corrected",
         f_direct=f_direct,
         f_triangle=f_triangle,
@@ -852,14 +843,14 @@ def threshold_alpha(
         )
         return [ev.margin for ev in evs]
 
-    grid = np.linspace(bracket[0], bracket[1], scan_points)
-    margins_grid = margins(list(grid))
+    grid = np.linspace(bracket[0], bracket[1], scan_points).tolist()  # floats, rounded alike by the seeds
+    margins_grid = margins(grid)
     evaluations = len(margins_grid)
     lo = hi = None
     m_lo = m_hi = 0.0
     for i in range(len(grid) - 1):
         if margins_grid[i] <= 0.0 < margins_grid[i + 1]:
-            lo, hi = float(grid[i]), float(grid[i + 1])
+            lo, hi = grid[i], grid[i + 1]
             m_lo, m_hi = margins_grid[i], margins_grid[i + 1]
     if lo is None:
         verdict = "always" if all(m > 0.0 for m in margins_grid) else "never"
@@ -868,7 +859,7 @@ def threshold_alpha(
         )
 
     speculate = optimized and (bound_mode != "state_corrected" or _model(family, sign, lo).tensor is not None)
-    known = dict(zip(grid.tolist(), margins_grid))
+    known = dict(zip(grid, margins_grid))
     while True:
         mid = 0.5 * (lo + hi)  # a bisection midpoint, or alpha* once the bracket is narrow enough
         if mid not in known:

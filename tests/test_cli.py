@@ -14,8 +14,7 @@ from leggett_lab import cli, correlations, optimize
 from leggett_lab.coherent_algebra import _log_even_series
 
 
-def test_reproduce_fig5_exits_zero_and_is_byte_identical(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
+def test_reproduce_fig5_exits_zero_and_is_byte_identical(tmp_path, capsys):
     argv = ["reproduce", "fig5", "--alpha", "0.4:1.2:0.4", "--starts", "8"]
     runs = []
     for k in range(2):
@@ -66,8 +65,7 @@ def test_reproduce_fig5_default_starts_csv_is_pinned(tmp_path, capsys):
     assert got == pinned
 
 
-def test_reproduce_fig6_csv_is_pinned(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
+def test_reproduce_fig6_csv_is_pinned(tmp_path, capsys):
     pinned = {
         "fig6_alphascan.csv": "441d72c8a624a09a",
         "fig6_phiscan_alpha1.csv": "0e50404475df602d",
@@ -81,9 +79,8 @@ def test_reproduce_fig6_csv_is_pinned(tmp_path, capsys, monkeypatch):
     assert got == pinned
 
 
-def test_reproduce_fig4_csv_is_pinned(tmp_path, capsys, monkeypatch):
+def test_reproduce_fig4_csv_is_pinned(tmp_path, capsys):
     # SHA-256 prefixes of the default fig4 CSV files (closed-form bound, one-point facade)
-    monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
     pinned = {"fig4_alpha5.csv": "cd4af5b1eb86baaf", "fig4_alpha50.csv": "2e915355b00e61c6"}
     assert cli.run(["reproduce", "fig4", "--output", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -95,9 +92,8 @@ def test_reproduce_fig4_csv_is_pinned(tmp_path, capsys, monkeypatch):
     "layout, phi, digest",
     [("3p6", "0.2:1.0:0.4", "1b9cb1f6aaabc0c6"), ("3p7", "0.25:1.25:0.5", "c7294c93b82ba647")],
 )
-def test_singlet_scan_phi_csv_is_pinned(layout, phi, digest, tmp_path, capsys, monkeypatch):
+def test_singlet_scan_phi_csv_is_pinned(layout, phi, digest, tmp_path, capsys):
     # the singlet bound is the exact pes_fmin
-    monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
     out = tmp_path / "scan.csv"
     argv = ["scan-phi", "--state", "pes", "--layout", layout, "--phi", phi, "--starts", "8", "--seed", "0"]
     assert cli.run(argv + ["--output", str(out)]) == 0
@@ -133,10 +129,9 @@ def test_fig4_sums_the_series_once_per_amplitude(tmp_path, capsys):
 
 
 def _python(*args, **env_vars):
-    """A fresh interpreter with leggett_lab importable and LEGGETT_LAB_SEED unset."""
+    """A fresh interpreter with leggett_lab importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(leggett_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env_vars)
-    env.pop("LEGGETT_LAB_SEED", None)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -264,22 +259,23 @@ def test_fixed_setting_sweeps_never_call_the_scalar_correlation(tmp_path, monkey
 
 # -- --config precedence: flag, then the file, then the built-in default -------------
 
-# key -> (file value, flag, from the file, from the flag, built-in default); the flag
-# value differs from the file's, and for fmt and bound it equals the built-in default
+# key -> (a command that reads it, file value, flag, from the file, from the flag,
+# built-in default); the flag value differs from the file's, and for fmt and bound
+# it equals the built-in default
 _CONFIG_KEYS = {
-    "state": ("ecs+", ["--state", "ecs-"], "ecs+", "ecs-", "pes"),
-    "family": ("parity", ["--family", "on_off"], "parity", "on_off", "pseudo_spin"),
-    "layout": ("3p7", ["--layout", "original"], "threeplus7", "original", "threeplus6"),
-    "alpha": ("2", ["--alpha", "3"], "2", "3", ""),
-    "phi": ("0.4", ["--phi", "0.5"], "0.4", "0.5", ""),
-    "bound": ("analytic", ["--bound", "corrected"], "analytic", "corrected", "corrected"),
-    "optimize": ("false", ["--optimize"], False, True, False),
-    "shared": ("true", ["--independent-rotations"], True, False, True),
-    "starts": ("8", ["--starts", "4"], 8, 4, 32),
-    "tolerance": ("0.01", ["--tolerance", "0.1"], 0.01, 0.1, 1e-3),
-    "output": ("a.json", ["--output", "b.json"], "a.json", "b.json", ""),
-    "fmt": ("json", ["--format", "csv"], "json", "csv", "csv"),
-    "svg": ("0", ["--svg"], False, True, False),
+    "state": ("chsh", "ecs+", ["--state", "ecs-"], "ecs+", "ecs-", "pes"),
+    "family": ("chsh", "parity", ["--family", "on_off"], "parity", "on_off", "pseudo_spin"),
+    "layout": ("bound", "3p7", ["--layout", "original"], "threeplus7", "original", "threeplus6"),
+    "alpha": ("chsh", "2", ["--alpha", "3"], "2", "3", ""),
+    "phi": ("bound", "0.4", ["--phi", "0.5"], "0.4", "0.5", ""),
+    "bound": ("threshold", "analytic", ["--bound", "corrected"], "analytic", "corrected", "corrected"),
+    "optimize": ("chsh", "false", ["--optimize"], False, True, False),
+    "shared": ("threshold", "true", ["--independent-rotations"], True, False, True),
+    "starts": ("chsh", "8", ["--starts", "4"], 8, 4, 32),
+    "tolerance": ("threshold", "0.01", ["--tolerance", "0.1"], 0.01, 0.1, 1e-3),
+    "output": ("chsh", "a.json", ["--output", "b.json"], "a.json", "b.json", ""),
+    "fmt": ("scan-phi", "json", ["--format", "csv"], "json", "csv", "csv"),
+    "svg": ("scan-alpha", "0", ["--svg"], False, True, False),
 }
 
 
@@ -291,18 +287,18 @@ def _config_file(tmp_path, text):
 
 @pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
 def test_config_file_sits_between_flag_and_default(key, tmp_path):
-    text, flag, from_file, from_flag, default = _CONFIG_KEYS[key]
+    command, text, flag, from_file, from_flag, default = _CONFIG_KEYS[key]
     conf = _config_file(tmp_path, f"# defaults\n{key.replace('_', '-')} = {text}\n")
-    assert getattr(cli.parse_args(["chsh", "--config", conf]), key) == from_file
-    assert getattr(cli.parse_args(["chsh", "--config", conf] + flag), key) == from_flag
-    assert getattr(cli.parse_args(["chsh"] + flag), key) == from_flag
-    assert getattr(cli.parse_args(["chsh"]), key) == default
+    assert getattr(cli.parse_args([command, "--config", conf]), key) == from_file
+    assert getattr(cli.parse_args([command, "--config", conf] + flag), key) == from_flag
+    assert getattr(cli.parse_args([command] + flag), key) == from_flag
+    assert getattr(cli.parse_args([command]), key) == default
 
 
 def test_config_file_sets_a_store_true_flag(tmp_path):
     conf = _config_file(tmp_path, "optimize = true\nshared = false\nsvg = yes\n")
-    cfg = cli.parse_args(["reproduce", "fig5", "--config", conf])
-    assert (cfg.optimize, cfg.shared, cfg.svg, cfg.figure) == (True, False, True, "fig5")
+    cfg = cli.parse_args(["scan-phi", "--config", conf])
+    assert (cfg.optimize, cfg.shared, cfg.svg) == (True, False, True)
 
 
 def test_config_file_starts_reach_the_search(tmp_path):
@@ -311,12 +307,9 @@ def test_config_file_starts_reach_the_search(tmp_path):
     assert _run(argv + ["--config", conf]) == _run(argv + ["--starts", "8"])
 
 
-def test_seed_precedence(tmp_path, monkeypatch):
+def test_seed_precedence(tmp_path):
     conf = _config_file(tmp_path, "seed = 5\n")
-    monkeypatch.delenv("LEGGETT_LAB_SEED", raising=False)
     assert cli.parse_args(["bound"]).seed == 0
-    monkeypatch.setenv("LEGGETT_LAB_SEED", "7")
-    assert cli.parse_args(["bound"]).seed == 7
     assert cli.parse_args(["bound", "--config", conf]).seed == 5
     assert cli.parse_args(["bound", "--config", conf, "--seed", "3"]).seed == 3
 
@@ -333,6 +326,113 @@ def test_seed_precedence(tmp_path, monkeypatch):
 def test_bad_config_file_exits_2(text, message, tmp_path):
     conf = _config_file(tmp_path, text)
     assert _run(["chsh", "--config", conf]) == (2, "", message)
+
+
+# -- each command takes only the flags it reads ----------------------------------------
+
+# (command, unread flag, its value if it takes one): every flag of another command
+# that this one would ignore
+_UNREAD = [
+    ("scan-phi", "--tolerance", "0.1"),
+    ("scan-alpha", "--tolerance", "0.1"),
+    ("threshold", "--alpha", "2"),
+    ("threshold", "--format", "json"),
+    ("threshold", "--svg", None),
+    ("chsh", "--layout", "3p7"),
+    ("chsh", "--phi", "0.5"),
+    ("chsh", "--bound", "analytic"),
+    ("chsh", "--independent-rotations", None),
+    ("chsh", "--tolerance", "0.1"),
+    ("chsh", "--format", "json"),
+    ("chsh", "--svg", None),
+    ("bound", "--bound", "analytic"),
+    ("bound", "--optimize", None),
+    ("bound", "--independent-rotations", None),
+    ("bound", "--tolerance", "0.1"),
+    ("bound", "--format", "json"),
+    ("bound", "--svg", None),
+    ("reproduce", "--state", "ecs+"),
+    ("reproduce", "--family", "parity"),
+    ("reproduce", "--layout", "3p6"),
+    ("reproduce", "--bound", "analytic"),
+    ("reproduce", "--optimize", None),
+    ("reproduce", "--tolerance", "0.1"),
+    ("reproduce", "--format", "json"),
+]
+
+# a value for each flag that takes one, other than its built-in default
+_VALUES = {"--state": "ecs-", "--family": "parity", "--layout": "3p7", "--alpha": "2", "--phi": "0.3",
+           "--bound": "analytic", "--starts": "4", "--seed": "5", "--tolerance": "0.01", "--output": "x",
+           "--format": "json"}
+
+
+def test_unread_pairs_are_the_flags_missing_from_the_table():
+    every = set().union(*cli.FLAGS.values())
+    missing = {(command, flag) for command, flags in cli.FLAGS.items() for flag in every - set(flags)}
+    assert len(_UNREAD) == len(missing) == 25
+    assert {(command, flag) for command, flag, _ in _UNREAD} == missing
+    assert sum(len(flags) for flags in cli.FLAGS.values()) == 59  # of 6 * 14 = 84 before
+
+
+@pytest.mark.parametrize("command, flag, value", _UNREAD)
+def test_unread_flag_exits_2(command, flag, value, tmp_path):
+    argv = [command] + (["fig3", "--alpha", "5", "--phi", "0.25"] if command == "reproduce" else [])
+    argv += ["--seed", "0", "--output", str(tmp_path / "out"), flag] + ([value] if value else [])
+    rc, out, err = _run(argv)
+    assert (rc, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("figure", ["fig4", "fig6"])
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_unoptimized_figure_rejects_independent_rotations(figure, how, tmp_path):
+    argv = ["reproduce", figure, "--output", str(tmp_path / "out")]
+    if how == "flag":
+        argv.append("--independent-rotations")
+    else:
+        argv += ["--config", _config_file(tmp_path, "shared = false\n")]
+    rc, out, err = _run(argv)
+    assert (rc, out) == (2, "")
+    assert f"argument --independent-rotations: reproduce {figure} never optimizes" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [(["chsh"], "layout = 3p7\n"), (["bound"], "optimize = true\n"), (["reproduce", "fig3"], "bound = analytic\n")],
+)
+def test_config_key_the_command_does_not_read_exits_2(command, text, tmp_path):
+    key = text.split()[0]
+    conf = _config_file(tmp_path, text)
+    assert _run(command + ["--config", conf]) == (2, "", f"error: unknown config key {key!r}\n")
+
+
+@pytest.mark.parametrize("command", sorted(cli.FLAGS))
+def test_parse_args_takes_every_flag_of_the_table(command):
+    argv = [command] + (["fig5"] if command == "reproduce" else [])
+    for flag in cli.FLAGS[command]:
+        argv += [flag] + ([_VALUES[flag]] if flag in _VALUES else [])
+    cfg = cli.parse_args(argv)
+    default = cli.RunConfig(command)
+    dests = {"--independent-rotations": "shared", "--format": "fmt"}
+    expected = {dests.get(flag, flag[2:]) for flag in cli.FLAGS[command]}
+    if command == "reproduce":
+        expected.add("figure")
+    assert {f for f in vars(default) if getattr(cfg, f) != getattr(default, f)} == expected
+
+
+def test_module_docstring_lists_the_table():
+    listed, command = {}, None
+    for line in cli.__doc__.splitlines():
+        if line[:1].isalpha() and line.split()[0] in cli.FLAGS:
+            command = line.split()[0]
+            listed[command] = []
+        elif command and line.startswith(" " * 12 + "--"):
+            listed[command] += line.split()
+        else:
+            command = None
+    assert listed == {command: list(flags) for command, flags in cli.FLAGS.items()}
 
 
 # -- CLI contract ----------------------------------------------------------------------
@@ -428,9 +528,9 @@ def test_parser_is_built_once(monkeypatch):
 
 def test_config_file_leaves_later_calls_on_the_built_in_defaults(tmp_path):
     conf = _config_file(tmp_path, "optimize = true\nshared = false\nsvg = yes\n")
-    assert cli.parse_args(["reproduce", "fig5", "--config", conf]).optimize
-    cfg = cli.parse_args(["reproduce", "fig5", "--seed", "0"])
-    assert cfg == cli.RunConfig("reproduce", figure="fig5")
+    assert cli.parse_args(["scan-phi", "--config", conf]).optimize
+    cfg = cli.parse_args(["scan-phi", "--seed", "0"])
+    assert cfg == cli.RunConfig("scan-phi")
 
 
 def test_usage_error_leaves_the_parser_intact():

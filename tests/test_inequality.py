@@ -148,7 +148,7 @@ def test_numeric_fmin_malus_threeplus6():
 
 def _searched_direct(model, layout, config):
     """Best point and value of the multi-start search of the direct bound objective."""
-    direct, _, _ = optimize._bound_objectives(model, layout)
+    direct, _ = optimize._bound_objectives(model, layout)
     best = min(optimize._run_starts(direct, _SPHERE2, config), key=lambda r: (r.value, r.start_index))
     return best.point, best.value
 
@@ -228,7 +228,7 @@ def test_pseudospin_fmin_closed_form_below_search():
         assert res.f_direct == res.f_triangle == res.f_min
         assert res.bound == 4.0 - res.f_min
         assert res.mode == "state_corrected" and res.converged
-        assert res.evaluations == 0 and res.argmin_u is None and res.argmin_v is None
+        assert res.evaluations == 0
         found = simplex_minimize(_direct_objective(model, lay), _SPHERE2, SearchConfig(starts=16, seed=k))
         assert found.value >= exact - 1e-12
 

@@ -143,6 +143,24 @@ def test_threshold_deterministic():
     assert r1.bracket == r2.bracket
 
 
+@pytest.mark.parametrize("family", ["parity", "on_off"])  # verdicts "never" and "threshold"
+def test_threshold_seeds_round_grid_and_midpoint_amplitudes_alike(family, monkeypatch):
+    # numpy's round and Python's disagree on some amplitudes (9.1576995119645),
+    # so every amplitude must reach the seed as a Python float
+    amplitudes = []
+    stable_seed = optimize.stable_seed
+
+    def spy(*parts):
+        if len(parts) == 5:  # (seed, layout, family, sign, amplitude)
+            amplitudes.append(parts[4])
+        return stable_seed(*parts)
+
+    monkeypatch.setattr(optimize, "stable_seed", spy)
+    res = threshold_alpha(family, -1, "threeplus7", bound_mode="analytic2d", tolerance=0.5)
+    assert len(amplitudes) == res.evaluations  # the grid, then any bisection midpoints
+    assert all(type(a) is float for a in amplitudes)
+
+
 def test_scan_phi_records_sorted_and_deterministic():
     task = ScanTask("threeplus6", alpha=None, starts=16, seed=13)
     grid = [0.2, 0.4, 0.6, 0.8]
@@ -286,7 +304,7 @@ def _batched_objectives():
         out[f"chsh-{name}"] = (optimize._chsh_objective(model), _SPHERE4)
         out[f"rigid-shared-{name}"] = (optimize._make_rigid_objective([model], [lay7], True), _EULER3)
         out[f"rigid-independent-{name}"] = (optimize._make_rigid_objective([model], [lay6], False), _EULER3 * 2)
-        direct, triangle, _ = optimize._bound_objectives(model, lay7)
+        direct, triangle = optimize._bound_objectives(model, lay7)
         out[f"direct-{name}"] = (direct, _SPHERE2 * 2)
         out[f"triangle-{name}"] = (triangle, _SPHERE2)
     return out
