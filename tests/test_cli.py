@@ -371,7 +371,7 @@ def test_unread_pairs_are_the_flags_missing_from_the_table():
     missing = {(command, flag) for command, flags in cli.FLAGS.items() for flag in every - set(flags)}
     assert len(_UNREAD) == len(missing) == 25
     assert {(command, flag) for command, flag, _ in _UNREAD} == missing
-    assert sum(len(flags) for flags in cli.FLAGS.values()) == 59  # of 6 * 14 = 84 before
+    assert sum(len(flags) for flags in cli.FLAGS.values()) == 59
 
 
 @pytest.mark.parametrize("command, flag, value", _UNREAD)
