@@ -17,7 +17,6 @@ from .correlations import (
 from .errors import CertificationError, ConvergenceError, LeggettLabError, TruncationError
 from .geometry import (
     Direction,
-    RigidRotation,
     SettingsLayout,
     angle_between,
     build_layout,

@@ -23,9 +23,11 @@ and so does --independent-rotations on reproduce fig4 and fig6, which never
 optimize.  Every command also takes --config, which names a "key = value"
 file whose keys are the option names of its flags (the dest of each flag,
 such as starts, shared or fmt); a key that the command does not read exits 2
-too.  A flag given on the command line wins over the file, and the file over
-the built-in default (RunConfig's).  argv is the only input, so identical
-argv gives byte-identical output; the seed is --seed, then the file, then 0.
+too.  A switch (optimize, shared, svg) takes true/false, yes/no, on/off or
+1/0 in any case; any other value exits 2.  A flag given on the command line
+wins over the file, and the file over the built-in default (RunConfig's).
+argv is the only input, so identical argv gives byte-identical output; the
+seed is --seed, then the file, then 0.
 
 The argument parser is built once per process and shared by every later
 call of :func:`parse_args` and :func:`run`.  A --config file never changes
@@ -228,6 +230,10 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
     return _build_parser()
 
 
+_CONFIG_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+                    "false": False, "no": False, "off": False, "0": False}
+
+
 def _config_defaults(subparser: argparse.ArgumentParser, values: dict) -> dict:
     """The values of a --config file as typed defaults of the subparser's options."""
     actions = {a.dest: a for a in subparser._actions if a.option_strings and a.dest not in ("help", "config")}
@@ -237,7 +243,9 @@ def _config_defaults(subparser: argparse.ArgumentParser, values: dict) -> dict:
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
         if action.nargs == 0:  # store_true / store_false: the file gives the value itself
-            value = text.lower() in ("1", "true", "yes", "on")
+            value = _CONFIG_BOOLEANS.get(text.lower())
+            if value is None:
+                raise ValueError(f"config key {key!r} must be true or false")
         else:
             try:
                 value = action.type(text) if action.type else text

@@ -57,22 +57,23 @@ and B(v; b) is A with h_B.
 
 Evaluators
 ----------
-The constants and maps are computed once per model.  Every sweep evaluates
-arrays:
+The constants and maps are computed once per model.  Every sweep and every
+search evaluates arrays:
 
-* An inequality value reads a layout's settings as (n, 3) arrays: its unit
-  vectors for the singlet and pseudo-spin, the reflection features of its
-  Directions for on/off and parity (:meth:`CorrelationModel.layout_features`).
-  ``term_correlation`` gives E of every term of a stack of points, under
-  one model or (:class:`ModelStack`) one model per point.  It is
-  elementwise and in the order of operations of the scalar facade, so
-  every E is bit for bit the facade's.
-* The searches of :mod:`leggett_lab.optimize` evaluate E through
-  ``batch_correlation``, a per-row np.matmul (with diag(t)), and the local
-  averages through ``batch_local_averages``.  A row never shares one BLAS
-  product with the rows around it, so no row depends on its neighbours.
-  :class:`ModelStack` does the same for a batch whose rows belong to
-  different models of one family, with the constants looked up per row.
+* E of any set of setting pairs is one ``term_correlation`` call on the
+  feature arrays of the two sides, under one model or (:class:`ModelStack`)
+  one model per point or per search row.  The inequality value, the
+  rigid-rotation search and the CHSH search all evaluate E this way.  The
+  features are (n, 3) arrays: the unit vectors for the singlet and
+  pseudo-spin; for on/off and parity the reflection features of a layout's
+  angles, or of its vectors when it has none
+  (:meth:`CorrelationModel.layout_features`).  The arithmetic is
+  elementwise and in the order of operations of the scalar facade, so every
+  E is bit for bit the facade's at the same features and no row depends on
+  the rows around it.
+* The bound search evaluates the local averages through
+  ``batch_local_averages``, a per-row np.matmul of the setting features
+  with the hidden vectors.
 
 The facade methods correlation, local_average_a and local_average_b
 evaluate one point in scalar ``math``.  They serve I/O (the CHSH value at
@@ -269,17 +270,19 @@ class CorrelationModel:
 
     # batches, numpy
 
-    def setting_features(self, dirs) -> np.ndarray:
-        """f of each direction in dirs: (n, 3)."""
-        return np.array([self._rep.feature(d.theta, d.phi, math) for d in dirs])
-
     def layout_features(self, layout) -> tuple:
-        """f of the a and b settings of a layout, (n, 3) and (m, 3): the unit
-        vectors for the tensor models, the features of the Directions for
-        on/off and parity.  Either is bit for bit the feature the facade uses."""
+        """f of the a and b settings of a layout, (n, 3) and (m, 3).
+
+        The tensor models read the unit vectors.  On/off and parity read the
+        layout's angles, which carry the pole labels their features depend
+        on, or the vectors (:meth:`batch_vector_features`) of a layout
+        without angles, such as a rotated one.
+        """
         if self.tensor is not None:
             return layout.a, layout.b
-        return self.setting_features(layout.a_list), self.setting_features(layout.b_list)
+        if layout.angles is None:
+            return self.batch_vector_features(layout.a), self.batch_vector_features(layout.b)
+        return tuple(self.batch_features(angles[:, 0], angles[:, 1]) for angles in layout.angles)
 
     def batch_features(self, theta, phi) -> np.ndarray:
         """f of directions given as angle arrays: (..., 3)."""
@@ -288,11 +291,6 @@ class CorrelationModel:
     def batch_vector_features(self, v) -> np.ndarray:
         """f of unit vectors v (..., 3): (..., 3)."""
         return self._rep.vector_feature(v)
-
-    def batch_correlation(self, fa, fb) -> np.ndarray:
-        """E between the features fa (k, n, 3) and fb (k, m, 3) of each row: (k, n, m)."""
-        r = self._rep
-        return _batch_correlation(fa, fb, r.t_array, r.p * r.p, r.q * r.q, r.kappa * r.kappa)
 
     def term_correlation(self, fa, fb) -> np.ndarray:
         """E between fa[..., k, :] and fb[..., k, :] for feature arrays (..., T, 3): (..., T).
@@ -311,36 +309,25 @@ class CorrelationModel:
 class ModelStack:
     """Models of one family evaluated in one batch, the constants looked up per row.
 
-    batch_correlation gives row r the E of models[owners[r]], bit for bit
-    that model's batch_correlation; term_correlation gives point p the E of
-    models[p], bit for bit that model's term_correlation.
+    term_correlation gives row r the E of models[owners[r]] (models[r] by
+    default), bit for bit that model's term_correlation.
     """
 
     def __init__(self, models):
         if len({m.family for m in models}) != 1:
             raise ValueError("stacked models must share one measurement family")
         reps = [m._rep for m in models]
-        self.batch_vector_features = models[0].batch_vector_features
         self._bilinear = models[0].tensor is not None
         self._t = np.array([r.t for r in reps])
-        self._c0, self._c1, self._d1 = np.array([(r.p * r.p, r.q * r.q, r.kappa * r.kappa) for r in reps]).T
+        self._c = np.array([(r.p * r.p, r.q * r.q, r.kappa * r.kappa) for r in reps])
 
-    def batch_correlation(self, fa, fb, owners) -> np.ndarray:
-        """E of row r between fa[r] (n, 3) and fb[r] (m, 3) under models[owners[r]]: (k, n, m)."""
-        return _batch_correlation(
-            fa,
-            fb,
-            self._t[owners][:, None, :],
-            self._c0[owners][:, None, None],
-            self._c1[owners][:, None, None],
-            self._d1[owners][:, None, None],
-        )
-
-    def term_correlation(self, fa, fb) -> np.ndarray:
-        """E of point p between fa[p, k] and fb[p, k] under models[p], for
-        feature arrays (P, T, 3), or (T, 3) shared by every point: (P, T)."""
-        s = _term_sums(fa, fb, self._t[:, None, :])
-        return s if self._bilinear else _ratio(s, self._c0[:, None], self._c1[:, None], self._d1[:, None])
+    def term_correlation(self, fa, fb, owners=None) -> np.ndarray:
+        """E of row r between fa[r, k] and fb[r, k] under models[owners[r]],
+        for feature arrays (R, T, 3), or (T, 3) shared by every row: (R, T).
+        Without owners, row r belongs to models[r]."""
+        t, c = (self._t, self._c) if owners is None else (self._t[owners], self._c[owners])
+        s = _term_sums(fa, fb, t[:, None, :])
+        return s if self._bilinear else _ratio(s, c[:, 0, None], c[:, 1, None], c[:, 2, None])
 
 
 def _term_sums(fa, fb, t):
@@ -354,16 +341,6 @@ def _term_sums(fa, fb, t):
     p = fa * t
     p *= fb
     return p[..., 0] + p[..., 1] + p[..., 2]
-
-
-def _batch_correlation(fa, fb, t, c0, c1, d1):
-    """(c0 + c1 s) / (1 + d1 s) with s = fa diag(t) fb^T per row.
-
-    fa * t equals the product with diag(t) bit for bit, since every other
-    term of that product is an exact zero.  t and the constants are one
-    model's, or one per row, shaped (k, 1, 3) and (k, 1, 1).
-    """
-    return _ratio(np.matmul(fa * t, fb.transpose(0, 2, 1)), c0, c1, d1)
 
 
 def _ratio(s, c0, c1, d1):

@@ -1,4 +1,4 @@
-"""Directions on the unit sphere, rigid rotations, and measurement-setting layouts.
+"""Directions on the unit sphere, measurement-setting layouts, and their rigid rotations.
 
 Spherical convention used project-wide: polar angle theta is measured from +z,
 azimuth phi from +x toward +y.  A direction at the poles (sin(theta) ~ 0) is
@@ -8,6 +8,11 @@ A layout holds its settings as (n, 3) unit-vector arrays, which is what the
 evaluators read, together with the (theta, phi) angles they were computed
 from.  A :class:`Direction` is the input and output form.  A grid of
 layouts is built as arrays in one pass (:func:`build_layouts`).
+
+A rigid rotation is a 3x3 proper rotation matrix.  :func:`rotate_settings`
+applies one per layout, or one per party of each layout, to the vector
+arrays of a batch of layouts; a rotated layout holds only its vectors, and
+its angles are None.
 """
 
 from __future__ import annotations
@@ -56,35 +61,6 @@ def from_cartesian(v) -> Direction:
 def angle_between(a: Direction, b: Direction) -> float:
     dot = float(np.dot(to_cartesian(a), to_cartesian(b)))
     return math.acos(max(-1.0, min(1.0, dot)))
-
-
-@dataclass(frozen=True)
-class RigidRotation:
-    """Proper rotation in z-y-z Euler convention."""
-
-    euler_z1: float
-    euler_y: float
-    euler_z2: float
-
-    @staticmethod
-    def identity() -> "RigidRotation":
-        return RigidRotation(0.0, 0.0, 0.0)
-
-    def as_matrix(self) -> np.ndarray:
-        return _rot_z(self.euler_z1) @ _rot_y(self.euler_y) @ _rot_z(self.euler_z2)
-
-    def apply(self, d: Direction) -> Direction:
-        return from_cartesian(self.as_matrix() @ to_cartesian(d))
-
-
-def _rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,20 +178,19 @@ def build_layouts(name: str, phis) -> list:
     return _layouts(name, phis, angles, len(a), groups, bound_pairs)
 
 
-def rotate_settings(
-    layout: SettingsLayout,
-    rotation_a: RigidRotation,
-    rotation_b: RigidRotation | None = None,
-) -> SettingsLayout:
-    """Rotate every a-direction by rotation_a and every b-direction by
-    rotation_b (rotation_a again when rotation_b is None, i.e. a shared
-    rigid-body rotation of both parties).  All relative angles inside a
-    party are preserved.  The rotated settings are Directions, and the
-    vectors of the new layout are computed from their angles."""
+def rotate_settings(layouts, rotation_a, rotation_b=None) -> list:
+    """The layouts with the settings of layouts[g] rotated: every a-vector by
+    rotation_a[g] and every b-vector by rotation_b[g] (rotation_a again when
+    rotation_b is None, a shared rigid-body rotation of both parties).
+
+    The rotations are (P, 3, 3) stacks of proper rotation matrices, one per
+    layout, so all relative angles inside a party are preserved.  The
+    vectors of all layouts are rotated as one (P, n, 3) array, one
+    np.matmul per layout, and the new layouts carry no angles.
+    """
     if rotation_b is None:
         rotation_b = rotation_a
-    ma, mb = rotation_a.as_matrix(), rotation_b.as_matrix()
-    a_new = [from_cartesian(ma @ to_cartesian(d)) for d in layout.a_list]
-    b_new = [from_cartesian(mb @ to_cartesian(d)) for d in layout.b_list]
-    angles = np.array([[(d.theta, d.phi) for d in a_new + b_new]])
-    return _layouts(layout.name, [layout.phi], angles, len(a_new), layout.groups, layout.bound_pairs)[0]
+    a = np.matmul(np.array([lay.a for lay in layouts]), rotation_a.transpose(0, 2, 1))
+    b = np.matmul(np.array([lay.b for lay in layouts]), rotation_b.transpose(0, 2, 1))
+    a.flags.writeable = b.flags.writeable = False
+    return [SettingsLayout(lay.name, lay.phi, a[g], b[g], lay.groups, lay.bound_pairs) for g, lay in enumerate(layouts)]

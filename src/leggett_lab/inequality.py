@@ -65,8 +65,9 @@ def leggett_value(model, layout):
     groups.  E of every term of every point comes from one
     ``term_correlation`` call (of the model, or of a :class:`ModelStack`)
     on the features of :meth:`CorrelationModel.layout_features`, and the
-    sums run in the order of the terms, so each value is bit for bit the
-    sum of the scalar ``model.correlation`` terms.
+    sums run in the order of the terms (:func:`_group_sum`), so at a layout
+    built from angles each value is bit for bit the sum of the scalar
+    ``model.correlation`` terms.
     """
     single = isinstance(model, CorrelationModel), isinstance(layout, SettingsLayout)
     models = [model] if single[0] else list(model)
@@ -87,6 +88,20 @@ def leggett_value(model, layout):
         fb = np.array([f for _, f in features])
     same = all(m is models[0] for m in models)
     e = (models[0] if same else ModelStack(models)).term_correlation(fa.take(ia, -2), fb.take(jb, -2))
+    total = _group_sum(groups, e)
+    if all(single):
+        return float(total)
+    points = max(len(models), len(layouts))
+    return total if np.shape(total) == (points,) else np.full(points, total)
+
+
+def _group_sum(groups, e):
+    """sum over groups of weight * |sum of the group's E|, from E of every term
+    in order along the last axis of e: (T,) for one point, (P, T) for P.
+
+    The sums run in the order of the terms, elementwise, so each point's
+    value is bit for bit the scalar sum of its terms.
+    """
     columns = iter(e.T)  # E of each term: a float for one point, a (P,) array for P
     total = 0.0
     for weight, terms in groups:
@@ -94,10 +109,7 @@ def leggett_value(model, layout):
         for _ in terms[1:]:
             s = s + next(columns)
         total = total + weight * abs(s)
-    if all(single):
-        return float(total)
-    points = max(len(models), len(layouts))
-    return total if np.shape(total) == (points,) else np.full(points, total)
+    return total
 
 
 @lru_cache(maxsize=None)

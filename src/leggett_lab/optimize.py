@@ -49,20 +49,23 @@ midpoint (the identity rotation for rigid searches), and the reduction picks
 the best value with start-index tie-break.  Each start keeps its own
 reflection, expansion, contraction and shrink decisions and its own stable
 vertex sort.  No row of an objective's result depends on which other rows
-share its batch: the arithmetic is elementwise, and small matrix and vector
-products are stacked per row (np.matmul over a leading batch axis), never
-one BLAS product across the batch axis, which can round a row differently
-depending on the rows around it.  So every start follows exactly the
-trajectory it would follow alone, whichever problems share its batch.  The
-closed-form rigid optimum and the array evaluation of L keep the same
-contract: the eigenproblems, decompositions and rotations of the setting
-vectors are per point, and every E of L is elementwise.
+share its batch.  E is elementwise everywhere.  The only small matrix and
+vector products are the rotations of the setting vectors, and the local
+averages and weighted sums of the bound search; each is stacked per row
+(np.matmul over a leading batch axis), never one BLAS product across the
+batch axis, which can round a row differently depending on the rows around
+it.  So every start follows exactly the trajectory it would follow alone,
+whichever problems share its batch.  The closed-form rigid optimum and the
+array evaluation of L keep the same contract: the eigenproblems,
+decompositions and rotations of the setting vectors are per point.
 
 The bound, CHSH and rigid-rotation objectives are the same code for all
-four measurement families: each evaluates its model through the batched
-evaluator of :class:`leggett_lab.correlations.CorrelationModel`, the
-features and hidden maps of the model's one representation put into
-E = (P^2 + Q^2 s) / (1 + kappa^2 s) and A = (P + Q s) / (1 + kappa s).
+four measurement families, through the one representation of
+:class:`leggett_lab.correlations.CorrelationModel`.  The CHSH and rigid
+objectives evaluate E with the ``term_correlation`` that
+:func:`leggett_lab.inequality.leggett_value` uses, so a row of the rigid
+objective is L at its rotated settings bit for bit.  The bound objectives
+evaluate the local averages A = (P + Q s) / (1 + kappa s).
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ from .correlations import CorrelationModel, ModelStack, ecs_model, pes_model
 from .errors import ConvergenceError
 from .geometry import (
     Direction,
-    RigidRotation,
     SettingsLayout,
     build_layout,
     build_layouts,
@@ -315,6 +317,13 @@ def _rotations(z1, y, z2):
     return r
 
 
+def _rotation_pair(x, shared: bool):
+    """R_a and R_b, (k, 3, 3) each, of rows of ZYZ Euler angles: (k, 3), R_a
+    for both parties, for a shared rotation; (k, 6), R_a then R_b, otherwise."""
+    ra = _rotations(x[:, 0], x[:, 1], x[:, 2])
+    return ra, ra if shared else _rotations(x[:, 3], x[:, 4], x[:, 5])
+
+
 def _rigid_groups(models, layouts):
     """The term groups of a batch of rigid problems, which must share one
     measurement family and one inequality (layout name and term groups)."""
@@ -332,27 +341,26 @@ def _make_rigid_objective(models, layouts, shared: bool):
 
     Problem g is models[g] on layouts[g]; a row owned by g rotates that
     problem's setting vectors and evaluates its model.  The models share one
-    family and the layouts one inequality (name and term groups).
+    family and the layouts one inequality (name and term groups).  A row is
+    bit for bit the value of :func:`leggett_lab.inequality.leggett_value` at
+    the settings :func:`leggett_lab.geometry.rotate_settings` gives for the
+    rotations of its angles: the same rotation, features, ``term_correlation``
+    and group sum.
     """
     groups = _rigid_groups(models, layouts)
+    ia, jb = inequality._term_indices(groups)
     stack = ModelStack(models)
+    features = models[0].batch_vector_features
     A0 = np.array([lay.a for lay in layouts])
     B0 = np.array([lay.b for lay in layouts])
 
     def objective(x, owners=None):
         if owners is None:
             owners = np.zeros(len(x), dtype=int)
-        ra = _rotations(x[:, 0], x[:, 1], x[:, 2])
-        rb = ra if shared else _rotations(x[:, 3], x[:, 4], x[:, 5])
-        e = stack.batch_correlation(
-            stack.batch_vector_features(np.matmul(A0[owners], ra.transpose(0, 2, 1))),
-            stack.batch_vector_features(np.matmul(B0[owners], rb.transpose(0, 2, 1))),
-            owners,
-        )
-        total = 0.0
-        for w, group in groups:
-            total = total + w * np.abs(sum(e[:, i, j] for i, j in group))
-        return -total
+        ra, rb = _rotation_pair(x, shared)
+        fa = features(np.matmul(A0[owners], ra.transpose(0, 2, 1)))
+        fb = features(np.matmul(B0[owners], rb.transpose(0, 2, 1)))
+        return -inequality._group_sum(groups, stack.term_correlation(fa.take(ia, -2), fb.take(jb, -2), owners))
 
     return objective
 
@@ -374,7 +382,7 @@ def _bound_objectives(model: CorrelationModel, layout: SettingsLayout):
     pair_j = np.array([j for j, _, _ in layout.bound_pairs], dtype=int)
     pair_j2 = np.array([j2 for _, j2, _ in layout.bound_pairs], dtype=int)
     pair_w = np.array([w for _, _, w in layout.bound_pairs])
-    fa, fb = model.setting_features(layout.a_list), model.setting_features(layout.b_list)
+    fa, fb = model.layout_features(layout)
 
     def direct(x, owners=None):
         abar = model.batch_local_averages("a", fa, x[:, 0], x[:, 1])
@@ -466,13 +474,21 @@ inequality.register_numeric_fmin(numeric_fmin)
 # -- CHSH setting optimization -------------------------------------------------------
 
 
+# the settings of the CHSH terms (a, b), (a, b2), (a2, b), (a2, b2) among (a, a2, b, b2)
+_CHSH_A, _CHSH_B = np.array([0, 0, 1, 1]), np.array([2, 3, 2, 3])
+
+
 def _chsh_objective(model: CorrelationModel):
-    """Batched -B over rows of four (theta, phi) directions (a, a2, b, b2)."""
+    """Batched -B over rows of four (theta, phi) directions (a, a2, b, b2).
+
+    E of the four terms is one ``term_correlation`` call, summed in
+    :func:`chsh_value`'s order.
+    """
 
     def negative_b(x, owners=None):
         f = model.batch_features(x[:, 0::2], x[:, 1::2])
-        e = model.batch_correlation(f[:, :2], f[:, 2:])
-        return -(e[:, 0, 0] + e[:, 0, 1] + e[:, 1, 0] - e[:, 1, 1])
+        e = model.term_correlation(f.take(_CHSH_A, -2), f.take(_CHSH_B, -2))
+        return -(e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3])
 
     return negative_b
 
@@ -615,39 +631,33 @@ def optimize_rigid(
       V = R_a^T = Q B X^T with A = diag(1, 1, det Y det P) and
       B = diag(1, 1, det Q det X).
 
-    R_a and R_b act on the layouts' (n, 3) vector arrays of all points at
-    once, and L at the rotated settings of every point is one
-    :func:`leggett_lab.inequality.leggett_value` call.  Where it does not
-    beat the unrotated L (the identity is optimal, up to rounding), the
-    point keeps its unrotated settings; the pick is array-wide.  The layout
-    of each returned evaluation holds the settings it was evaluated at.
-
     On/off and parity are searched.  Point g is searched with configs[g]
     (default: 32 starts for a shared rotation, 64 for independent ones; None
     entries or a None list take it) over ZYZ Euler angles, 3 or 6 of them.
     The starts of all points advance as one lockstep batch, and every
     point's best start is polished in one more batch; each point follows
     exactly the trajectory it would follow alone.  The identity rotation is
-    always start 0.  The best angles rotate each layout's Directions
-    (:func:`leggett_lab.geometry.rotate_settings`), whose features the
-    coefficient models read.
+    always start 0.  R_a and R_b are the matrices of the best angles
+    (:func:`_rotation_pair`), as in the search objective.
+
+    Either way, :func:`leggett_lab.geometry.rotate_settings` applies R_a and
+    R_b to the layouts' (n, 3) vector arrays of all points at once, and L at
+    the rotated settings of every point is one
+    :func:`leggett_lab.inequality.leggett_value` call.  A rotated layout has
+    no angles, so on/off and parity read its features from the vectors, as
+    the search objective does, and L is the searched optimum bit for bit.
+    Where L does not beat the unrotated L (the identity is optimal, up to
+    rounding), the point keeps its unrotated settings; the pick is
+    array-wide.  The layout of each returned evaluation holds the settings
+    it was evaluated at.
     """
     if not models:
         return []
-    if models[0].tensor is None:
-        rotated = []
-        for layout, x in zip(layouts, _searched_angles(models, layouts, configs, shared)):
-            ra = RigidRotation(float(x[0]), float(x[1]), float(x[2]))
-            rb = ra if shared else RigidRotation(float(x[3]), float(x[4]), float(x[5]))
-            rotated.append(rotate_settings(layout, ra, rb))
-        return inequality.evaluate_points(models, rotated, bound_mode, bound_configs)
-    ra, rb = _rigid_optimum(models, layouts, shared)[1]
-    a = np.matmul(np.array([lay.a for lay in layouts]), ra.transpose(0, 2, 1))
-    b = np.matmul(np.array([lay.b for lay in layouts]), rb.transpose(0, 2, 1))
-    a.flags.writeable = b.flags.writeable = False
-    rotated = [
-        SettingsLayout(lay.name, lay.phi, a[g], b[g], lay.groups, lay.bound_pairs) for g, lay in enumerate(layouts)
-    ]
+    if models[0].tensor is not None:
+        ra, rb = _rigid_optimum(models, layouts, shared)[1]
+    else:
+        ra, rb = _rotation_pair(_searched_angles(models, layouts, configs, shared), shared)
+    rotated = rotate_settings(layouts, ra, rb)
     unrotated_value = inequality.leggett_value(models, layouts)
     rotated_value = inequality.leggett_value(models, rotated)
     better = rotated_value > unrotated_value
@@ -660,8 +670,8 @@ def optimize_rigid(
     )
 
 
-def _searched_angles(models, layouts, configs, shared: bool) -> list[np.ndarray]:
-    """The polished best Euler angles of each point's multi-start rigid search."""
+def _searched_angles(models, layouts, configs, shared: bool) -> np.ndarray:
+    """The polished best Euler angles of each point's multi-start rigid search: (P, 3) or (P, 6)."""
     ranges = _EULER if shared else _EULER * 2
     configs = [c or SearchConfig(starts=32 if shared else 64) for c in configs or [None] * len(models)]
     objective = _make_rigid_objective(models, layouts, shared)
@@ -669,7 +679,7 @@ def _searched_angles(models, layouts, configs, shared: bool) -> list[np.ndarray]
     for st in starts:
         st[0] = 0.0  # start 0 is the identity rotation, not the box midpoint
     bests = [_best_of(r) for r in _run_problems(objective, ranges, configs, starts)]
-    return [best.point for best, _ in _polish_bests(objective, bests)]
+    return np.array([best.point for best, _ in _polish_bests(objective, bests)])
 
 
 # -- grid points --------------------------------------------------------------------------

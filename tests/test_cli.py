@@ -190,7 +190,7 @@ def test_parity_chsh_json_is_pinned():
     argv = ["chsh", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--optimize", "--starts", "8", "--seed", "0"]
     rc, out, err = _run(argv)
     assert (rc, err) == (0, "")
-    assert _digest(out) == "184f181546809271"
+    assert _digest(out) == "44aa531b9074e145"
 
 
 def test_on_off_optimized_scan_phi_csv_is_pinned(tmp_path):
@@ -295,10 +295,18 @@ def test_config_file_sits_between_flag_and_default(key, tmp_path):
     assert getattr(cli.parse_args([command]), key) == default
 
 
-def test_config_file_sets_a_store_true_flag(tmp_path):
-    conf = _config_file(tmp_path, "optimize = true\nshared = false\nsvg = yes\n")
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("optimize = true\nshared = false\nsvg = yes\n", (True, False, True)),
+        ("optimize = ON\nshared = No\nsvg = 1\n", (True, False, True)),
+        ("optimize = 0\nshared = TRUE\nsvg = off\n", (False, True, False)),
+    ],
+)
+def test_config_file_sets_a_store_true_flag(text, values, tmp_path):
+    conf = _config_file(tmp_path, text)
     cfg = cli.parse_args(["scan-phi", "--config", conf])
-    assert (cfg.optimize, cfg.shared, cfg.svg) == (True, False, True)
+    assert (cfg.optimize, cfg.shared, cfg.svg) == values
 
 
 def test_config_file_starts_reach_the_search(tmp_path):
@@ -321,6 +329,9 @@ def test_seed_precedence(tmp_path):
         ("figure = fig4\n", "error: unknown config key 'figure'\n"),
         ("state = ecs\n", "error: config key 'state' must be one of pes, ecs+, ecs-\n"),
         ("starts\n", "error: config line must be 'key = value': 'starts\\n'\n"),
+        ("optimize = ture\n", "error: config key 'optimize' must be true or false\n"),
+        ("optimize = 2\n", "error: config key 'optimize' must be true or false\n"),
+        ("optimize =\n", "error: config key 'optimize' must be true or false\n"),
     ],
 )
 def test_bad_config_file_exits_2(text, message, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from leggett_lab import (
     Direction,
-    RigidRotation,
     angle_between,
     build_layout,
     build_layouts,
@@ -13,7 +12,13 @@ from leggett_lab import (
     rotate_settings,
     to_cartesian,
 )
+from leggett_lab.optimize import _rotations
 from conftest import random_direction
+
+
+def _euler(z1, y, z2):
+    """The ZYZ rotation of one set of Euler angles as a stack of one matrix: (1, 3, 3)."""
+    return _rotations(np.array([z1]), np.array([y]), np.array([z2]))
 
 
 def test_to_cartesian_examples():
@@ -48,25 +53,23 @@ def test_pole_azimuth_canonicalized():
 
 
 def test_rotation_matrix_orthogonal(rng):
-    for _ in range(100):
-        r = RigidRotation(*rng.uniform(0, 2 * np.pi, 3))
-        m = r.as_matrix()
+    for m in _rotations(*rng.uniform(0, 2 * np.pi, (3, 100))):
         assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
 
 def test_identity_rotation_fixes_directions(rng):
-    ident = RigidRotation.identity()
+    ident = _euler(0.0, 0.0, 0.0)[0]
     for _ in range(50):
         d = random_direction(rng)
-        assert np.allclose(to_cartesian(ident.apply(d)), to_cartesian(d), atol=1e-12)
+        assert np.allclose(ident @ to_cartesian(d), to_cartesian(d), atol=1e-12)
 
 
 def test_rotation_preserves_angles(rng):
-    for _ in range(100):
-        r = RigidRotation(*rng.uniform(0, 2 * np.pi, 3))
+    for m in _rotations(*rng.uniform(0, 2 * np.pi, (3, 100))):
         a, b = random_direction(rng), random_direction(rng)
-        assert abs(angle_between(r.apply(a), r.apply(b)) - angle_between(a, b)) < 1e-10
+        ra, rb = from_cartesian(m @ to_cartesian(a)), from_cartesian(m @ to_cartesian(b))
+        assert abs(angle_between(ra, rb) - angle_between(a, b)) < 1e-10
 
 
 def test_layout_original():
@@ -153,8 +156,8 @@ def test_layout_equality_compares_values():
     lay = build_layout("threeplus7", 0.3)
     assert lay == build_layout("threeplus7", 0.3)
     assert lay != build_layout("threeplus7", 0.31)
-    rotated = rotate_settings(lay, RigidRotation(0.2, 0.4, 0.6))
-    assert rotated != lay and rotated == rotate_settings(lay, RigidRotation(0.2, 0.4, 0.6))
+    (rotated,) = rotate_settings([lay], _euler(0.2, 0.4, 0.6))
+    assert rotated != lay and rotated == rotate_settings([lay], _euler(0.2, 0.4, 0.6))[0]
 
 
 def test_layout_rejects_bad_input():
@@ -168,20 +171,21 @@ def test_layout_rejects_bad_input():
 
 def test_rotate_settings_identity_and_axis():
     lay = build_layout("threeplus7", 0.3)
-    same = rotate_settings(lay, RigidRotation.identity())
+    (same,) = rotate_settings([lay], _euler(0.0, 0.0, 0.0))
+    assert same.angles is None
     for d, e in zip(lay.a_list + lay.b_list, same.a_list + same.b_list):
         assert np.allclose(to_cartesian(d), to_cartesian(e), atol=1e-12)
     # z-rotation by pi moves a1 = (pi/2, 0) to (pi/2, pi)
-    rot = rotate_settings(lay, RigidRotation(np.pi, 0.0, 0.0))
+    (rot,) = rotate_settings([lay], _euler(np.pi, 0.0, 0.0))
     assert np.allclose(to_cartesian(rot.a_list[0]), [-1, 0, 0], atol=1e-12)
 
 
 def test_rotate_settings_preserves_party_angles(rng):
     lay = build_layout("threeplus6", 0.7)
     for _ in range(20):
-        ra = RigidRotation(*rng.uniform(0, 2 * np.pi, 3))
-        rb = RigidRotation(*rng.uniform(0, 2 * np.pi, 3))
-        rot = rotate_settings(lay, ra, rb)
+        ra = _euler(*rng.uniform(0, 2 * np.pi, 3))
+        rb = _euler(*rng.uniform(0, 2 * np.pi, 3))
+        (rot,) = rotate_settings([lay], ra, rb)
         for lst, new in ((lay.a_list, rot.a_list), (lay.b_list, rot.b_list)):
             for i in range(len(lst)):
                 for j in range(i + 1, len(lst)):
@@ -191,10 +195,19 @@ def test_rotate_settings_preserves_party_angles(rng):
                     )
 
 
+def test_rotate_settings_stack_equals_each_layout_alone(rng):
+    layouts = build_layouts("threeplus6", [0.2, 0.7, 1.3])
+    ra = _rotations(*rng.uniform(0, 2 * np.pi, (3, len(layouts))))
+    rb = _rotations(*rng.uniform(0, 2 * np.pi, (3, len(layouts))))
+    stack = rotate_settings(layouts, ra, rb)
+    for g, lay in enumerate(layouts):
+        assert stack[g] == rotate_settings([lay], ra[g : g + 1], rb[g : g + 1])[0]
+
+
 def test_rotate_settings_shared_mode():
     lay = build_layout("threeplus7", 0.2)
-    r = RigidRotation(0.3, 1.1, -0.4)
-    shared = rotate_settings(lay, r)
-    both = rotate_settings(lay, r, r)
+    r = _euler(0.3, 1.1, -0.4)
+    (shared,) = rotate_settings([lay], r)
+    (both,) = rotate_settings([lay], r, r)
     for d, e in zip(shared.b_list, both.b_list):
         assert np.allclose(to_cartesian(d), to_cartesian(e), atol=1e-15)

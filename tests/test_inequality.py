@@ -7,7 +7,6 @@ import pytest
 from leggett_lab import (
     ConvergenceError,
     Direction,
-    RigidRotation,
     SearchConfig,
     analytic_fmin,
     build_layout,
@@ -83,10 +82,8 @@ _ARRAY_PATH_MODELS = [pes_model()] + [
 @pytest.mark.parametrize("layout_name", ["threeplus7", "threeplus6"])
 def test_batched_leggett_value_matches_the_scalar_facade(model, layout_name, rng):
     fixed = [build_layout(layout_name, phi) for phi in (0.0, 0.3, 1.1, np.pi)]
-    rotated = [
-        rotate_settings(lay, RigidRotation(*rng.uniform(0, 2 * np.pi, 3)), RigidRotation(*rng.uniform(0, 2 * np.pi, 3)))
-        for lay in fixed
-    ]
+    euler = rng.uniform(0, 2 * np.pi, (6, len(fixed)))
+    rotated = rotate_settings(fixed, optimize._rotations(*euler[:3]), optimize._rotations(*euler[3:]))
     # rotated as arrays, as the closed-form rigid optimum rotates them
     q = np.linalg.qr(rng.normal(size=(2 * len(fixed), 3, 3)))[0]
     q *= np.sign(np.linalg.det(q))[:, None, None]
@@ -197,7 +194,7 @@ def _direct_objective(model, layout):
     weights = np.array([w for w, _, _ in flat])
     ia = np.array([i for _, i, _ in flat])
     jb = np.array([j for _, _, j in flat])
-    fa, fb = model.setting_features(layout.a_list), model.setting_features(layout.b_list)
+    fa, fb = model.layout_features(layout)
 
     def objective(x):
         t = np.asarray(x, dtype=float)[None, :]

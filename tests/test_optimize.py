@@ -6,7 +6,6 @@ import pytest
 
 from leggett_lab import (
     Direction,
-    RigidRotation,
     ScanTask,
     SearchConfig,
     build_layout,
@@ -348,8 +347,10 @@ def test_batched_kernels_match_facade(model, rng):
     hidden = [random_direction(rng) for _ in range(5)]
     t = np.array([h.theta for h in hidden])
     p = np.array([h.phi for h in hidden])
-    got_a = model.batch_local_averages("a", model.setting_features(a_dirs), t, p)
-    got_b = model.batch_local_averages("b", model.setting_features(b_dirs), t, p)
+    fa = model.batch_features(np.array([d.theta for d in a_dirs]), np.array([d.phi for d in a_dirs]))
+    fb = model.batch_features(np.array([d.theta for d in b_dirs]), np.array([d.phi for d in b_dirs]))
+    got_a = model.batch_local_averages("a", fa, t, p)
+    got_b = model.batch_local_averages("b", fb, t, p)
     for k, h in enumerate(hidden):
         for i, a in enumerate(a_dirs):
             assert got_a[k, i] == pytest.approx(model.local_average_a(h, a), abs=1e-12)
@@ -363,13 +364,14 @@ def test_batched_kernels_match_facade(model, rng):
     for k, row in enumerate(settings):
         assert got[k] == pytest.approx(chsh_value(model, *row).B, abs=1e-12)
 
-    # E(a, b) on rotated settings through the batched rigid objective
+    # the batched rigid objective is, bit for bit, L at the settings rotate_settings gives
     lay = build_layout("threeplus7", 0.4)
     euler = rng.uniform(0.0, 2 * np.pi, (5, 6))
     got = -optimize._make_rigid_objective([model], [lay], shared=False)(euler)
-    for k, e in enumerate(euler):
-        rotated = rotate_settings(lay, RigidRotation(*e[:3]), RigidRotation(*e[3:]))
-        assert got[k] == pytest.approx(leggett_value(model, rotated), abs=1e-12)
+    ra, rb = optimize._rotations(*euler.T[:3]), optimize._rotations(*euler.T[3:])
+    for k in range(len(euler)):
+        (rotated,) = rotate_settings([lay], ra[k : k + 1], rb[k : k + 1])
+        assert got[k] == leggett_value(model, rotated)
 
 
 # -- grid batches ------------------------------------------------------------------
@@ -387,7 +389,9 @@ def _grid_problems():
             [
                 build_layout("threeplus6", 0.2),
                 # a rotated layout: its a-settings differ from the canonical (x, y, z)
-                rotate_settings(build_layout("threeplus6", 0.5), RigidRotation(0.3, 0.7, -0.4)),
+                rotate_settings(
+                    [build_layout("threeplus6", 0.5)], optimize._rotations(*np.reshape([0.3, 0.7, -0.4], (3, 1)))
+                )[0],
                 build_layout("threeplus6", 0.9),
             ],
             False,
@@ -443,6 +447,20 @@ def test_optimize_rigid_batch_equals_each_point_alone(name):
     for ev, model, layout, config in zip(batch, models, layouts, configs):
         (alone,) = optimize_rigid([model], [layout], [config], shared=shared, bound_mode="analytic2d")
         assert ev == alone
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
+@pytest.mark.parametrize("family", ["on_off", "parity"])
+def test_coefficient_rigid_optimum_reports_the_searched_value(family, shared):
+    # L of each returned evaluation is the searched optimum -f(x*), bit for bit:
+    # the settings are rotated and evaluated as the search objective does
+    models = [ecs_model(alpha, -1, family) for alpha in (1.0, 3.0) for _ in range(4)]
+    layouts = [build_layout("threeplus7", phi) for _ in range(2) for phi in (0.1, 0.25, 0.75, 1.5)]
+    configs = [_cfg(starts=8, seed=50 + g, max_iterations=400) for g in range(len(models))]
+    evs = optimize_rigid(models, layouts, configs, shared=shared, bound_mode="analytic2d")
+    x = optimize._searched_angles(models, layouts, configs, shared)
+    for g, (model, layout, ev) in enumerate(zip(models, layouts, evs)):
+        assert ev.L == -optimize._make_rigid_objective([model], [layout], shared)(x[g : g + 1])[0]
 
 
 def test_rigid_batch_of_no_points_and_of_mixed_problems():
