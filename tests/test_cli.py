@@ -174,9 +174,13 @@ def _digest(text):
         ("on_off", "5", "0.25", 0, "b7cac78b482c1deb"),
         ("on_off", "5", "0.25", 1, "d69d2d139fdd9682"),
         ("on_off", "5", "0.25", 2, "31dea2a7c9d10d9e"),
+        ("on_off", "5", "0.5", 0, "d6daf8f90f8b56d2"),
+        ("on_off", "5", "0.5", 1, "a4aaba62a77f959c"),
         ("parity", "3", "0.75", 0, "6cd7bca15435687e"),
         ("parity", "3", "0.75", 1, "b1df2765e639b6ed"),
         ("parity", "3", "0.75", 2, "a8c41ada2d6043a3"),
+        ("parity", "5", "0.75", 0, "cbf758ae408b7802"),
+        ("parity", "5", "0.75", 1, "95d589e3e23494ea"),
     ],
 )
 def test_coefficient_bound_json_is_pinned(family, alpha, phi, seed, digest):
@@ -187,10 +191,11 @@ def test_coefficient_bound_json_is_pinned(family, alpha, phi, seed, digest):
 
 
 def test_parity_chsh_json_is_pinned():
-    argv = ["chsh", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--optimize", "--starts", "8", "--seed", "0"]
-    rc, out, err = _run(argv)
-    assert (rc, err) == (0, "")
-    assert _digest(out) == "44aa531b9074e145"
+    argv = ["chsh", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--optimize", "--starts", "8"]
+    for seed, digest in ((0, "44aa531b9074e145"), (1, "e0458bd7ee2ccf9f")):
+        rc, out, err = _run(argv + ["--seed", str(seed)])
+        assert (rc, err) == (0, "")
+        assert _digest(out) == digest
 
 
 def test_on_off_optimized_scan_phi_csv_is_pinned(tmp_path):
