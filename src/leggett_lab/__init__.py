@@ -49,7 +49,6 @@ from .optimize import (
     optimize_chsh,
     optimize_rigid,
     scan,
-    simplex_minimize,
     threshold_alpha,
 )
 

@@ -72,8 +72,10 @@ search evaluates arrays:
   E is bit for bit the facade's at the same features and no row depends on
   the rows around it.
 * The bound search evaluates the local averages through
-  ``batch_local_averages``, a per-row np.matmul of the setting features
-  with the hidden vectors.
+  ``batch_local_averages`` (one party) or ``batch_local_average_pair``
+  (both parties from one pass of the hidden map, whose per-party constant
+  is an array over the two parties), a per-row np.matmul of the setting
+  features with the hidden vectors.
 
 The facade methods correlation, local_average_a and local_average_b
 evaluate one point in scalar ``math``.  They serve I/O (the CHSH value at
@@ -109,8 +111,9 @@ def _unit(theta, phi, xp):
 
 def _axis(theta, phi, xp):
     """Axis n of rotation_map(theta, phi) = n . sigma."""
-    c = xp.cos(0.5 * theta)
-    return c * xp.cos(phi), -c * xp.sin(phi), xp.sin(0.5 * theta)
+    half = 0.5 * theta
+    c = xp.cos(half)
+    return c * xp.cos(phi), -c * xp.sin(phi), xp.sin(half)
 
 
 def _reflection(theta, phi, xp):
@@ -125,28 +128,38 @@ def _reflection_of_vectors(v):
     return _stacked(_reflection(theta, np.arctan2(v[..., 1], v[..., 0]), np))
 
 
-def _rotated_z(theta, phi, xp):
-    """h_A(u) = 2 n_z n - z: the Bloch vector of e_0 under the reflection about n."""
+# Each hidden map takes, after theta, phi and xp, the constant of its party
+# (see _Representation.hidden_constants): a float or a tuple of floats for one
+# party, or arrays of shape (2, 1) that hold party A's constant in row 0 and
+# party B's in row 1, for angle arrays of shape (2, k).
+
+
+def _malus(theta, phi, xp, _):
+    """h(u) = u, the singlet's Malus law, for both parties."""
+    return _unit(theta, phi, xp)
+
+
+def _rotated_z(theta, phi, xp, sign):
+    """h(u) = sign (2 n_z n - z): the Bloch vector of e_0 (sign 1, party A)
+    or e_1 (sign -1, party B, whose Bloch vector is -z) under the reflection
+    about n.  Negation is exact, so h_B = -h_A bit for bit."""
     nx, ny, nz = _axis(theta, phi, xp)
-    return 2.0 * nz * nx, 2.0 * nz * ny, 2.0 * nz * nz - 1.0
+    tz = 2.0 * sign * nz
+    return tz * nx, tz * ny, tz * nz - sign
 
 
-def _rotated_minus_z(theta, phi, xp):
-    """h_B(u) = -h_A(u): party B starts from e_1, whose Bloch vector is -z."""
-    hx, hy, hz = _rotated_z(theta, phi, xp)
-    return -hx, -hy, -hz
-
-
-def _reflected_bloch(m):
-    """h(u) = 2 (u.m) u - m, the Bloch vector m reflected about u."""
+def _reflected_bloch(theta, phi, xp, m):
+    """h(u) = 2 (u.m) u - m, the Bloch vector m = (mx, my, mz) reflected about u."""
     mx, my, mz = m
+    ux, uy, uz = _unit(theta, phi, xp)
+    um2 = 2.0 * (ux * mx + uy * my + uz * mz)
+    return um2 * ux - mx, um2 * uy - my, um2 * uz - mz
 
-    def hidden(theta, phi, xp):
-        ux, uy, uz = _unit(theta, phi, xp)
-        um2 = 2.0 * (ux * mx + uy * my + uz * mz)
-        return um2 * ux - mx, um2 * uy - my, um2 * uz - mz
 
-    return hidden
+def _hidden_dots(settings, h):
+    """f(a_i) . h_r of the setting features (n, 3) and hidden vectors h (k, 3),
+    one per-row np.matmul: (k, n)."""
+    return np.matmul(settings, h[:, :, None])[:, :, 0]
 
 
 def _stacked(components):
@@ -165,8 +178,9 @@ class _Representation(NamedTuple):
     kappa: float
     feature: Callable  # f(theta, phi, xp)
     vector_feature: Callable  # f of unit vectors (..., 3), numpy
-    hidden_a: Callable  # h_A(theta, phi, xp)
-    hidden_b: Callable
+    hidden: Callable  # h(theta, phi, xp, constant of the party)
+    hidden_constants: tuple  # (party A's, party B's)
+    hidden_pair: object  # both constants as arrays of shape (2, 1)
     hidden_radius: float | None  # |h(u)| of the tensor models
 
 
@@ -176,7 +190,7 @@ def _representation(family: str, ecs: EcsSpec | None) -> _Representation:
     radius = None
     if family == PES_FAMILY:
         t = (-1.0, -1.0, -1.0)
-        hidden_a = hidden_b = _unit
+        hidden, constants = _malus, (None, None)
         radius = 1.0
     elif family == "pseudo_spin":
         K = kappa_K(ecs.alpha)
@@ -187,15 +201,27 @@ def _representation(family: str, ecs: EcsSpec | None) -> _Representation:
             t = (kt, kt, 1.0)
         m = pseudospin_bloch(ecs.alpha)
         mx, my, mz = m.tolist()
-        hidden_a, hidden_b = _reflected_bloch((mx, my, mz)), _reflected_bloch((-mx, my, mz))
+        hidden, constants = _reflected_bloch, ((mx, my, mz), (-mx, my, mz))
         radius = math.sqrt(m.dot(m))  # np.linalg.norm(m), bit for bit
     else:
         m = operator_elements("onoff" if family == "on_off" else "parity", ecs.alpha)
         t = (1.0, 1.0, -1.0) if ecs.sign > 0 else (-1.0, -1.0, -1.0)
         p, q, kappa = float(m[0, 0].real), float(m[0, 1].real), ecs.kappa
         feature, vector_feature = _reflection, _reflection_of_vectors
-        hidden_a, hidden_b = _rotated_z, _rotated_minus_z
-    return _Representation(t, np.array(t), p, q, kappa, feature, vector_feature, hidden_a, hidden_b, radius)
+        hidden, constants = _rotated_z, (1.0, -1.0)
+    return _Representation(
+        t, np.array(t), p, q, kappa, feature, vector_feature, hidden, constants, _pair(*constants), radius
+    )
+
+
+def _pair(a, b):
+    """The hidden-map constants a of party A and b of party B as arrays of
+    shape (2, 1), row 0 for A; a tuple of them for tuple constants."""
+    if a is None:
+        return None
+    if isinstance(a, tuple):
+        return tuple(_pair(x, y) for x, y in zip(a, b))
+    return np.array([[a], [b]])
 
 
 # -- model facade ---------------------------------------------------------------
@@ -257,16 +283,17 @@ class CorrelationModel:
         t = r.t
         return self._correlation_of(t[0] * fa[0] * fb[0] + t[1] * fa[1] * fb[1] + t[2] * fa[2] * fb[2])
 
-    def _local_average(self, hidden, u: Direction, a: Direction) -> float:
-        f = self._rep.feature(a.theta, a.phi, math)
-        h = hidden(u.theta, u.phi, math)
+    def _local_average(self, party: int, u: Direction, a: Direction) -> float:
+        r = self._rep
+        f = r.feature(a.theta, a.phi, math)
+        h = r.hidden(u.theta, u.phi, math, r.hidden_constants[party])
         return self._average_of(f[0] * h[0] + f[1] * h[1] + f[2] * h[2])
 
     def local_average_a(self, u: Direction, a: Direction) -> float:
-        return self._local_average(self._rep.hidden_a, u, a)
+        return self._local_average(0, u, a)
 
     def local_average_b(self, v: Direction, b: Direction) -> float:
-        return self._local_average(self._rep.hidden_b, v, b)
+        return self._local_average(1, v, b)
 
     # batches, numpy
 
@@ -301,9 +328,19 @@ class CorrelationModel:
     def batch_local_averages(self, party: str, settings, theta, phi) -> np.ndarray:
         """A(u; a_i) (party "a") or B(v; b_i) (party "b") for the setting
         features (n, 3) at hidden angle arrays of shape (k,): (k, n)."""
-        hidden = self._rep.hidden_a if party == "a" else self._rep.hidden_b
-        h = _stacked(hidden(theta, phi, np))
-        return self._average_of(np.matmul(settings, h[:, :, None])[:, :, 0])
+        r = self._rep
+        h = _stacked(r.hidden(theta, phi, np, r.hidden_constants[0 if party == "a" else 1]))
+        return self._average_of(_hidden_dots(settings, h))
+
+    def batch_local_average_pair(self, fa, fb, theta, phi) -> np.ndarray:
+        """A(u; a_i), then B(v; b_j), for the setting features fa (n, 3) and
+        fb (m, 3) at hidden angle arrays of shape (2, k), row 0 the angles of
+        u and row 1 those of v: (k, n + m).  One pass of the hidden map
+        serves both parties; each value is bit for bit that of
+        :meth:`batch_local_averages`."""
+        r = self._rep
+        h = _stacked(r.hidden(theta, phi, np, r.hidden_pair))
+        return self._average_of(np.concatenate((_hidden_dots(fa, h[0]), _hidden_dots(fb, h[1])), axis=1))
 
 
 class ModelStack:

@@ -19,17 +19,22 @@ hidden-vector bound minimization, CHSH setting maximization and
 rigid-rotation optimization.  Through these the parameter scans and the
 amplitude-threshold bisection search too.  The engine runs in lockstep: it
 advances every start of a search as one (S, d+1, d) simplex array, and a
-start leaves the active set when it converges.  Objectives take a (k, d)
-array of points and the (k,) owners of its rows and return a (k,) array of
-values.  For the tensor models the engine remains the test oracle of the
-closed forms.
+start leaves the active set when it converges or exhausts its iterations;
+the tolerance and iteration cap may differ from start to start.  Objectives
+take a (k, d) array of points and the (k,) owners of its rows and return a
+(k,) array of values.  The searches are bound by the fixed cost of an
+objective call, not by its rows: while few starts are live (at most
+``_SPECULATIVE_LIVE``), a step evaluates the reflection, the expansion and
+both contractions of every live start in one call and takes the point the
+start's decision needs; above that, the reflection is one call and the
+expansion or contraction of the starts that need one is a second.  For the
+tensor models the engine remains the test oracle of the closed forms.
 
 Each search fixes the box its starts are drawn from, one (lo, hi) interval
 per coordinate: two (theta, phi) spheres for the direct bound, one for the
 triangle bound, four for CHSH, and three Euler angles per rotation for the
 rigid search.  A :class:`SearchConfig` carries only the number of starts,
-the seed and the stopping rule; :func:`simplex_minimize` takes a box of the
-caller's choosing.
+the seed and the stopping rule.
 
 Owners let one batch hold the starts of several problems.  Each start
 belongs to one problem, and the objective looks up that problem's constants
@@ -45,19 +50,23 @@ bit-identical to evaluating them one at a time.
 
 Determinism contract: identical config and objective give bit-identical
 results.  Starts come from a seeded Sobol sequence, start 0 is the range
-midpoint (the identity rotation for rigid searches), and the reduction picks
-the best value with start-index tie-break.  Each start keeps its own
+midpoint (the identity rotation for rigid searches), and the reduction
+picks the best value with start-index tie-break.  Each start keeps its own
 reflection, expansion, contraction and shrink decisions and its own stable
-vertex sort.  No row of an objective's result depends on which other rows
-share its batch.  E is elementwise everywhere.  The only small matrix and
-vector products are the rotations of the setting vectors, and the local
-averages and weighted sums of the bound search; each is stacked per row
-(np.matmul over a leading batch axis), never one BLAS product across the
-batch axis, which can round a row differently depending on the rows around
-it.  So every start follows exactly the trajectory it would follow alone,
-whichever problems share its batch.  The closed-form rigid optimum and the
-array evaluation of L keep the same contract: the eigenproblems,
-decompositions and rotations of the setting vectors are per point.
+vertex sort.  A candidate point that is evaluated but not taken (the
+expansion or contraction a speculative step does not need) is discarded,
+and the evaluation counts hold only the points the descent uses, so they do
+not depend on the step mode.  No row of an objective's result depends on
+which other rows share its batch.  E is elementwise everywhere.  The only
+small matrix and vector products are the rotations of the setting vectors,
+and the local averages and weighted sums of the bound search; each is
+stacked per row (np.matmul over a leading batch axis), never one BLAS
+product across the batch axis, which can round a row differently depending
+on the rows around it.  So every start follows exactly the trajectory it
+would follow alone, whichever problems and candidate points share its
+batch.  The closed-form rigid optimum and the array evaluation of L keep
+the same contract: the eigenproblems, decompositions and rotations of the
+setting vectors are per point.
 
 The bound, CHSH and rigid-rotation objectives are the same code for all
 four measurement families, through the one representation of
@@ -119,6 +128,17 @@ class SimplexResult:
     start_index: int
 
 
+# While at most this many starts are live, a step evaluates the reflection,
+# the expansion and both contractions of every live start in one objective
+# call; above it, the reflection first and then only the trial point each
+# start needs.  Few rows cost about a fixed 20-40 us per call, many rows cost
+# per row.  Measured crossover (CPU s, best of 5, 2-CPU host; limit 0 never
+# speculates): six 32-start on/off and parity bound searches 0.33 at limit 0,
+# 0.27 at 32 and 64; the 15 x 64-start parity rigid batch of a scan-phi 2.17
+# at 0, 2.03 at 32, 2.10 at 64, 2.32 at 128 and 3.99 with no limit.
+_SPECULATIVE_LIVE = 32
+
+
 def _nelder_mead(f, x0, step, fatol, maxiter, owners=None):
     """Reflection/expansion/contraction/shrink simplex descent of S starts in lockstep.
 
@@ -128,8 +148,16 @@ def _nelder_mead(f, x0, step, fatol, maxiter, owners=None):
     one batch can hold the starts of several problems.  Each start's initial
     simplex is its point plus one step along each coordinate; its vertices
     are sorted stably every iteration, so ties go to vertex order.  A start
-    stops when its simplex value spread is at most fatol.  Returns per start
-    (x_best, f_best, converged, n_evaluations) as arrays of length S.
+    stops when its simplex value spread is at most fatol, and unconverged
+    after maxiter iterations; fatol and maxiter are one value for every
+    start or one per start.  Returns per start (x_best, f_best, converged,
+    n_evaluations) as arrays of length S.
+
+    While at most _SPECULATIVE_LIVE starts are live, each iteration makes
+    one objective call for all four candidate points of every live start
+    and keeps, per start, the one point the two-call step would evaluate;
+    the others are discarded and not counted in n_evaluations.  Shrinks are
+    one more call either way.
     """
     x0 = np.asarray(x0, dtype=float)
     S, n = x0.shape
@@ -142,54 +170,80 @@ def _nelder_mead(f, x0, step, fatol, maxiter, owners=None):
     best_x = np.empty((S, n))
     best_f = np.empty(S)
     converged = np.zeros(S, dtype=bool)
-    live = np.arange(S)  # start index of each row of pts and vals
-    rows = live[:, None]
-    for _ in range(maxiter):
+    # per row of pts and vals: the start's index, fatol and maxiter, and its
+    # evaluations beyond the initial simplex and one reflection per iteration
+    live = np.arange(S)
+    tol = np.broadcast_to(np.asarray(fatol, dtype=float), (S,))
+    cap = np.broadcast_to(np.asarray(maxiter), (S,))
+    extra = np.zeros(S, dtype=int)
+
+    def regroup():
+        """Row indices, owners, owners of the four candidate blocks (None
+        above the speculation limit) and the first maxiter of the live rows."""
+        own = owners[live]
+        own4 = np.concatenate((own, own, own, own)) if live.size <= _SPECULATIVE_LIVE else None
+        return np.arange(live.size)[:, None], own, own4, cap.min()
+
+    rows, own, own4, first_cap = regroup()
+    for iteration in itertools.count():
         order = np.argsort(vals, axis=1, kind="stable")
         pts = pts[rows, order]
         vals = vals[rows, order]
-        done = vals[:, -1] - vals[:, 0] <= fatol
-        if done.any():
-            best_x[live[done]] = pts[done, 0]
-            best_f[live[done]] = vals[done, 0]
-            converged[live[done]] = True
-            live, pts, vals = live[~done], pts[~done], vals[~done]
-            if not live.size:
+        done = stop = vals[:, -1] - vals[:, 0] <= tol
+        if iteration >= first_cap:
+            exhausted = cap <= iteration
+            done = done & ~exhausted
+            stop = done | exhausted
+        if stop.any():
+            idx = live[stop]
+            best_x[idx] = pts[stop, 0]
+            best_f[idx] = vals[stop, 0]
+            converged[idx] = done[stop]
+            nfev[idx] += iteration + extra[stop]
+            if stop.all():
                 return best_x, best_f, converged, nfev
-            rows = np.arange(live.size)[:, None]
+            go = ~stop
+            live, pts, vals, tol, cap, extra = live[go], pts[go], vals[go], tol[go], cap[go], extra[go]
+            rows, own, own4, first_cap = regroup()
         centroid = pts[:, :-1].sum(axis=1) / n
-        worst = pts[:, -1]
-        xr = centroid + (centroid - worst)
-        own = owners[live]
-        fr = f(xr, own)
-        nfev[live] += 1
-        expand = fr < vals[:, 0]
-        contract = ~expand & ~(fr < vals[:, -2])
+        d = centroid - pts[:, -1]
+        # reflection, expansion, outside and inside contraction
+        cand = np.empty((4,) + centroid.shape)
+        xr = np.add(centroid, d, out=cand[0])
+        xe = np.add(centroid, 2.0 * d, out=cand[1])
+        xo = np.add(centroid, 0.5 * (xr - centroid), out=cand[2])
+        xi = np.subtract(centroid, 0.5 * d, out=cand[3])  # centroid + 0.5 (worst - centroid), exactly
+        if own4 is not None:
+            fr, fe, fo, fi = f(cand.reshape(-1, n), own4).reshape(4, -1)
+        else:
+            fr = f(xr, own)
+        v0, v2, vw = vals[:, 0], vals[:, -2], vals[:, -1]
+        expand = fr < v0
+        contract = ~expand & ~(fr < v2)
         # one more trial point for each start that expands or contracts
-        toward = np.where((fr < vals[:, -1])[:, None], xr, worst)
-        trial = np.where(
-            expand[:, None], centroid + 2.0 * (centroid - worst), centroid + 0.5 * (toward - centroid)
-        )
+        outside = fr < vw
+        trial = np.where(expand[:, None], xe, np.where(outside[:, None], xo, xi))
         probe = expand | contract
-        ft = fr.copy()
-        if probe.any():
-            ft[probe] = f(trial[probe], own[probe])
-            nfev[live[probe]] += 1
-        inside = contract & (ft < np.where(vals[:, -1] < fr, vals[:, -1], fr))
+        if own4 is not None:
+            ft = np.where(expand, fe, np.where(outside, fo, fi))
+        else:
+            ft = fr.copy()
+            if probe.any():
+                ft[probe] = f(trial[probe], own[probe])
+        extra += probe
+        inside = contract & (ft < np.where(vw < fr, vw, fr))
         take = (expand & (ft < fr)) | inside
         shrink = contract & ~inside
-        keep = ~shrink
-        pts[keep, -1] = np.where(take[:, None], trial, xr)[keep]
-        vals[keep, -1] = np.where(take, ft, fr)[keep]
-        if shrink.any():  # shrink toward the best vertex
+        shrinks = shrink.any()
+        if shrinks:  # toward the best vertex; it replaces the worst vertex too
             best = pts[shrink, :1]
-            pts[shrink, 1:] = best + 0.5 * (pts[shrink, 1:] - best)
-            vals[shrink, 1:] = f(pts[shrink, 1:].reshape(-1, n), np.repeat(own[shrink], n)).reshape(-1, n)
-            nfev[live[shrink]] += n
-    first = np.argsort(vals, axis=1, kind="stable")[:, :1]
-    best_x[live] = pts[rows, first][:, 0]
-    best_f[live] = vals[rows, first][:, 0]
-    return best_x, best_f, converged, nfev
+            shrunk = best + 0.5 * (pts[shrink, 1:] - best)
+        pts[:, -1] = np.where(take[:, None], trial, xr)
+        vals[:, -1] = np.where(take, ft, fr)
+        if shrinks:
+            pts[shrink, 1:] = shrunk
+            vals[shrink, 1:] = f(shrunk.reshape(-1, n), np.repeat(own[shrink], n)).reshape(-1, n)
+            extra[shrink] += n
 
 
 def _start_points(ranges, config: SearchConfig) -> np.ndarray:
@@ -263,25 +317,6 @@ def _polish_bests(objective, bests: list[SimplexResult]) -> list[tuple[SimplexRe
 def _polish_best(objective, best: SimplexResult) -> tuple[SimplexResult, int]:
     """best, replaced by its polished point when that is lower; and the polish evaluations."""
     return _polish_bests(objective, [best])[0]
-
-
-def _rowwise(objective):
-    """A batched objective that evaluates a scalar objective on each row."""
-    return lambda points, owners=None: np.array([objective(x) for x in points], dtype=float)
-
-
-def simplex_minimize(objective, ranges, config: SearchConfig) -> SimplexResult:
-    """Best point over seeded multi-start simplex descent in the box ranges.
-
-    ranges gives one (lo, hi) interval per coordinate of the caller's
-    objective; the searches of this module fix their own boxes instead.
-    objective maps one point to a float; the engine evaluates it row by
-    row.  A start that exhausts max_iterations without meeting the
-    tolerance is still used but flags the result as unconverged.
-    """
-    if len(ranges) < 1:
-        raise ValueError("objective must have at least one coordinate")
-    return _best_of(_run_starts(_rowwise(objective), ranges, config))
 
 
 # -- batched objectives --------------------------------------------------------------
@@ -375,19 +410,19 @@ def _bound_objectives(model: CorrelationModel, layout: SettingsLayout):
     |A(u; a_i) - B(v; b_j)|; triangle maps rows (t_v, p_v) to
     sum w * |B(v; b_j) - B(v; b_j')| over layout.bound_pairs.
     """
+    fa, fb = model.layout_features(layout)
     flat = [(w, i, j) for w, group in layout.groups for i, j in group]
     weights = np.array([w for w, _, _ in flat])
     ia = np.array([i for _, i, _ in flat])
-    jb = np.array([j for _, _, j in flat])
+    jb = len(fa) + np.array([j for _, _, j in flat])  # B(v; b_j) follows the n A(u; a_i)
     pair_j = np.array([j for j, _, _ in layout.bound_pairs], dtype=int)
     pair_j2 = np.array([j2 for _, j2, _ in layout.bound_pairs], dtype=int)
     pair_w = np.array([w for _, _, w in layout.bound_pairs])
-    fa, fb = model.layout_features(layout)
 
     def direct(x, owners=None):
-        abar = model.batch_local_averages("a", fa, x[:, 0], x[:, 1])
-        bbar = model.batch_local_averages("b", fb, x[:, 2], x[:, 3])
-        return _row_dots(np.abs(abar[:, ia] - bbar[:, jb]), weights)
+        averages = model.batch_local_average_pair(fa, fb, x[:, 0::2].T, x[:, 1::2].T)
+        diff = averages[:, ia] - averages[:, jb]
+        return _row_dots(np.abs(diff, out=diff), weights)
 
     def triangle(x, owners=None):
         vals = model.batch_local_averages("b", fb, x[:, 0], x[:, 1])
@@ -423,6 +458,18 @@ def numeric_fmin(
     minimizes sum w * |B(v; b_j) - B(v; b_j')| over the b-pairs that share
     an a-setting.  The larger of the two is the f_min used for verdicts;
     both are reported.
+
+    Each form is a multi-start search with config (the triangle with half
+    the starts, at least 8, and its own seed).  With polish, each form's
+    best start is refined by a small-step descent (fatol 1e-15, at most 5000
+    iterations) and replaced when that is lower.  With check_convergence and
+    at least 4 starts, the top decile of the direct starts (at least 2) is
+    re-polished (fatol 1e-13, at most 1500 iterations), and a spread of
+    their values above 1e-6 raises ConvergenceError.  The direct best's
+    polish and the decile's re-polish are one engine batch whose rows keep
+    their own tolerance and iteration cap, so each row ends where a
+    separate polish would.  evaluations counts every start of both forms and
+    the two best-start polishes, not the re-polish.
     """
     if layout.name not in ("threeplus7", "threeplus6"):
         raise ValueError(f"numeric bound supports threeplus7/threeplus6, not {layout.name!r}")
@@ -433,15 +480,24 @@ def numeric_fmin(
     direct, triangle = _bound_objectives(model, layout)
     results = _run_starts(direct, _SPHERE * 2, config)
     best = _best_of(results)
-    pn = 0
-    if polish:
-        best, pn = _polish_best(direct, best)
-
+    head = [best] if polish else []
+    top = []
     if check_convergence and config.starts >= 4:
-        decile = max(2, -(-config.starts // 10))
-        top = sorted(results, key=lambda r: r.value)[:decile]
-        vals = np.sort(_polish(direct, np.array([r.point for r in top]), fatol=1e-13, maxiter=1500)[1])
-        if vals[-1] - vals[0] > 1e-6:
+        top = sorted(results, key=lambda r: r.value)[: max(2, -(-config.starts // 10))]
+    pn = 0
+    if head or top:  # one batch: the best start's polish, then the top decile's re-polish
+        px, pv, pns = _polish(
+            direct,
+            np.array([r.point for r in head + top]),
+            fatol=np.array([1e-15] * len(head) + [1e-13] * len(top)),
+            maxiter=np.array([5000] * len(head) + [1500] * len(top)),
+        )
+        if head:
+            pn = int(pns[0])
+            if pv[0] < best.value:
+                best = replace(best, point=px[0], value=float(pv[0]))
+        vals = np.sort(pv[len(head) :])
+        if top and vals[-1] - vals[0] > 1e-6:
             raise ConvergenceError(
                 f"top-decile spread {vals[-1] - vals[0]:.3e} after {config.starts} starts"
             )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leggett_lab import Direction
+from leggett_lab import Direction, SearchConfig, optimize
 
 
 @pytest.fixture
@@ -14,3 +14,72 @@ def random_direction(rng) -> Direction:
     z = rng.uniform(-1.0, 1.0)
     phi = rng.uniform(-np.pi, np.pi)
     return Direction(float(np.arccos(z)), float(phi))
+
+
+# -- engine oracles --------------------------------------------------------------------
+
+
+def scalar_nelder_mead(f, x0, step, fatol, maxiter):
+    """Reference oracle: the one-start scalar simplex descent that the
+    lockstep engine must reproduce for every start, bit for bit.
+
+    Returns (x_best, f_best, converged, n_evaluations).  Ties are broken by
+    vertex order and the initial simplex is x0 plus one step along each
+    coordinate.
+    """
+    n = len(x0)
+    pts = np.repeat(np.asarray(x0, dtype=float)[None, :], n + 1, axis=0)
+    for k in range(n):
+        pts[k + 1, k] += step[k]
+    vals = np.array([f(p) for p in pts])
+    nfev = n + 1
+    for _ in range(maxiter):
+        order = np.argsort(vals, kind="stable")
+        pts, vals = pts[order], vals[order]
+        if vals[-1] - vals[0] <= fatol:
+            return pts[0], vals[0], True, nfev
+        centroid = pts[:-1].mean(axis=0)
+        xr = centroid + (centroid - pts[-1])
+        fr = f(xr)
+        nfev += 1
+        if fr < vals[0]:
+            xe = centroid + 2.0 * (centroid - pts[-1])
+            fe = f(xe)
+            nfev += 1
+            if fe < fr:
+                pts[-1], vals[-1] = xe, fe
+            else:
+                pts[-1], vals[-1] = xr, fr
+        elif fr < vals[-2]:
+            pts[-1], vals[-1] = xr, fr
+        else:
+            if fr < vals[-1]:
+                xc = centroid + 0.5 * (xr - centroid)
+            else:
+                xc = centroid + 0.5 * (pts[-1] - centroid)
+            fc = f(xc)
+            nfev += 1
+            if fc < min(fr, vals[-1]):
+                pts[-1], vals[-1] = xc, fc
+            else:  # shrink toward the best vertex
+                pts[1:] = pts[0] + 0.5 * (pts[1:] - pts[0])
+                vals[1:] = [f(p) for p in pts[1:]]
+                nfev += n
+    order = np.argsort(vals, kind="stable")
+    return pts[order[0]], vals[order[0]], False, nfev
+
+
+def rowwise(objective):
+    """A batched objective that evaluates a scalar objective on each row."""
+    return lambda points, owners=None: np.array([objective(x) for x in points], dtype=float)
+
+
+def simplex_minimize(objective, ranges, config: SearchConfig) -> optimize.SimplexResult:
+    """Best point over seeded multi-start simplex descent in the box ranges.
+
+    ranges gives one (lo, hi) interval per coordinate of objective, which
+    maps one point to a float; the engine evaluates it row by row.  A start
+    that exhausts max_iterations without meeting the tolerance is still
+    used but flags the result as unconverged.
+    """
+    return optimize._best_of(optimize._run_starts(rowwise(objective), ranges, config))

@@ -23,9 +23,9 @@ from leggett_lab import (
     pes_model,
     pseudospin_bloch,
     rotate_settings,
-    simplex_minimize,
 )
 from leggett_lab import optimize
+from conftest import simplex_minimize
 from leggett_lab.inequality import VIOLATION_TOL
 
 _SPHERE2 = ((0.0, np.pi), (-np.pi, np.pi)) * 2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,11 +18,11 @@ from leggett_lab import (
     pes_model,
     rotate_settings,
     scan,
-    simplex_minimize,
     threshold_alpha,
 )
-from leggett_lab import chsh_value, optimize
-from conftest import random_direction
+from leggett_lab import BoundResult, ConvergenceError, chsh_value, optimize
+from leggett_lab.util import stable_seed
+from conftest import random_direction, rowwise, scalar_nelder_mead, simplex_minimize
 
 
 def _cfg(starts=16, seed=0, **kw):
@@ -194,56 +195,6 @@ def test_scan_alpha_dip_tracks_kappa_dip():
 # -- lockstep engine ------------------------------------------------------------------
 
 
-def _scalar_nelder_mead(f, x0, step, fatol, maxiter):
-    """Reference oracle: the one-start scalar simplex descent that the
-    lockstep engine must reproduce for every start, bit for bit.
-
-    Returns (x_best, f_best, converged, n_evaluations).  Ties are broken by
-    vertex order and the initial simplex is x0 plus one step along each
-    coordinate.
-    """
-    n = len(x0)
-    pts = np.repeat(np.asarray(x0, dtype=float)[None, :], n + 1, axis=0)
-    for k in range(n):
-        pts[k + 1, k] += step[k]
-    vals = np.array([f(p) for p in pts])
-    nfev = n + 1
-    for _ in range(maxiter):
-        order = np.argsort(vals, kind="stable")
-        pts, vals = pts[order], vals[order]
-        if vals[-1] - vals[0] <= fatol:
-            return pts[0], vals[0], True, nfev
-        centroid = pts[:-1].mean(axis=0)
-        xr = centroid + (centroid - pts[-1])
-        fr = f(xr)
-        nfev += 1
-        if fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - pts[-1])
-            fe = f(xe)
-            nfev += 1
-            if fe < fr:
-                pts[-1], vals[-1] = xe, fe
-            else:
-                pts[-1], vals[-1] = xr, fr
-        elif fr < vals[-2]:
-            pts[-1], vals[-1] = xr, fr
-        else:
-            if fr < vals[-1]:
-                xc = centroid + 0.5 * (xr - centroid)
-            else:
-                xc = centroid + 0.5 * (pts[-1] - centroid)
-            fc = f(xc)
-            nfev += 1
-            if fc < min(fr, vals[-1]):
-                pts[-1], vals[-1] = xc, fc
-            else:  # shrink toward the best vertex
-                pts[1:] = pts[0] + 0.5 * (pts[1:] - pts[0])
-                vals[1:] = [f(p) for p in pts[1:]]
-                nfev += n
-    order = np.argsort(vals, kind="stable")
-    return pts[order[0]], vals[order[0]], False, nfev
-
-
 def _rosenbrock(x):
     return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
 
@@ -275,10 +226,10 @@ def test_lockstep_engine_matches_scalar_oracle(f, ranges, cfg):
     starts = optimize._start_points(ranges, cfg)
     steps = [0.15 * (hi - lo) for lo, hi in ranges]
     x, v, ok, nfev = optimize._nelder_mead(
-        optimize._rowwise(f), starts, steps, cfg.tolerance, cfg.max_iterations
+        rowwise(f), starts, steps, cfg.tolerance, cfg.max_iterations
     )
     for s, x0 in enumerate(starts):
-        rx, rv, rok, rn = _scalar_nelder_mead(f, x0, steps, cfg.tolerance, cfg.max_iterations)
+        rx, rv, rok, rn = scalar_nelder_mead(f, x0, steps, cfg.tolerance, cfg.max_iterations)
         assert np.array_equal(x[s], rx)
         assert v[s] == rv
         assert ok[s] == rok
@@ -287,6 +238,127 @@ def test_lockstep_engine_matches_scalar_oracle(f, ranges, cfg):
         assert not ok.any()
     else:
         assert ok.all()
+
+
+def _assert_rows_match_scalar_oracle(result, f, starts, steps, fatol, maxiter):
+    x, v, ok, nfev = result
+    for s, x0 in enumerate(starts):
+        rx, rv, rok, rn = scalar_nelder_mead(f, x0, steps, fatol[s], maxiter[s])
+        assert np.array_equal(x[s], rx)
+        assert v[s] == rv
+        assert ok[s] == rok
+        assert nfev[s] == rn
+
+
+def test_rows_with_their_own_fatol_and_maxiter_match_the_scalar_oracle():
+    starts = optimize._start_points([(-2, 2)] * 3, _cfg(starts=6, seed=25))
+    steps = [0.6] * 3
+    fatol = np.array([1e-10, 1e-4, 1e-13, 1e-10, 1e-7, 1e-15])
+    maxiter = np.array([2000, 2000, 9, 1500, 2000, 5000])
+    result = optimize._nelder_mead(rowwise(_kinked), starts, steps, fatol, maxiter)
+    _assert_rows_match_scalar_oracle(result, _kinked, starts, steps, fatol, maxiter)
+    assert result[2].tolist() == [True, True, False, True, True, True]  # row 2 exhausts its 9 iterations
+
+
+@pytest.mark.parametrize("n_starts", [8, 48])
+def test_speculative_and_two_call_steps_match_the_scalar_oracle(n_starts, monkeypatch):
+    # 8 live starts are within the speculation limit from the first step; 48
+    # take the two-call step until enough of them converge
+    cfg = _cfg(starts=n_starts, seed=26)
+    starts = optimize._start_points([(-2, 2)] * 3, cfg)
+    steps = [0.6] * 3
+    runs = {}
+    for limit in (optimize._SPECULATIVE_LIVE, 0):
+        calls = []
+
+        def counted(points, owners=None):
+            calls.append(len(points))
+            return rowwise(_kinked)(points)
+
+        monkeypatch.setattr(optimize, "_SPECULATIVE_LIVE", limit)
+        runs[limit] = optimize._nelder_mead(counted, starts, steps, cfg.tolerance, cfg.max_iterations), len(calls)
+    (got, speculative_calls), (want, two_call_calls) = runs.values()
+    _assert_rows_match_scalar_oracle(got, _kinked, starts, steps, [cfg.tolerance] * n_starts, [cfg.max_iterations] * n_starts)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert speculative_calls < two_call_calls
+
+
+def _sequential_fmin(model, layout, config, check_convergence=True, polish=True):
+    """numeric_fmin with its polishes as separate engine runs: the best start's,
+    then the top decile's re-polish, then the triangle best's."""
+    direct, triangle = optimize._bound_objectives(model, layout)
+    results = optimize._run_starts(direct, optimize._SPHERE * 2, config)
+    best = optimize._best_of(results)
+    pn = 0
+    if polish:
+        best, pn = optimize._polish_best(direct, best)
+    if check_convergence and config.starts >= 4:
+        top = sorted(results, key=lambda r: r.value)[: max(2, -(-config.starts // 10))]
+        vals = np.sort(optimize._polish(direct, np.array([r.point for r in top]), fatol=1e-13, maxiter=1500)[1])
+        if vals[-1] - vals[0] > 1e-6:
+            raise ConvergenceError(f"top-decile spread {vals[-1] - vals[0]:.3e} after {config.starts} starts")
+    tri_cfg = replace(config, starts=max(8, config.starts // 2), seed=stable_seed(config.seed, "triangle"))
+    tri_results = optimize._run_starts(triangle, optimize._SPHERE, tri_cfg)
+    tri_best = optimize._best_of(tri_results)
+    tn = 0
+    if polish:
+        tri_best, tn = optimize._polish_best(triangle, tri_best)
+    f_direct, f_triangle = max(0.0, best.value), max(0.0, tri_best.value)
+    f_min = max(f_direct, f_triangle)
+    evaluations = sum(r.evaluations for r in results) + pn + sum(r.evaluations for r in tri_results) + tn
+    return BoundResult(
+        f_min, 4.0 - f_min, "state_corrected", f_direct, f_triangle, best.converged, evaluations
+    )
+
+
+_FMIN_POINTS = {
+    "on_off": (ecs_model(5.0, -1, "on_off"), build_layout("threeplus7", 0.25)),
+    "parity": (ecs_model(3.0, -1, "parity"), build_layout("threeplus7", 0.75)),
+}
+
+
+@pytest.mark.parametrize(
+    "family, seed, options",
+    [(family, seed, {}) for family in ("on_off", "parity") for seed in (0, 1)]
+    + [
+        ("on_off", 0, {"polish": False}),
+        ("parity", 1, {"check_convergence": False}),
+        ("parity", 0, {"polish": False, "check_convergence": False}),
+        ("on_off", 1, {"starts": 3}),
+    ],
+)
+def test_numeric_fmin_equals_the_sequential_polishes(family, seed, options):
+    model, layout = _FMIN_POINTS[family]
+    options = dict(options)
+    config = _cfg(starts=options.pop("starts", 32), seed=seed)
+    assert optimize.numeric_fmin(model, layout, config, **options) == _sequential_fmin(model, layout, config, **options)
+
+
+def test_fig3_fault_point_raises_the_sequential_polish_message(monkeypatch):
+    # every bound of the fig3 fault command, compared with the oracle as it runs
+    numeric = optimize.inequality._numeric_fmin_impl
+    outcomes = []
+
+    def both(model, layout, config):
+        try:
+            want = _sequential_fmin(model, layout, config)
+        except ConvergenceError as exc:
+            want = str(exc)
+        try:
+            got = numeric(model, layout, config)
+        except ConvergenceError as exc:
+            outcomes.append((str(exc), want))
+            raise
+        outcomes.append((got, want))
+        return got
+
+    monkeypatch.setattr(optimize.inequality, "_numeric_fmin_impl", both)
+    task = ScanTask("threeplus7", family="parity", sign=-1, alpha=5.0, optimize=True, starts=32, seed=0)
+    with pytest.raises(ConvergenceError, match="top-decile spread 9.713e-04 after 32 starts"):
+        scan("phi", [0.25], task)
+    assert outcomes and all(got == want for got, want in outcomes)
+    assert outcomes[-1][0] == "top-decile spread 9.713e-04 after 32 starts"
 
 
 def _batched_objectives():
