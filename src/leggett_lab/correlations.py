@@ -84,6 +84,7 @@ named settings) and are the test oracle of the array evaluators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -180,7 +181,6 @@ class _Representation(NamedTuple):
     vector_feature: Callable  # f of unit vectors (..., 3), numpy
     hidden: Callable  # h(theta, phi, xp, constant of the party)
     hidden_constants: tuple  # (party A's, party B's)
-    hidden_pair: object  # both constants as arrays of shape (2, 1)
     hidden_radius: float | None  # |h(u)| of the tensor models
 
 
@@ -209,9 +209,7 @@ def _representation(family: str, ecs: EcsSpec | None) -> _Representation:
         p, q, kappa = float(m[0, 0].real), float(m[0, 1].real), ecs.kappa
         feature, vector_feature = _reflection, _reflection_of_vectors
         hidden, constants = _rotated_z, (1.0, -1.0)
-    return _Representation(
-        t, np.array(t), p, q, kappa, feature, vector_feature, hidden, constants, _pair(*constants), radius
-    )
+    return _Representation(t, np.array(t), p, q, kappa, feature, vector_feature, hidden, constants, radius)
 
 
 def _pair(a, b):
@@ -332,14 +330,19 @@ class CorrelationModel:
         h = _stacked(r.hidden(theta, phi, np, r.hidden_constants[0 if party == "a" else 1]))
         return self._average_of(_hidden_dots(settings, h))
 
+    @functools.cached_property
+    def _hidden_pair(self):
+        """Both parties' hidden-map constants as arrays over the two parties
+        (:func:`_pair`), built on first use: only the bound search needs them."""
+        return _pair(*self._rep.hidden_constants)
+
     def batch_local_average_pair(self, fa, fb, theta, phi) -> np.ndarray:
         """A(u; a_i), then B(v; b_j), for the setting features fa (n, 3) and
         fb (m, 3) at hidden angle arrays of shape (2, k), row 0 the angles of
         u and row 1 those of v: (k, n + m).  One pass of the hidden map
         serves both parties; each value is bit for bit that of
         :meth:`batch_local_averages`."""
-        r = self._rep
-        h = _stacked(r.hidden(theta, phi, np, r.hidden_pair))
+        h = _stacked(self._rep.hidden(theta, phi, np, self._hidden_pair))
         return self._average_of(np.concatenate((_hidden_dots(fa, h[0]), _hidden_dots(fb, h[1])), axis=1))
 
 
