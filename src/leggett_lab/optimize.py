@@ -489,8 +489,8 @@ def numeric_fmin(
         px, pv, pns = _polish(
             direct,
             np.array([r.point for r in head + top]),
-            fatol=np.array([1e-15] * len(head) + [1e-13] * len(top)),
-            maxiter=np.array([5000] * len(head) + [1500] * len(top)),
+            fatol=[1e-15] * len(head) + [1e-13] * len(top),
+            maxiter=[5000] * len(head) + [1500] * len(top),
         )
         if head:
             pn = int(pns[0])

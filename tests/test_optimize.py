@@ -278,7 +278,8 @@ def test_speculative_and_two_call_steps_match_the_scalar_oracle(n_starts, monkey
         monkeypatch.setattr(optimize, "_SPECULATIVE_LIVE", limit)
         runs[limit] = optimize._nelder_mead(counted, starts, steps, cfg.tolerance, cfg.max_iterations), len(calls)
     (got, speculative_calls), (want, two_call_calls) = runs.values()
-    _assert_rows_match_scalar_oracle(got, _kinked, starts, steps, [cfg.tolerance] * n_starts, [cfg.max_iterations] * n_starts)
+    fatol, maxiter = [cfg.tolerance] * n_starts, [cfg.max_iterations] * n_starts
+    _assert_rows_match_scalar_oracle(got, _kinked, starts, steps, fatol, maxiter)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert speculative_calls < two_call_calls
