@@ -80,8 +80,9 @@ def test_reproduce_fig6_csv_is_pinned(tmp_path, capsys):
 
 
 def test_reproduce_fig4_csv_is_pinned(tmp_path, capsys):
-    # SHA-256 prefixes of the default fig4 CSV files (closed-form bound, one-point facade)
-    pinned = {"fig4_alpha5.csv": "cd4af5b1eb86baaf", "fig4_alpha50.csv": "2e915355b00e61c6"}
+    # SHA-256 prefixes of the default fig4 CSV files (closed-form bound, one-point facade);
+    # alpha 50 as written once the series sums log((2n)!) without scipy
+    pinned = {"fig4_alpha5.csv": "cd4af5b1eb86baaf", "fig4_alpha50.csv": "e3799c381ed3e4fc"}
     assert cli.run(["reproduce", "fig4", "--output", str(tmp_path)]) == 0
     capsys.readouterr()
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in tmp_path.iterdir()}
@@ -557,15 +558,79 @@ def test_usage_error_leaves_the_parser_intact():
     assert _run(argv) == (0, alone.stdout, "")
 
 
-def test_only_the_sobol_starts_import_scipy_stats(tmp_path):
-    script = f"""
+# every command that never reaches the on/off or parity families, on small grids
+_SCIPY_FREE_COMMANDS = [
+    ["reproduce", "fig4", "--alpha", "5:50:45", "--phi", "0.1:0.3:0.1", "--output", "fig4"],
+    ["reproduce", "fig5", "--alpha", "0.8:1.6:0.8", "--starts", "8", "--output", "fig5"],
+    ["reproduce", "fig6", "--alpha", "1", "--phi", "0.2:0.4:0.2", "--starts", "8", "--output", "fig6"],
+    ["threshold", "--layout", "3p7", "--state", "ecs-"],
+    ["threshold", "--layout", "3p6", "--state", "ecs+"],
+    ["threshold", "--layout", "3p7", "--state", "ecs-", "--optimize"],
+    ["threshold", "--layout", "3p6", "--state", "ecs-", "--optimize"],
+    ["scan-phi", "--state", "pes", "--phi", "0.2:0.6:0.2", "--output", "scan_phi.csv"],
+    ["scan-alpha", "--optimize", "--alpha", "0.5:2:0.5", "--output", "scan_alpha.csv"],
+    ["bound", "--state", "pes", "--layout", "3p7", "--phi", "0.3"],
+    ["bound", "--state", "ecs-", "--alpha", "2", "--phi", "0.5"],
+    ["chsh", "--state", "pes"],
+    ["chsh", "--state", "ecs+", "--alpha", "2", "--optimize"],
+    ["--help"],
+]
+
+_RUN_ALL = """
+import contextlib, importlib.abc, io, json, os, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+out_dir, block, commands = sys.argv[1], sys.argv[2] == "1", json.loads(sys.argv[3])
+if block:
+    sys.meta_path.insert(0, BlockScipy())
+os.chdir(out_dir)
+from leggett_lab import cli
+
+runs = []
+for argv in commands:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            rc = cli.run(argv)
+        except SystemExit as exc:  # --help
+            rc = exc.code
+    runs.append([rc, out.getvalue()])
+files = {}
+for root, _, names in os.walk("."):
+    for name in names:
+        with open(os.path.join(root, name), "rb") as fh:
+            files[os.path.join(root, name)] = fh.read().hex()
+print(json.dumps({"runs": runs, "files": files, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_closed_form_and_pseudo_spin_commands_run_without_scipy(tmp_path):
+    results = []
+    for block in ("1", "0"):
+        out = tmp_path / block
+        out.mkdir()
+        res = _python("-c", _RUN_ALL, str(out), block, json.dumps(_SCIPY_FREE_COMMANDS))
+        assert res.returncode == 0, res.stderr
+        results.append(json.loads(res.stdout))
+    blocked, free = results
+    assert [rc for rc, _ in blocked["runs"]] == [0] * len(_SCIPY_FREE_COMMANDS)
+    assert blocked["runs"][-1][1].startswith("usage: leggett-lab")
+    assert len(blocked["files"]) == 2 + 4 + 2 + 2  # fig4 at two amplitudes, fig5, fig6, two scans
+    assert blocked == free  # same exit codes, stdout and files
+    assert free["scipy"] == []  # and the unblocked run loaded no scipy module
+
+
+def test_only_the_sobol_starts_import_scipy_stats():
+    script = """
 import contextlib, io, sys
 import leggett_lab
 from leggett_lab import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.run(["threshold", "--layout", "3p7", "--state", "ecs-", "--optimize"]) == 0
-    assert cli.run(["reproduce", "fig4", "--phi", "0.1:0.3:0.1", "--output", {str(tmp_path)!r}]) == 0
-print("scipy.stats" in sys.modules)
+print("scipy" in sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["bound", "--layout", "3p7", "--state", "ecs-", "--family", "parity", "--alpha", "3",
                     "--phi", "0.75", "--seed", "0"]) == 0

@@ -13,7 +13,7 @@ from leggett_lab import (
     rotation_map,
 )
 from leggett_lab import fock
-from leggett_lab.coherent_algebra import FAMILIES
+from leggett_lab.coherent_algebra import FAMILIES, _log_sum_exp
 
 
 # -- EcsSpec --------------------------------------------------------------------
@@ -72,6 +72,38 @@ def test_kappa_k_oracle_at_alpha1():
         psi, fock.spin_projection(eq, dim), fock.spin_projection(eq, dim)
     )
     assert abs(val.real - (-kappa_K(alpha))) < 1e-8
+
+
+def _series_40_digits(alpha):
+    """(K(alpha), m_x(alpha)) from the series summed term by term in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        x = a * a
+        term = total = mpmath.mpf(1)
+        n = 0
+        while n < x or term > total * mpmath.mpf(10) ** -45:
+            n += 1
+            term *= x * x / ((2 * n) * (2 * n - 1)) * mpmath.sqrt(mpmath.mpf(2 * n - 1) / (2 * n + 1))
+            total += term
+        return 2 * x / mpmath.sinh(2 * x) * total**2, 2 * a * mpmath.exp(-x) * total
+
+
+@pytest.mark.parametrize(
+    "alpha, rel_tol",
+    [(0.3, 1e-14), (1.0, 1e-14), (2.0, 1e-14), (5.0, 1e-14), (10.0, 1e-12), (20.0, 1e-12), (50.0, 5e-12), (100.0, 3e-11)],
+)
+def test_series_quantities_match_a_40_digit_sum(alpha, rel_tol):
+    k_ref, mx_ref = _series_40_digits(alpha)
+    assert abs(kappa_K(alpha) - k_ref) <= rel_tol * k_ref
+    assert abs(pseudospin_bloch(alpha)[0] - mx_ref) <= rel_tol * mx_ref
+
+
+@pytest.mark.parametrize("shift", [0.0, 650.0, -700.0])
+def test_log_sum_exp_with_two_equal_largest_terms(shift):
+    terms = np.array([-3.0, 1.25, -40.0, 1.25, 0.5])
+    direct = math.log(math.fsum(math.exp(t) for t in terms))
+    assert _log_sum_exp(terms + shift) == pytest.approx(direct + shift, rel=2e-16, abs=2e-16)
 
 
 # -- Bloch vector ----------------------------------------------------------------
