@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CertificationError
+from .util import log_factorials
 
 ORACLE_ALPHA_MAX = 3.0  # two-mode Fock oracles stay cheap below this
 MIN_COEFF_ALPHA = 0.05  # Gram matrix conditioning floor for coefficient algebra
@@ -71,9 +72,9 @@ def gram_matrix(alpha: float) -> np.ndarray:
 def _log_even_series(alpha: float) -> float:
     """log of S(a) = sum_n a^{4n} / ((2n)! sqrt(2n+1)).
 
-    Terms evaluated in the log domain, log((2n)!) from math.lgamma (exact
-    factorials for 2n < 40), and summed by :func:`_log_sum_exp`; numpy and the
-    standard library carry it all.  The grid of n extends far enough past
+    Terms evaluated in the log domain, log((2n)!) from
+    :func:`leggett_lab.util.log_factorials`, and summed by
+    :func:`_log_sum_exp`; numpy and the standard library carry it all.  The grid of n extends far enough past
     the peak (2n ~ a^2) that dropped terms sit > 60 nats below the maximum.
     Cached per amplitude: a sweep asks for K(a) and m(a) at every grid point
     but at few distinct amplitudes.  alpha above MAX_ALPHA raises ValueError
@@ -84,11 +85,7 @@ def _log_even_series(alpha: float) -> float:
     x = alpha * alpha
     peak = max(1.0, 0.5 * x)
     n_hi = int(peak + 12.0 * math.sqrt(peak + 4.0) + 80.0)
-    # log((2n)!): math.lgamma is off by up to 3 ulp at small arguments, where
-    # the exact factorial is cheap
-    log_fact = np.array(
-        [math.log(math.factorial(m)) if m < 40 else math.lgamma(m + 1.0) for m in range(0, 2 * n_hi, 2)]
-    )
+    log_fact = log_factorials(range(0, 2 * n_hi, 2))
     n = np.arange(n_hi)
     log_terms = 4.0 * n * math.log(alpha) - log_fact - 0.5 * np.log(2 * n + 1)
     return _log_sum_exp(log_terms)

@@ -3,7 +3,8 @@
 This module is the brute-force oracle: coherent states, displacement and
 Kerr unitaries, the composite rotation that acts as a qubit rotation on the
 span of |alpha> and |-alpha>, pseudo-spin operators, and plain expectation
-values.  Everything here is dense numpy in a truncated Fock space; the
+values.  Everything here is dense numpy in a truncated Fock space, except
+the displacement, which takes scipy's matrix exponential on call; the
 closed forms elsewhere in the package are certified against it.
 """
 
@@ -13,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .errors import TruncationError
 from .geometry import Direction
+from .util import log_factorials
 
 TAIL_TOL = 1e-8
 
@@ -73,7 +73,8 @@ def vacuum(dim: int) -> FockVector:
 def coherent(alpha: complex, dim: int) -> FockVector:
     """Coherent state |alpha>, amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
-    Computed with log-domain factorials so large alpha cannot overflow.
+    Computed with log-domain factorials
+    (:func:`leggett_lab.util.log_factorials`) so large alpha cannot overflow.
     Raises TruncationError when the exact Poisson tail beyond dim exceeds
     TAIL_TOL.
     """
@@ -84,7 +85,7 @@ def coherent(alpha: complex, dim: int) -> FockVector:
         return vacuum(dim)
     n = np.arange(dim)
     mag, ang = abs(alpha), np.angle(alpha)
-    log_mag = -0.5 * mag * mag + n * math.log(mag) - 0.5 * gammaln(n + 1)
+    log_mag = -0.5 * mag * mag + n * math.log(mag) - 0.5 * log_factorials(range(dim))
     amps = np.exp(log_mag) * np.exp(1j * n * ang)
     tail = coherent_tail_mass(alpha, dim)
     if tail > TAIL_TOL:
@@ -100,7 +101,7 @@ def coherent_tail_mass(alpha: complex, dim: int) -> float:
     if lam == 0:
         return 0.0
     n = np.arange(dim)
-    log_p = -lam + n * math.log(lam) - gammaln(n + 1)
+    log_p = -lam + n * math.log(lam) - log_factorials(range(dim))
     return float(max(0.0, 1.0 - np.exp(log_p).sum()))
 
 
@@ -109,7 +110,14 @@ def annihilation(dim: int) -> FockOperator:
 
 
 def displace(beta: complex, dim: int) -> FockOperator:
-    """exp(beta a^dag - beta* a) on the truncated space."""
+    """exp(beta a^dag - beta* a) on the truncated space.
+
+    No command calls it or :func:`composite_rotation`; they are oracles of
+    the tests, so scipy is imported here and the Fock certification of the
+    coherent-state algebra runs on numpy alone.
+    """
+    from scipy.linalg import expm
+
     a = annihilation(dim).matrix
     return FockOperator(expm(beta * a.conj().T - np.conj(beta) * a))
 

@@ -49,17 +49,21 @@ them in the one-at-a-time order, which the determinism contract below makes
 bit-identical to evaluating them one at a time.
 
 Determinism contract: identical config and objective give bit-identical
-results.  Starts come from a seeded Sobol sequence, start 0 is the range
-midpoint (the identity rotation for rigid searches), and the reduction
-picks the best value with start-index tie-break.  Each start keeps its own
-reflection, expansion, contraction and shrink decisions and its own stable
-vertex sort.  A candidate point that is evaluated but not taken (the
-expansion or contraction a speculative step does not need) is discarded,
-and the evaluation counts hold only the points the descent uses, so they do
-not depend on the step mode.  No row of an objective's result depends on
-which other rows share its batch.  E is elementwise everywhere.  The only
-small matrix and vector products are the rotations of the setting vectors,
-and the local averages and weighted sums of the bound search; each is
+results.  Start 0 is the range midpoint (the identity rotation for rigid
+searches), and the others come from a seeded scrambled Sobol sequence drawn
+with numpy alone: Joe-Kuo direction numbers (SIAM J. Sci. Comput. 30, 2635
+(2008)) under a linear matrix scramble and digital shift (Matousek,
+J. Complexity 14, 527 (1998)), equal bit for bit to scipy 1.17's
+``scipy.stats.qmc.Sobol`` at the same seed, which the tests check.  The
+reduction picks the best value with start-index tie-break.  Each start
+keeps its own reflection, expansion, contraction and shrink decisions and
+its own stable vertex sort.  A candidate point that is evaluated but not
+taken (the expansion or contraction a speculative step does not need) is
+discarded, and the evaluation counts hold only the points the descent uses,
+so they do not depend on the step mode.  No row of an objective's result
+depends on which other rows share its batch.  E is elementwise everywhere.
+The only small matrix and vector products are the rotations of the setting
+vectors, and the local averages and weighted sums of the bound search; each is
 stacked per row (np.matmul over a leading batch axis), never one BLAS
 product across the batch axis, which can round a row differently depending
 on the rows around it.  So every start follows exactly the trajectory it
@@ -81,8 +85,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,21 +250,87 @@ def _nelder_mead(f, x0, step, fatol, maxiter, owners=None):
             extra[shrink] += n
 
 
+# Sobol direction numbers of Joe and Kuo (SIAM J. Sci. Comput. 30, 2635
+# (2008)) for dimensions 1 to 8: per dimension the primitive polynomial, as
+# the integer of its coefficient bits, and the initial numbers m_1..m_deg
+_SOBOL_BITS = 30
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3), (1, 3, 5, 13), (1, 1, 5, 5, 17))
+_TOP_FIRST = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)  # bit shifts, top bit first
+
+
+@lru_cache(maxsize=None)
+def _sobol_directions(d: int) -> np.ndarray:
+    """(d, 30) direction numbers v[k, j] = m_j 2^(30 - j - 1) of the first d dimensions.
+
+    Dimension 1 has m_j = 1 for all j; the others extend their initial m by
+    the recurrence of Bratley and Fox (ACM TOMS 14, 88 (1988)).
+    """
+    if not 1 <= d <= len(_SOBOL_POLY):
+        raise ValueError(f"Sobol starts need 1 to {len(_SOBOL_POLY)} dimensions, got {d}")
+    v = np.empty((d, _SOBOL_BITS), dtype=np.uint32)
+    for k in range(d):
+        poly = _SOBOL_POLY[k]
+        deg = poly.bit_length() - 1
+        m = list(_SOBOL_VINIT[k]) if k else [1] * _SOBOL_BITS
+        for j in range(len(m), _SOBOL_BITS):
+            new = m[j - deg]
+            for i in range(1, deg + 1):
+                if (poly >> (deg - i)) & 1:
+                    new ^= m[j - i] << i
+            m.append(new)
+        v[k] = [mj << (_SOBOL_BITS - 1 - j) for j, mj in enumerate(m)]
+    v.setflags(write=False)
+    return v
+
+
+def _sobol(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of the scrambled d-dimensional Sobol sequence drawn with seed.
+
+    Linear matrix scrambling plus a digital shift, in the order in which
+    scipy draws them from np.random.default_rng(seed): the 30 shift bits of
+    each dimension (bit k weighted 2^k), then a random lower-triangular 0/1
+    matrix per dimension with a unit diagonal.  New bit p of a direction
+    number is the parity of row p of its matrix times its bits, both top
+    bit first.  Point 0 is the shift; point i XORs onto point i - 1 the
+    scrambled direction number of the lowest set bit of i (the Gray-code
+    order).
+    """
+    v = _sobol_directions(d)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, (d, _SOBOL_BITS), dtype=np.uint32) @ (np.uint32(1) << _TOP_FIRST[::-1])
+    lms = np.tril(rng.integers(0, 2, (d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    lms[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    bits = (v[:, None, :] >> _TOP_FIRST[:, None]) & 1  # bits[k, p, j]: bit p from the top of v[k, j]
+    scrambled = (((lms @ bits) & 1) << _TOP_FIRST[:, None]).sum(axis=1, dtype=np.uint32)
+    i = np.arange(n)
+    gray = i ^ (i >> 1)
+    quasi = np.repeat(shift[None, :], n, axis=0)
+    for c in range(int(n - 1).bit_length()):
+        quasi ^= np.where(((gray >> c) & 1)[:, None] == 1, scrambled[:, c], np.uint32(0))
+    return quasi * (1.0 / (1 << _SOBOL_BITS))
+
+
 def _start_points(ranges, config: SearchConfig) -> np.ndarray:
-    """The box midpoint, then config.starts - 1 seeded Sobol points scaled to the box."""
+    """The box midpoint, then config.starts - 1 seeded Sobol points scaled to the box.
+
+    The Sobol points are the first of a power-of-two draw of :func:`_sobol`:
+    Joe-Kuo direction numbers (SIAM J. Sci. Comput. 30, 2635 (2008)) under
+    Matousek's linear matrix scramble and digital shift (J. Complexity 14,
+    527 (1998)), on numpy alone.  The draw equals
+    scipy.stats.qmc.Sobol(len(ranges), scramble=True,
+    seed=config.seed).random(n) bit for bit, which tests/test_optimize.py
+    checks against scipy 1.17.  Boxes of 1 to 8 coordinates; the searches
+    use 2, 3, 4, 6 and 8.
+    """
     lo = np.array([r[0] for r in ranges])
     hi = np.array([r[1] for r in ranges])
     pts = np.empty((config.starts, len(ranges)))
     pts[0] = 0.5 * (lo + hi)
     if config.starts > 1:
-        from scipy.stats import qmc  # only the coefficient-family searches draw Sobol starts
-
         n = config.starts - 1
         pow2 = 1 << max(1, (n - 1).bit_length())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sob = qmc.Sobol(len(ranges), scramble=True, seed=config.seed).random(pow2)
-        pts[1:] = lo + sob[:n] * (hi - lo)
+        pts[1:] = lo + _sobol(len(ranges), pow2, config.seed)[:n] * (hi - lo)
     return pts
 
 

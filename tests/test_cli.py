@@ -558,21 +558,28 @@ def test_usage_error_leaves_the_parser_intact():
     assert _run(argv) == (0, alone.stdout, "")
 
 
-# every command that never reaches the on/off or parity families, on small grids
+# every command, all four measurement families, on small grids; fig3 stops on
+# its numeric_fmin spread check, the rest exit 0
 _SCIPY_FREE_COMMANDS = [
     ["reproduce", "fig4", "--alpha", "5:50:45", "--phi", "0.1:0.3:0.1", "--output", "fig4"],
     ["reproduce", "fig5", "--alpha", "0.8:1.6:0.8", "--starts", "8", "--output", "fig5"],
     ["reproduce", "fig6", "--alpha", "1", "--phi", "0.2:0.4:0.2", "--starts", "8", "--output", "fig6"],
+    ["reproduce", "fig3", "--alpha", "5", "--phi", "0.25", "--output", "fig3"],
     ["threshold", "--layout", "3p7", "--state", "ecs-"],
     ["threshold", "--layout", "3p6", "--state", "ecs+"],
     ["threshold", "--layout", "3p7", "--state", "ecs-", "--optimize"],
     ["threshold", "--layout", "3p6", "--state", "ecs-", "--optimize"],
     ["scan-phi", "--state", "pes", "--phi", "0.2:0.6:0.2", "--output", "scan_phi.csv"],
     ["scan-alpha", "--optimize", "--alpha", "0.5:2:0.5", "--output", "scan_alpha.csv"],
+    ["scan-alpha", "--family", "on_off", "--phi", "1.0", "--alpha", "3:5:2", "--starts", "8",
+     "--output", "scan_alpha_on_off.csv"],
     ["bound", "--state", "pes", "--layout", "3p7", "--phi", "0.3"],
     ["bound", "--state", "ecs-", "--alpha", "2", "--phi", "0.5"],
+    # the parity elements at alpha <= 3 pass the Fock certification
+    ["bound", "--layout", "3p7", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--phi", "0.75"],
     ["chsh", "--state", "pes"],
     ["chsh", "--state", "ecs+", "--alpha", "2", "--optimize"],
+    ["chsh", "--state", "ecs+", "--family", "on_off", "--alpha", "1", "--optimize", "--starts", "8"],
     ["--help"],
 ]
 
@@ -593,13 +600,13 @@ from leggett_lab import cli
 
 runs = []
 for argv in commands:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             rc = cli.run(argv)
         except SystemExit as exc:  # --help
             rc = exc.code
-    runs.append([rc, out.getvalue()])
+    runs.append([rc, out.getvalue(), err.getvalue()])
 files = {}
 for root, _, names in os.walk("."):
     for name in names:
@@ -609,36 +616,34 @@ print(json.dumps({"runs": runs, "files": files, "scipy": sorted(m for m in sys.m
 """
 
 
-def test_closed_form_and_pseudo_spin_commands_run_without_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def scipy_blocked_and_free_runs(tmp_path_factory):
+    """Every command of _SCIPY_FREE_COMMANDS in one interpreter with scipy
+    blocked and in one with it importable: (blocked, free)."""
     results = []
     for block in ("1", "0"):
-        out = tmp_path / block
-        out.mkdir()
+        out = tmp_path_factory.mktemp(f"scipy-block-{block}")
         res = _python("-c", _RUN_ALL, str(out), block, json.dumps(_SCIPY_FREE_COMMANDS))
         assert res.returncode == 0, res.stderr
         results.append(json.loads(res.stdout))
-    blocked, free = results
-    assert [rc for rc, _ in blocked["runs"]] == [0] * len(_SCIPY_FREE_COMMANDS)
+    return results
+
+
+def test_every_command_runs_without_scipy(scipy_blocked_and_free_runs):
+    blocked, free = scipy_blocked_and_free_runs
+    fig3 = next(i for i, argv in enumerate(_SCIPY_FREE_COMMANDS) if argv[:2] == ["reproduce", "fig3"])
+    assert [rc for rc, _, _ in blocked["runs"]] == [1 if i == fig3 else 0 for i in range(len(_SCIPY_FREE_COMMANDS))]
+    assert blocked["runs"][fig3][2] == "error: top-decile spread 9.713e-04 after 32 starts\n"
     assert blocked["runs"][-1][1].startswith("usage: leggett-lab")
-    assert len(blocked["files"]) == 2 + 4 + 2 + 2  # fig4 at two amplitudes, fig5, fig6, two scans
-    assert blocked == free  # same exit codes, stdout and files
-    assert free["scipy"] == []  # and the unblocked run loaded no scipy module
+    assert len(blocked["files"]) == 2 + 4 + 2 + 3  # fig4 at two amplitudes, fig5, fig6, three scans
+    assert blocked == free  # same exit codes, stdout, stderr and files
 
 
-def test_only_the_sobol_starts_import_scipy_stats():
-    script = """
-import contextlib, io, sys
-import leggett_lab
-from leggett_lab import cli
-print("scipy" in sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.run(["bound", "--layout", "3p7", "--state", "ecs-", "--family", "parity", "--alpha", "3",
-                    "--phi", "0.75", "--seed", "0"]) == 0
-print("scipy.stats" in sys.modules)
-"""
-    res = _python("-c", script)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["False", "True"]
+def test_no_command_loads_scipy(scipy_blocked_and_free_runs):
+    # the on/off and parity commands too: the Sobol starts and the Fock
+    # certification are numpy code
+    _, free = scipy_blocked_and_free_runs
+    assert free["scipy"] == []
 
 
 def test_python_m_help_exits_zero():

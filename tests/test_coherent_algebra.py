@@ -13,7 +13,7 @@ from leggett_lab import (
     rotation_map,
 )
 from leggett_lab import fock
-from leggett_lab.coherent_algebra import FAMILIES, _log_sum_exp
+from leggett_lab.coherent_algebra import FAMILIES, _certify_elements, _elements_uncertified, _log_sum_exp
 
 
 # -- EcsSpec --------------------------------------------------------------------
@@ -192,6 +192,19 @@ def test_elements_hermitian_exact():
     for family in FAMILIES:
         m = operator_elements(family, 0.8)
         assert np.array_equal(m, m.conj().T)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_certification_catches_a_1e_6_error_in_any_element(family, alpha):
+    m = _elements_uncertified(family, alpha)
+    _certify_elements(family, alpha, m)
+    for i in range(2):
+        for j in range(2):
+            bad = m.copy()
+            bad[i, j] += 1e-6
+            with pytest.raises(CertificationError):
+                _certify_elements(family, alpha, bad)
 
 
 def test_elements_certification_aborts_on_mismatch(monkeypatch):

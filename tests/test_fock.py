@@ -40,6 +40,18 @@ def test_coherent_norm_alpha2_dim60():
     assert abs(v.norm() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0])
+def test_coherent_matches_a_gammaln_reference(alpha):
+    from scipy.special import gammaln  # the oracle; fock takes log n! from math
+
+    dim = default_dim(alpha)
+    n = np.arange(dim)
+    ref = np.exp(-0.5 * alpha * alpha + n * math.log(alpha) - 0.5 * gammaln(n + 1))
+    amps = coherent(alpha, dim).amplitudes
+    assert np.linalg.norm(amps - ref) <= 1e-15 * np.linalg.norm(ref)
+    assert np.allclose(amps, ref, rtol=1e-13, atol=0.0)  # each amplitude, to a few ulp of log n!
+
+
 def test_coherent_truncation_error():
     with pytest.raises(TruncationError):
         coherent(5.0, 30)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -210,6 +211,45 @@ def _kinked(x):
 def _terraced(x):
     """A staircase bowl: most comparisons between vertices are ties."""
     return float(np.floor(4.0 * np.sum((x - 0.3) ** 2)) + np.floor(2.0 * abs(x[0])))
+
+
+# every box the searches draw starts in: triangle bound, shared rotation,
+# direct bound, independent rotations, CHSH settings
+_SEARCH_BOXES = {
+    2: optimize._SPHERE,
+    3: optimize._EULER,
+    4: optimize._SPHERE * 2,
+    6: optimize._EULER * 2,
+    8: optimize._SPHERE * 4,
+}
+_SOBOL_SEEDS = list(range(50)) + [stable_seed("sobol", i) for i in range(8)] + [2**32 - 1]
+
+
+def _scipy_sobol(d, n, seed):
+    from scipy.stats import qmc  # the oracle; the package draws without scipy
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return qmc.Sobol(d, scramble=True, seed=seed).random(n)
+
+
+@pytest.mark.parametrize("d", sorted(_SEARCH_BOXES))
+def test_sobol_draw_and_starts_equal_scipy_bit_for_bit(d):
+    ranges = _SEARCH_BOXES[d]
+    lo, hi = np.array(ranges).T
+    for seed in _SOBOL_SEEDS:
+        for n in (8, 16, 32, 64):
+            ref = _scipy_sobol(d, n, seed)
+            assert np.array_equal(optimize._sobol(d, n, seed), ref), (n, seed)
+            starts = optimize._start_points(ranges, _cfg(starts=n, seed=seed))
+            assert np.array_equal(starts[0], 0.5 * (lo + hi))
+            assert np.array_equal(starts[1:], lo + ref[: n - 1] * (hi - lo)), (n, seed)
+
+
+@pytest.mark.parametrize("d", [0, 9])
+def test_sobol_draw_rejects_dimensions_outside_one_to_eight(d):
+    with pytest.raises(ValueError, match="1 to 8 dimensions"):
+        optimize._sobol(d, 8, 0)
 
 
 @pytest.mark.parametrize(
