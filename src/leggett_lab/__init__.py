@@ -28,23 +28,22 @@ from .geometry import (
 from .inequality import (
     BoundResult,
     ChshEvaluation,
-    ImplicationReport,
     LeggettEvaluation,
     analytic_fmin,
     chsh_at_layout,
     chsh_value,
-    evaluate_leggett,
-    implication_check,
     leggett_bound,
     leggett_value,
     pes_fmin,
 )
 from .optimize import (
+    ImplicationReport,
     ScanTask,
     SearchConfig,
     SimplexResult,
     SweepRecord,
     ThresholdResult,
+    implication_check,
     numeric_fmin,
     optimize_chsh,
     optimize_rigid,

@@ -26,23 +26,28 @@ such as starts, shared or fmt); a key that the command does not read exits 2
 too.  A switch (optimize, shared, svg) takes true/false, yes/no, on/off or
 1/0 in any case; any other value exits 2.  A flag given on the command line
 wins over the file, and the file over the built-in default (RunConfig's).
-argv is the only input, so identical argv gives byte-identical output; the
-seed is --seed, then the file, then 0.
+The inputs are argv and the --config file it names, if any, so identical
+argv and file give byte-identical output; the seed is --seed, then the
+file, then 0.  A lo:hi:step range of more than MAX_RANGE_POINTS points
+exits 2 before any point is built.
 
-The argument parser is built once per process and shared by every later
-call of :func:`parse_args` and :func:`run`.  A --config file never changes
-it: its defaults go into a private parser built for that one call.
+The argument parser is built once per process and shared by every call of
+:func:`parse_args` and :func:`run`; nothing changes it.  Its subparsers put
+a flag in the namespace only when it is given, so :func:`parse_args` lays
+the flags given over the --config file's values, each typed and checked
+like its flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import LeggettLabError
 from .geometry import build_layout
@@ -71,23 +76,12 @@ LAYOUT_ALIASES = {
 STATES = ("pes", "ecs+", "ecs-")
 FAMILIES = ("pseudo_spin", "on_off", "parity")
 
-CSV_COLUMNS = (
-    "index",
-    "alpha",
-    "phi",
-    "L",
-    "f_min_corrected",
-    "f_min_analytic",
-    "bound_used",
-    "chsh_B",
-    "margin",
-    "violated",
-    "starts",
-    "seed",
-)
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRecord))
+_COLUMN_VALUES = operator.attrgetter(*CSV_COLUMNS)  # a record's values in column order
+MAX_RANGE_POINTS = 10_000  # every grid point is a full evaluation; fig6's default grid has 70
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Parsed command configuration; a flag its command does not give keeps the default here."""
 
@@ -112,7 +106,9 @@ class RunConfig:
 def parse_range(text: str) -> list[float]:
     """'lo:hi:step' inclusive of lo, exclusive of hi + step/2; plain numbers
     give a single-point grid.  Index-based so grids carry no accumulation
-    drift."""
+    drift.  The grid holds the i with i < (hi - lo) / step + 1/2, so a range
+    of more than MAX_RANGE_POINTS points raises ValueError before any point
+    is built."""
     if ":" not in text:
         return [float(text)]
     pieces = text.split(":")
@@ -123,6 +119,8 @@ def parse_range(text: str) -> list[float]:
         raise ValueError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise ValueError("range step must be positive")
+    if (hi - lo) / step + 0.5 > MAX_RANGE_POINTS:
+        raise ValueError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
     out = []
     i = 0
     while True:
@@ -206,8 +204,9 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subparser per command."""
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparser per command: built once, never changed."""
     parser = argparse.ArgumentParser(
         prog="leggett-lab",
         description="Leggett/CHSH inequality laboratory for entangled coherent states",
@@ -224,20 +223,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
-@functools.cache
-def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser of every call without --config: built once, never changed."""
-    return _build_parser()
-
-
 _CONFIG_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
                     "false": False, "no": False, "off": False, "0": False}
 
 
-def _config_defaults(subparser: argparse.ArgumentParser, values: dict) -> dict:
-    """The values of a --config file as typed defaults of the subparser's options."""
+def _config_values(subparser: argparse.ArgumentParser, values: dict) -> dict:
+    """The values of a --config file, typed and checked as the subparser's options."""
     actions = {a.dest: a for a in subparser._actions if a.option_strings and a.dest not in ("help", "config")}
-    defaults = {}
+    typed = {}
     for key, text in values.items():
         action = actions.get(key)
         if action is None:
@@ -253,19 +246,16 @@ def _config_defaults(subparser: argparse.ArgumentParser, values: dict) -> dict:
                 raise ValueError(f"config key {key!r} {exc}") from None
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"config key {key!r} must be one of {', '.join(map(str, action.choices))}")
-        defaults[key] = value
-    return defaults
+        typed[key] = value
+    return typed
 
 
 def parse_args(argv) -> RunConfig:
     parser, commands = _shared_parser()
     fields = vars(parser.parse_args(argv))
-    if "config" in fields:
-        parser, commands = _build_parser()  # the file's defaults stay out of the shared parser
-        subparser = commands[fields["command"]]
-        subparser.set_defaults(**_config_defaults(subparser, _read_config_file(fields["config"])))
-        fields = vars(parser.parse_args(argv))
-        del fields["config"]
+    if "config" in fields:  # the flags given win over the file
+        values = _read_config_file(fields.pop("config"))
+        fields = {**_config_values(commands[fields["command"]], values), **fields}
     if fields.get("figure") in _FIXED_SETTINGS_FIGURES and not fields.get("shared", True):
         commands["reproduce"].error(f"argument --independent-rotations: reproduce {fields['figure']} never optimizes")
     if "layout" in fields:
@@ -277,20 +267,7 @@ def parse_args(argv) -> RunConfig:
 
 
 def _record_cells(r: SweepRecord) -> list[str]:
-    return [
-        fmt12(r.index),
-        fmt12(r.alpha),
-        fmt12(r.phi),
-        fmt12(r.L),
-        fmt12(r.f_min_corrected),
-        fmt12(r.f_min_analytic),
-        fmt12(r.bound_used),
-        fmt12(r.chsh_B),
-        fmt12(r.margin),
-        fmt12(r.violated),
-        fmt12(r.starts),
-        fmt12(r.seed),
-    ]
+    return [fmt12(value) for value in _COLUMN_VALUES(r)]
 
 
 def write_csv(path: str, records) -> None:
@@ -301,7 +278,7 @@ def write_csv(path: str, records) -> None:
 
 
 def _records_json(records) -> list[dict]:
-    return [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
+    return [dict(zip(CSV_COLUMNS, _COLUMN_VALUES(r))) for r in records]
 
 
 def _write_records(path: str, records, variable: str, title: str, fmt: str = "csv", svg: bool = False) -> list[str]:

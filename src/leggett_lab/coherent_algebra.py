@@ -25,7 +25,7 @@ MIN_COEFF_ALPHA = 0.05  # Gram matrix conditioning floor for coefficient algebra
 # by 1.6e-11 at 100.  The paper's largest amplitude is 50.
 MAX_ALPHA = 100.0
 
-FAMILIES = ("onoff", "parity", "sx", "sy", "sz")
+FAMILIES = ("onoff", "parity")
 
 
 # -- ECS bookkeeping -----------------------------------------------------------
@@ -158,14 +158,7 @@ def _elements_uncertified(family: str, alpha: float) -> np.ndarray:
     if family == "onoff":
         e = math.exp(-alpha * alpha)
         return np.array([[1.0 - 2.0 * e, k - 2.0 * e], [k - 2.0 * e, 1.0 - 2.0 * e]], dtype=complex)
-    if family in ("parity", "sz"):
-        return np.array([[-k, -1.0], [-1.0, -k]], dtype=complex)
-    mx = pseudospin_bloch(alpha)[0]
-    if family == "sx":
-        return np.array([[mx, 0.0], [0.0, -mx]], dtype=complex)
-    if family == "sy":
-        return np.array([[0.0, -1j * mx], [1j * mx, 0.0]], dtype=complex)
-    raise ValueError(f"unknown operator family {family!r}")
+    return np.array([[-k, -1.0], [-1.0, -k]], dtype=complex)
 
 
 def _certify_elements(family: str, alpha: float, m: np.ndarray) -> None:
@@ -173,16 +166,7 @@ def _certify_elements(family: str, alpha: float, m: np.ndarray) -> None:
 
     dim = fock.default_dim(alpha)
     kets = (fock.coherent(alpha, dim), fock.coherent(-alpha, dim))
-    if family == "onoff":
-        op = fock.on_off_op(dim)
-    elif family in ("parity", "sz"):
-        op = fock.parity_op(dim)
-    else:
-        _, sp, sm = fock.pseudo_spin_ops(dim)
-        if family == "sx":
-            op = fock.FockOperator(sp.matrix + sm.matrix)
-        else:
-            op = fock.FockOperator(-1j * (sp.matrix - sm.matrix))
+    op = fock.on_off_op(dim) if family == "onoff" else fock.parity_op(dim)
     worst = 0.0
     for i in range(2):
         for j in range(2):
@@ -207,9 +191,11 @@ def _cached_elements(family: str, alpha: float, certify: bool) -> np.ndarray:
 def operator_elements(family: str, alpha: float, certify: bool | None = None) -> np.ndarray:
     """2x2 matrix M[x, y] = <x a|O|y a> for x, y in {+1, -1}.
 
-    Families: onoff, parity, sx, sy, sz (sz equals parity).  Closed forms are
-    certified at build time against the Fock oracle whenever alpha <= 3;
-    results are cached per (family, alpha).
+    Families: onoff (O = 1 - 2|0><0|, -1 on the vacuum) and parity
+    (O = -(-1)^n, +1 on odd photon numbers), the two measurement families of
+    :mod:`leggett_lab.correlations`, which reads P = M00 and Q = M01.
+    Closed forms are certified at build time against the Fock oracle
+    whenever alpha <= 3; results are cached per (family, alpha).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown operator family {family!r}")

@@ -58,24 +58,26 @@ and B(v; b) is A with h_B.
 Evaluators
 ----------
 The constants and maps are computed once per model.  Every sweep and every
-search evaluates arrays:
+search evaluates arrays, and each quantity has one array evaluator:
 
-* E of any set of setting pairs is one ``term_correlation`` call on the
-  feature arrays of the two sides, under one model or (:class:`ModelStack`)
-  one model per point or per search row.  The inequality value, the
-  rigid-rotation search and the CHSH search all evaluate E this way.  The
-  features are (n, 3) arrays: the unit vectors for the singlet and
-  pseudo-spin; for on/off and parity the reflection features of a layout's
-  angles, or of its vectors when it has none
-  (:meth:`CorrelationModel.layout_features`).  The arithmetic is
-  elementwise and in the order of operations of the scalar facade, so every
-  E is bit for bit the facade's at the same features and no row depends on
-  the rows around it.
-* The bound search evaluates the local averages through
-  ``batch_local_averages`` (one party) or ``batch_local_average_pair``
-  (both parties from one pass of the hidden map, whose per-party constant
-  is an array over the two parties), a per-row np.matmul of the setting
-  features with the hidden vectors.
+* E of any set of setting pairs is one :meth:`ModelStack.term_correlation`
+  call on the feature arrays of the two sides.  A stack holds one model per
+  point or per search row, or a single model for every row: each model's
+  stack of itself (:attr:`CorrelationModel.stack`), built once.  The
+  inequality value, the rigid-rotation search and the CHSH search all
+  evaluate E this way.  The features are (n, 3) arrays: the unit vectors for
+  the singlet and pseudo-spin; for on/off and parity the reflection features
+  of a layout's angles, or of its vectors when it has none
+  (:meth:`CorrelationModel.layout_features`).  The arithmetic is elementwise
+  and in the order of operations of the scalar facade, so every E is bit for
+  bit the facade's at the same features and no row depends on the rows
+  around it.
+* The local averages of the bound search are one
+  :meth:`CorrelationModel.local_averages` call for the parties asked for
+  (both for the direct objective, party B for the triangle one): one pass
+  of the hidden map over the (P, k) hidden angles, whose per-party constant
+  is an array over the P parties, then a per-row np.matmul of each party's
+  setting features with its hidden vectors.
 
 The facade methods correlation, local_average_a and local_average_b
 evaluate one point in scalar ``math``.  They serve I/O (the CHSH value at
@@ -131,8 +133,8 @@ def _reflection_of_vectors(v):
 
 # Each hidden map takes, after theta, phi and xp, the constant of its party
 # (see _Representation.hidden_constants): a float or a tuple of floats for one
-# party, or arrays of shape (2, 1) that hold party A's constant in row 0 and
-# party B's in row 1, for angle arrays of shape (2, k).
+# party, or arrays of shape (P, 1) that hold the constant of party p in row p,
+# for angle arrays of shape (P, k).
 
 
 def _malus(theta, phi, xp, _):
@@ -173,7 +175,6 @@ def _stacked(components):
 
 class _Representation(NamedTuple):
     t: tuple  # diagonal of the correlation tensor
-    t_array: np.ndarray
     p: float
     q: float
     kappa: float
@@ -209,17 +210,17 @@ def _representation(family: str, ecs: EcsSpec | None) -> _Representation:
         p, q, kappa = float(m[0, 0].real), float(m[0, 1].real), ecs.kappa
         feature, vector_feature = _reflection, _reflection_of_vectors
         hidden, constants = _rotated_z, (1.0, -1.0)
-    return _Representation(t, np.array(t), p, q, kappa, feature, vector_feature, hidden, constants, radius)
+    return _Representation(t, p, q, kappa, feature, vector_feature, hidden, constants, radius)
 
 
-def _pair(a, b):
-    """The hidden-map constants a of party A and b of party B as arrays of
-    shape (2, 1), row 0 for A; a tuple of them for tuple constants."""
-    if a is None:
+def _rows(*constants):
+    """The hidden-map constants of P parties as arrays of shape (P, 1), row p
+    for the p-th; a tuple of them for tuple constants."""
+    if constants[0] is None:
         return None
-    if isinstance(a, tuple):
-        return tuple(_pair(x, y) for x, y in zip(a, b))
-    return np.array([[a], [b]])
+    if isinstance(constants[0], tuple):
+        return tuple(_rows(*c) for c in zip(*constants))
+    return np.array(constants)[:, None]
 
 
 # -- model facade ---------------------------------------------------------------
@@ -317,57 +318,60 @@ class CorrelationModel:
         """f of unit vectors v (..., 3): (..., 3)."""
         return self._rep.vector_feature(v)
 
-    def term_correlation(self, fa, fb) -> np.ndarray:
-        """E between fa[..., k, :] and fb[..., k, :] for feature arrays (..., T, 3): (..., T).
-        Bit for bit the facade's correlation of each pair (see :func:`_term_sums`)."""
-        s = _term_sums(fa, fb, self._rep.t_array)
-        return s if self.tensor is not None else self._correlation_of(s)
-
-    def batch_local_averages(self, party: str, settings, theta, phi) -> np.ndarray:
-        """A(u; a_i) (party "a") or B(v; b_i) (party "b") for the setting
-        features (n, 3) at hidden angle arrays of shape (k,): (k, n)."""
-        r = self._rep
-        h = _stacked(r.hidden(theta, phi, np, r.hidden_constants[0 if party == "a" else 1]))
-        return self._average_of(_hidden_dots(settings, h))
+    @functools.cached_property
+    def stack(self) -> ModelStack:
+        """The stack of this model alone, which evaluates E of every row under
+        it; built on first use."""
+        return ModelStack([self])
 
     @functools.cached_property
-    def _hidden_pair(self):
-        """Both parties' hidden-map constants as arrays over the two parties
-        (:func:`_pair`), built on first use: only the bound search needs them."""
-        return _pair(*self._rep.hidden_constants)
+    def _hidden_rows(self) -> dict:
+        """The hidden-map constants of each party string of
+        :meth:`local_averages` (:func:`_rows`), built on first use: only the
+        bound search needs them."""
+        a, b = self._rep.hidden_constants
+        return {"a": _rows(a), "b": _rows(b), "ab": _rows(a, b)}
 
-    def batch_local_average_pair(self, fa, fb, theta, phi) -> np.ndarray:
-        """A(u; a_i), then B(v; b_j), for the setting features fa (n, 3) and
-        fb (m, 3) at hidden angle arrays of shape (2, k), row 0 the angles of
-        u and row 1 those of v: (k, n + m).  One pass of the hidden map
-        serves both parties; each value is bit for bit that of
-        :meth:`batch_local_averages`."""
-        h = _stacked(self._rep.hidden(theta, phi, np, self._hidden_pair))
-        return self._average_of(np.concatenate((_hidden_dots(fa, h[0]), _hidden_dots(fb, h[1])), axis=1))
+    def local_averages(self, parties: str, features, theta, phi) -> np.ndarray:
+        """A(u; a_i) of party "a" and B(v; b_j) of party "b", for the parties
+        of the string parties ("a", "b" or "ab") in order: features[p] holds
+        the (n_p, 3) setting features of the p-th and row p of the hidden
+        angle arrays theta and phi, of shape (P, k), its hidden directions.
+        Returns (k, n_0 + ... + n_(P-1)), the parties' columns side by side.
+        One pass of the hidden map serves every party."""
+        h = _stacked(self._rep.hidden(theta, phi, np, self._hidden_rows[parties]))
+        return self._average_of(np.concatenate([_hidden_dots(f, hp) for f, hp in zip(features, h)], axis=1))
 
 
 class ModelStack:
     """Models of one family evaluated in one batch, the constants looked up per row.
 
     term_correlation gives row r the E of models[owners[r]] (models[r] by
-    default), bit for bit that model's term_correlation.
+    default, and the one model for every row of a stack of one), bit for bit
+    that model's scalar correlation at the same features.
     """
 
     def __init__(self, models):
         if len({m.family for m in models}) != 1:
             raise ValueError("stacked models must share one measurement family")
         reps = [m._rep for m in models]
-        self._bilinear = models[0].tensor is not None
-        self._t = np.array([r.t for r in reps])
-        self._c = np.array([(r.p * r.p, r.q * r.q, r.kappa * r.kappa) for r in reps])
+        self._t = np.array([[r.t] for r in reps])  # (M, 1, 3)
+        # (P^2, Q^2, kappa^2) of every model as three (M, 1) arrays; the tensor
+        # models, whose E is s itself, have none
+        self._c = None
+        if models[0].tensor is None:
+            self._c = np.array([(r.p * r.p, r.q * r.q, r.kappa * r.kappa) for r in reps]).T[:, :, None]
 
     def term_correlation(self, fa, fb, owners=None) -> np.ndarray:
         """E of row r between fa[r, k] and fb[r, k] under models[owners[r]],
         for feature arrays (R, T, 3), or (T, 3) shared by every row: (R, T).
-        Without owners, row r belongs to models[r]."""
-        t, c = (self._t, self._c) if owners is None else (self._t[owners], self._c[owners])
-        s = _term_sums(fa, fb, t[:, None, :])
-        return s if self._bilinear else _ratio(s, c[:, 0, None], c[:, 1, None], c[:, 2, None])
+        Without owners, row r belongs to models[r]; a stack of one model
+        applies it to every row, and then feature arrays (..., T, 3) of any
+        leading shape give (..., T), and (T, 3) gives (1, T)."""
+        s = _term_sums(fa, fb, self._t if owners is None else self._t[owners])
+        if self._c is None:
+            return s
+        return _ratio(s, *(self._c if owners is None else self._c[:, owners]))
 
 
 def _term_sums(fa, fb, t):

@@ -24,8 +24,6 @@ import numpy as np
 
 _POLE_EPS = 1e-14
 
-LAYOUT_NAMES = ("original", "threeplus7", "threeplus6", "chsh")
-
 
 @dataclass(frozen=True)
 class Direction:

@@ -1,15 +1,22 @@
 """Leggett and CHSH inequality evaluation and bounds.
 
 The inequality value is L = sum over term groups of weight * |sum of
-correlations|; every canonical layout normalizes to L <= 4.  A violation
-verdict compares L against 4 - f_min, where f_min is either the closed-form
-two-dimensional bound of the layout (mode "analytic2d") or the
+correlations|; every canonical layout normalizes to L <= 4.  L of one point
+or of a batch of points is one :func:`leggett_value` call, whose E comes
+from :meth:`leggett_lab.correlations.ModelStack.term_correlation`, the one
+array evaluator of E; the CHSH value at named settings sums the scalar
+facade.
+
+A violation verdict compares L against 4 - f_min, where f_min is either the
+closed-form two-dimensional bound of the layout (mode "analytic2d") or the
 state-corrected minimum over hidden local vectors (mode "state_corrected",
 computed in :mod:`leggett_lab.optimize` and registered here to keep the
 module dependency one-way).  The state-corrected value is exact for the
 singlet, :func:`pes_fmin`, and for the pseudo-spin family,
 |m(alpha)| * pes_fmin; for on/off and parity it comes from adversarial
-multi-start minimization.
+multi-start minimization.  The searches, and the grid check that each
+Leggett violation comes with a CHSH violation, live in
+:mod:`leggett_lab.optimize`.
 """
 
 from __future__ import annotations
@@ -63,8 +70,9 @@ def leggett_value(model, layout):
     to every point, and the value is the (P,) array of the points.  The
     models share one measurement family and the layouts one set of term
     groups.  E of every term of every point comes from one
-    ``term_correlation`` call (of the model, or of a :class:`ModelStack`)
-    on the features of :meth:`CorrelationModel.layout_features`, and the
+    :meth:`ModelStack.term_correlation` call (of the model's own stack, or
+    of a stack of the models) on the features of
+    :meth:`CorrelationModel.layout_features`, and the
     sums run in the order of the terms (:func:`_group_sum`), so at a layout
     built from angles each value is bit for bit the sum of the scalar
     ``model.correlation`` terms.
@@ -86,9 +94,9 @@ def leggett_value(model, layout):
     else:
         fa = np.array([f for f, _ in features])
         fb = np.array([f for _, f in features])
-    same = all(m is models[0] for m in models)
-    e = (models[0] if same else ModelStack(models)).term_correlation(fa.take(ia, -2), fb.take(jb, -2))
-    total = _group_sum(groups, e)
+    stack = models[0].stack if all(m is models[0] for m in models) else ModelStack(models)
+    e = stack.term_correlation(fa.take(ia, -2), fb.take(jb, -2))
+    total = _group_sum(groups, e[0] if len(e) == 1 else e)  # one point: numpy scalars, cheaper than (1,) arrays
     if all(single):
         return float(total)
     points = max(len(models), len(layouts))
@@ -224,16 +232,6 @@ def leggett_bound(
     return _numeric_fmin_impl(model, layout, config)
 
 
-def evaluate_leggett(
-    model: CorrelationModel,
-    layout: SettingsLayout,
-    mode: str = "state_corrected",
-    config=None,
-) -> LeggettEvaluation:
-    """L, its bound and the verdict at the layout's fixed settings (the bound first)."""
-    return evaluate_points([model], [layout], mode, [config])[0]
-
-
 def evaluate_points(models, layouts, mode: str = "state_corrected", configs=None, values=None) -> list:
     """The LeggettEvaluation of models[g] on layouts[g] at each point g.
 
@@ -277,58 +275,3 @@ def chsh_at_layout(model: CorrelationModel, layout: SettingsLayout | None = None
     a, a2 = layout.a_list
     b, b2 = layout.b_list
     return chsh_value(model, a, a2, b, b2)
-
-
-@dataclass(frozen=True)
-class ImplicationReport:
-    """Grid check that every Leggett violation comes with a CHSH violation."""
-
-    counterexamples: tuple
-    leggett_violations: int
-    points: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def implication_check(
-    family: str,
-    sign: int,
-    alpha_grid,
-    phi_grid,
-    layout_name: str = "threeplus7",
-    bound_mode: str = "state_corrected",
-    starts: int = 16,
-    seed: int = 0,
-) -> ImplicationReport:
-    """For every grid point where the Leggett evaluation is violated, an
-    optimized CHSH evaluation must exceed 2.  Returns the counterexamples
-    (expected empty)."""
-    from .optimize import SearchConfig, _model, numeric_fmin, optimize_chsh
-    from .util import stable_seed
-
-    counterexamples = []
-    n_violations = 0
-    n_points = 0
-    for i, alpha in enumerate(alpha_grid):
-        model = _model(family, sign, alpha)
-        chsh_b = None
-        for j, phi in enumerate(phi_grid):
-            n_points += 1
-            layout = build_layout(layout_name, phi)
-            value = leggett_value(model, layout)
-            if bound_mode == "state_corrected":
-                cfg = SearchConfig(starts, stable_seed(seed, i, j), max_iterations=300, tolerance=1e-9)
-                bound = numeric_fmin(model, layout, cfg, check_convergence=False, polish=False)
-            else:
-                bound = leggett_bound(model, layout, mode=bound_mode)
-            margin = value - bound.bound
-            if not margin > VIOLATION_TOL:
-                continue
-            n_violations += 1
-            if chsh_b is None:  # settings-independent, one optimization per alpha
-                chsh_b = optimize_chsh(model, SearchConfig(starts, stable_seed(seed, "chsh", i))).B
-            if not chsh_b > 2.0:
-                counterexamples.append((float(alpha), float(phi), margin, chsh_b))
-    return ImplicationReport(tuple(counterexamples), n_violations, n_points)

@@ -75,10 +75,16 @@ setting vectors are per point.
 The bound, CHSH and rigid-rotation objectives are the same code for all
 four measurement families, through the one representation of
 :class:`leggett_lab.correlations.CorrelationModel`.  The CHSH and rigid
-objectives evaluate E with the ``term_correlation`` that
-:func:`leggett_lab.inequality.leggett_value` uses, so a row of the rigid
-objective is L at its rotated settings bit for bit.  The bound objectives
-evaluate the local averages A = (P + Q s) / (1 + kappa s).
+objectives evaluate E with
+:meth:`leggett_lab.correlations.ModelStack.term_correlation`, as
+:func:`leggett_lab.inequality.leggett_value` does, so a row of the rigid
+objective is L at its rotated settings bit for bit.  Both bound objectives
+evaluate the local averages A = (P + Q s) / (1 + kappa s) with
+:meth:`leggett_lab.correlations.CorrelationModel.local_averages`, the direct
+one for both parties and the triangle one for party B.
+
+:func:`implication_check` runs the bound and CHSH searches over a grid to
+check that every Leggett violation comes with a CHSH violation.
 """
 
 from __future__ import annotations
@@ -449,8 +455,8 @@ def _make_rigid_objective(models, layouts, shared: bool):
     family and the layouts one inequality (name and term groups).  A row is
     bit for bit the value of :func:`leggett_lab.inequality.leggett_value` at
     the settings :func:`leggett_lab.geometry.rotate_settings` gives for the
-    rotations of its angles: the same rotation, features, ``term_correlation``
-    and group sum.
+    rotations of its angles: the same rotation, features, E evaluator
+    (:class:`ModelStack`) and group sum.
     """
     groups = _rigid_groups(models, layouts)
     ia, jb = inequality._term_indices(groups)
@@ -490,12 +496,12 @@ def _bound_objectives(model: CorrelationModel, layout: SettingsLayout):
     pair_w = np.array([w for _, _, w in layout.bound_pairs])
 
     def direct(x, owners=None):
-        averages = model.batch_local_average_pair(fa, fb, x[:, 0::2].T, x[:, 1::2].T)
+        averages = model.local_averages("ab", (fa, fb), x[:, 0::2].T, x[:, 1::2].T)
         diff = averages[:, ia] - averages[:, jb]
         return _row_dots(np.abs(diff, out=diff), weights)
 
     def triangle(x, owners=None):
-        vals = model.batch_local_averages("b", fb, x[:, 0], x[:, 1])
+        vals = model.local_averages("b", (fb,), x[:, 0::2].T, x[:, 1::2].T)
         return _row_dots(np.abs(vals[:, pair_j] - vals[:, pair_j2]), pair_w)
 
     return direct, triangle
@@ -607,13 +613,13 @@ _CHSH_A, _CHSH_B = np.array([0, 0, 1, 1]), np.array([2, 3, 2, 3])
 def _chsh_objective(model: CorrelationModel):
     """Batched -B over rows of four (theta, phi) directions (a, a2, b, b2).
 
-    E of the four terms is one ``term_correlation`` call, summed in
+    E of the four terms is one call of the model's stack, summed in
     :func:`chsh_value`'s order.
     """
 
     def negative_b(x, owners=None):
         f = model.batch_features(x[:, 0::2], x[:, 1::2])
-        e = model.term_correlation(f.take(_CHSH_A, -2), f.take(_CHSH_B, -2))
+        e = model.stack.term_correlation(f.take(_CHSH_A, -2), f.take(_CHSH_B, -2))
         return -(e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3])
 
     return negative_b
@@ -1051,14 +1057,19 @@ class ScanTask:
 
 
 def _record(task: ScanTask, index: int, alpha, phi, model, seed, ev: LeggettEvaluation) -> SweepRecord:
-    """The row of one point; seed is None for a closed-form family, whose searches take no config."""
+    """The row of one point; seed is None for a closed-form family, whose searches take no config.
+
+    Under the analytic bound, f_min_corrected is filled only where it is a
+    closed form (seed None) and the layout has one; a searched family leaves
+    it empty rather than run a search that the verdict does not read.
+    """
     f_corr = ev.bound.f_min if ev.bound.mode == "state_corrected" else None
     try:
         f_an = inequality.analytic_fmin(task.layout_name, phi)
     except ValueError:
         f_an = None
-    if f_corr is None and task.layout_name != "original":
-        f_corr = numeric_fmin(model, ev.layout, None if seed is None else SearchConfig(task.starts, seed)).f_min
+    if f_corr is None and seed is None and task.layout_name != "original":
+        f_corr = numeric_fmin(model, ev.layout).f_min
 
     chsh_b = None
     if task.include_chsh:
@@ -1116,3 +1127,58 @@ def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
         _record(task, i, alpha, phi, model, seed, ev)
         for i, ((alpha, phi), model, seed, ev) in enumerate(zip(coords, models, seeds, evs))
     ]
+
+
+# -- implication check ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ImplicationReport:
+    """Grid check that every Leggett violation comes with a CHSH violation."""
+
+    counterexamples: tuple
+    leggett_violations: int
+    points: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.counterexamples
+
+
+def implication_check(
+    family: str,
+    sign: int,
+    alpha_grid,
+    phi_grid,
+    layout_name: str = "threeplus7",
+    bound_mode: str = "state_corrected",
+    starts: int = 16,
+    seed: int = 0,
+) -> ImplicationReport:
+    """For every grid point where the Leggett evaluation is violated, an
+    optimized CHSH evaluation must exceed 2.  Returns the counterexamples
+    (expected empty)."""
+    counterexamples = []
+    n_violations = 0
+    n_points = 0
+    for i, alpha in enumerate(alpha_grid):
+        model = _model(family, sign, alpha)
+        chsh_b = None
+        for j, phi in enumerate(phi_grid):
+            n_points += 1
+            layout = build_layout(layout_name, phi)
+            value = inequality.leggett_value(model, layout)
+            if bound_mode == "state_corrected":
+                cfg = SearchConfig(starts, stable_seed(seed, i, j), max_iterations=300, tolerance=1e-9)
+                bound = numeric_fmin(model, layout, cfg, check_convergence=False, polish=False)
+            else:
+                bound = inequality.leggett_bound(model, layout, mode=bound_mode)
+            margin = value - bound.bound
+            if not margin > inequality.VIOLATION_TOL:
+                continue
+            n_violations += 1
+            if chsh_b is None:  # settings-independent, one optimization per alpha
+                chsh_b = optimize_chsh(model, SearchConfig(starts, stable_seed(seed, "chsh", i))).B
+            if not chsh_b > 2.0:
+                counterexamples.append((float(alpha), float(phi), margin, chsh_b))
+    return ImplicationReport(tuple(counterexamples), n_violations, n_points)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -229,6 +230,35 @@ def test_optimized_scan_on_a_layout_without_term_groups_exits_2(state):
     rc, out, err = _run(["scan-phi", "--layout", "chsh", "--phi", "0.2", "--optimize", "--starts", "4"] + state)
     assert (rc, out) == (2, "")
     assert err == "error: layout 'chsh' has no inequality term groups\n"
+
+
+@pytest.mark.parametrize("family", ["on_off", "parity"])
+def test_analytic_scan_of_a_searched_family_runs_no_bound_search(family, tmp_path, monkeypatch):
+    # the verdict reads the analytic bound; f_min_corrected is left empty
+    # rather than searched, so no spread check can stop the scan
+    def no_search(*args, **kwargs):
+        raise AssertionError("numeric_fmin called")
+
+    monkeypatch.setattr(optimize, "numeric_fmin", no_search)
+    out = tmp_path / "scan.csv"
+    argv = ["scan-alpha", "--layout", "3p7", "--state", "ecs-", "--family", family, "--phi", "0.25",
+            "--alpha", "1:3:1", "--bound", "analytic", "--starts", "8", "--output", str(out)]
+    assert _run(argv)[0::2] == (0, "")
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["alpha"] for r in rows] == ["1", "2", "3"]
+    assert [r["f_min_corrected"] for r in rows] == ["", "", ""]
+    assert all(r["f_min_analytic"] for r in rows)
+
+
+@pytest.mark.parametrize("state, digest", [("ecs-", "6d3ed5370bb56b75"), ("pes", "f3b845d8a9a19165")])
+def test_closed_form_analytic_scan_keeps_f_min_corrected(state, digest, tmp_path):
+    # SHA-256 prefixes as written before the searched families stopped filling
+    # the column; the singlet and pseudo-spin still fill it from their closed form
+    out = tmp_path / "scan.csv"
+    argv = ["scan-alpha", "--layout", "3p7", "--state", state, "--phi", "0.25", "--alpha", "1:3:1",
+            "--bound", "analytic", "--output", str(out)]
+    assert _run(argv)[0::2] == (0, "")
+    assert _digest(out.read_bytes()) == digest
 
 
 def test_pseudospin_sweeps_do_not_search(tmp_path, monkeypatch):
@@ -543,6 +573,22 @@ def test_parser_is_built_once(monkeypatch):
     assert calls == []
 
 
+def test_config_file_builds_no_second_parser(monkeypatch, tmp_path):
+    conf = _config_file(tmp_path, "starts = 8\nseed = 3\n")
+    cli._shared_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cfg = cli.parse_args(["chsh", "--config", conf, "--seed", "5"])
+    assert (cfg.starts, cfg.seed) == (8, 5)
+    assert built == []
+
+
 def test_config_file_leaves_later_calls_on_the_built_in_defaults(tmp_path):
     conf = _config_file(tmp_path, "optimize = true\nshared = false\nsvg = yes\n")
     assert cli.parse_args(["scan-phi", "--config", conf]).optimize
@@ -671,3 +717,23 @@ def test_figures_do_not_depend_on_the_hash_seed(tmp_path):
         written.append(files)
     assert len(written[0]) == 1 + 4 + 2
     assert written[0] == written[1]
+
+
+# -- grid size -------------------------------------------------------------------------
+
+
+def test_parse_range_rejects_a_grid_above_the_limit():
+    limit = cli.MAX_RANGE_POINTS
+    assert len(cli.parse_range(f"0:{limit - 1}:1")) == limit
+    assert len(cli.parse_range(f"0:{limit - 0.6}:1")) == limit
+    for text in (f"0:{limit}:1", f"0:{limit - 0.4}:1", "0:1:1e-9", "-1e308:1e308:1"):
+        with pytest.raises(ValueError, match=f"more than {limit} points"):
+            cli.parse_range(text)
+
+
+def test_scan_phi_over_a_huge_range_exits_2(tmp_path):
+    out = tmp_path / "scan.csv"
+    rc, stdout, err = _run(["scan-phi", "--phi", "0:1:1e-9", "--output", str(out)])
+    assert (rc, stdout) == (2, "")
+    assert err == "error: range '0:1:1e-9' has more than 10000 points\n"
+    assert not out.exists()

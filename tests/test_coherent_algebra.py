@@ -172,14 +172,7 @@ def test_parity_elements_alpha1():
 def test_all_families_match_oracle():
     alpha, dim = 1.5, fock.default_dim(1.5)
     kets = (fock.coherent(alpha, dim), fock.coherent(-alpha, dim))
-    sz, sp, sm = fock.pseudo_spin_ops(dim)
-    ops = {
-        "onoff": fock.on_off_op(dim),
-        "parity": fock.parity_op(dim),
-        "sx": fock.FockOperator(sp.matrix + sm.matrix),
-        "sy": fock.FockOperator(-1j * (sp.matrix - sm.matrix)),
-        "sz": sz,
-    }
+    ops = {"onoff": fock.on_off_op(dim), "parity": fock.parity_op(dim)}
     for family in FAMILIES:
         m = operator_elements(family, alpha)
         for i in range(2):

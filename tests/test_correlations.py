@@ -15,7 +15,7 @@ from leggett_lab import (
     pseudospin_bloch,
     rotation_map,
 )
-from leggett_lab import fock
+from leggett_lab import correlations, fock
 from conftest import random_direction
 
 PES = pes_model()
@@ -309,3 +309,52 @@ def test_coefficient_models_match_two_ket_oracle(family, sign, rng):
                 assert _local_avg(model, u, a, party) == pytest.approx(
                     _coeff_local_avg(spec, family, u, a, party), abs=1e-12
                 )
+
+
+_MODELS = (
+    pes_model(),
+    ecs_model(1.3, -1),
+    ecs_model(0.8, +1),
+    ecs_model(2.0, -1, "on_off"),
+    ecs_model(1.1, +1, "on_off"),
+    ecs_model(3.0, -1, "parity"),
+    ecs_model(0.7, +1, "parity"),
+)
+
+
+def _features(model, rng, shape):
+    dirs = [random_direction(rng) for _ in range(int(np.prod(shape)))]
+    theta = np.array([d.theta for d in dirs]).reshape(shape)
+    phi = np.array([d.phi for d in dirs]).reshape(shape)
+    return model.batch_features(theta, phi)
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.label)
+def test_stack_of_one_is_built_once_and_equals_its_row_of_a_stack(model, rng):
+    # a model evaluates E through its own stack; row r of a stack of several
+    # models is bit for bit the stack of its owner alone
+    assert model.stack is model.stack
+    fa, fb = _features(model, rng, (5, 4)), _features(model, rng, (5, 4))
+    assert model.stack.term_correlation(fa[0], fb[0]).shape == (1, 4)
+    alone = model.stack.term_correlation(fa, fb)
+    assert alone.shape == (5, 4)
+    family = [m for m in _MODELS if m.family == model.family]
+    owners = np.array([family.index(model)] * 5)
+    stacked = correlations.ModelStack(family).term_correlation(fa, fb, owners)
+    assert np.array_equal(stacked, alone)
+    for r in range(5):
+        assert np.array_equal(model.stack.term_correlation(fa[r], fb[r])[0], alone[r])
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.label)
+def test_local_averages_of_both_parties_equal_each_party_alone(model, rng):
+    # the direct bound objective asks for "ab", the triangle one for "b": one
+    # evaluator, whose columns do not depend on the other party's
+    fa, fb = _features(model, rng, (3,)), _features(model, rng, (4,))
+    hidden = _features(pes_model(), rng, (2, 6))  # unit vectors, read back as angles
+    theta, phi = np.arccos(hidden[..., 2]), np.arctan2(hidden[..., 1], hidden[..., 0])
+    both = model.local_averages("ab", (fa, fb), theta, phi)
+    a = model.local_averages("a", (fa,), theta[:1], phi[:1])
+    b = model.local_averages("b", (fb,), theta[1:], phi[1:])
+    assert both.shape == (6, 7)
+    assert np.array_equal(both, np.concatenate((a, b), axis=1))

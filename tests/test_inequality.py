@@ -13,7 +13,6 @@ from leggett_lab import (
     chsh_at_layout,
     chsh_value,
     ecs_model,
-    evaluate_leggett,
     implication_check,
     kappa_K,
     leggett_bound,
@@ -26,7 +25,7 @@ from leggett_lab import (
 )
 from leggett_lab import optimize
 from conftest import simplex_minimize
-from leggett_lab.inequality import VIOLATION_TOL
+from leggett_lab.inequality import VIOLATION_TOL, evaluate_points
 
 _SPHERE2 = ((0.0, np.pi), (-np.pi, np.pi)) * 2
 
@@ -198,8 +197,8 @@ def _direct_objective(model, layout):
 
     def objective(x):
         t = np.asarray(x, dtype=float)[None, :]
-        abar = model.batch_local_averages("a", fa, t[:, 0], t[:, 1])
-        return float(weights @ np.abs(abar[0, ia] - model.batch_local_averages("b", fb, t[:, 2], t[:, 3])[0, jb]))
+        abar = model.local_averages("a", (fa,), t[:, 0:1], t[:, 1:2])
+        return float(weights @ np.abs(abar[0, ia] - model.local_averages("b", (fb,), t[:, 2:3], t[:, 3:4])[0, jb]))
 
     return objective
 
@@ -298,10 +297,9 @@ def test_leggett_bound_modes():
         leggett_bound(pes_model(), lay, mode="nope")
 
 
-def test_evaluate_leggett_pes_violation_window():
-    ev = evaluate_leggett(pes_model(), build_layout("threeplus6", 0.65))
+def test_evaluate_points_pes_violation_window():
+    ev, ev0 = evaluate_points([pes_model()] * 2, [build_layout("threeplus6", 0.65), build_layout("threeplus6", 2.8)])
     assert ev.violated and ev.margin > 0.1
-    ev0 = evaluate_leggett(pes_model(), build_layout("threeplus6", 2.8))
     assert not ev0.violated
 
 

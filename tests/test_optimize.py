@@ -462,8 +462,8 @@ def test_batched_kernels_match_facade(model, rng):
     p = np.array([h.phi for h in hidden])
     fa = model.batch_features(np.array([d.theta for d in a_dirs]), np.array([d.phi for d in a_dirs]))
     fb = model.batch_features(np.array([d.theta for d in b_dirs]), np.array([d.phi for d in b_dirs]))
-    got_a = model.batch_local_averages("a", fa, t, p)
-    got_b = model.batch_local_averages("b", fb, t, p)
+    got_a = model.local_averages("a", (fa,), t[None], p[None])
+    got_b = model.local_averages("b", (fb,), t[None], p[None])
     for k, h in enumerate(hidden):
         for i, a in enumerate(a_dirs):
             assert got_a[k, i] == pytest.approx(model.local_average_a(h, a), abs=1e-12)
