@@ -3,27 +3,23 @@ entangled coherent states and a two-qubit polarization baseline."""
 
 from .coherent_algebra import (
     EcsSpec,
-    gram_matrix,
     kappa_K,
     operator_elements,
     pseudospin_bloch,
-    rotation_map,
 )
 from .correlations import (
     CorrelationModel,
     ecs_model,
     pes_model,
 )
-from .errors import CertificationError, ConvergenceError, LeggettLabError, TruncationError
+from .errors import ConvergenceError, LeggettLabError
 from .geometry import (
     Direction,
     SettingsLayout,
-    angle_between,
     build_layout,
     build_layouts,
     from_cartesian,
     rotate_settings,
-    to_cartesian,
 )
 from .inequality import (
     BoundResult,

@@ -27,9 +27,11 @@ too.  A switch (optimize, shared, svg) takes true/false, yes/no, on/off or
 1/0 in any case; any other value exits 2.  A flag given on the command line
 wins over the file, and the file over the built-in default (RunConfig's).
 The inputs are argv and the --config file it names, if any, so identical
-argv and file give byte-identical output; the seed is --seed, then the
-file, then 0.  A lo:hi:step range of more than MAX_RANGE_POINTS points
-exits 2 before any point is built.
+argv and file give byte-identical output; the seed, a whole number of at
+least 0, is --seed, then the file, then 0.  scan-phi and scan-alpha exit 2
+on --layout original unless --bound is analytic: the state-corrected bound
+covers threeplus7 and threeplus6 only.  A lo:hi:step range of more than
+MAX_RANGE_POINTS points exits 2 before any point is built.
 
 The argument parser is built once per process and shared by every call of
 :func:`parse_args` and :func:`run`; nothing changes it.  Its subparsers put
@@ -134,15 +136,24 @@ def parse_range(text: str) -> list[float]:
     return out
 
 
-def _starts(text: str) -> int:
-    """--starts: a whole number of at least 1."""
+def _whole_number(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least {least}, got {text!r}")
     return value
+
+
+def _starts(text: str) -> int:
+    """--starts: a whole number of at least 1."""
+    return _whole_number(text, 1)
+
+
+def _seed(text: str) -> int:
+    """--seed: a whole number of at least 0, as numpy's generators take."""
+    return _whole_number(text, 0)
 
 
 def _tolerance(text: str) -> float:
@@ -169,7 +180,7 @@ _OPTIONS = {
     "--independent-rotations": dict(dest="shared", action="store_false",
                                     help="rotate the two parties independently (default: one shared rotation)"),
     "--starts": dict(type=_starts),
-    "--seed": dict(type=int),
+    "--seed": dict(type=_seed),
     "--tolerance": dict(type=_tolerance),
     "--output": dict(),
     "--format": dict(dest="fmt", choices=("csv", "json")),
@@ -260,7 +271,10 @@ def parse_args(argv) -> RunConfig:
         commands["reproduce"].error(f"argument --independent-rotations: reproduce {fields['figure']} never optimizes")
     if "layout" in fields:
         fields["layout"] = LAYOUT_ALIASES[fields["layout"]]
-    return RunConfig(**fields)
+    cfg = RunConfig(**fields)
+    if cfg.command in ("scan-phi", "scan-alpha") and cfg.layout == "original" and cfg.bound == "corrected":
+        commands[cfg.command].error("argument --layout: original has no state-corrected bound; give --bound analytic")
+    return cfg
 
 
 # -- output ----------------------------------------------------------------------

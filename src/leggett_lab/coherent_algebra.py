@@ -2,7 +2,9 @@
 
 The basis is nonorthogonal with overlap kappa = <a|-a> = e^{-2 a^2} (real a),
 so norms and expectations carry the Gram matrix [[1, kappa], [kappa, 1]].
-The series behind K(alpha) and the pseudo-spin Bloch vector overflow naive
+The on/off and parity elements <+-a|O|+-a> are closed forms in e^{-a^2} and
+kappa; the tests check them against the truncated Fock-space oracle.  The
+series behind K(alpha) and the pseudo-spin Bloch vector overflow naive
 arithmetic well below alpha = 20; they are summed entirely in the log domain.
 """
 
@@ -14,10 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CertificationError
 from .util import log_factorials
 
-ORACLE_ALPHA_MAX = 3.0  # two-mode Fock oracles stay cheap below this
 MIN_COEFF_ALPHA = 0.05  # Gram matrix conditioning floor for coefficient algebra
 # Largest amplitude accepted.  The series of K(alpha) and m(alpha) has about
 # alpha^2 / 2 terms (5,929 at the cap), and its log-domain sum loses accuracy
@@ -47,22 +47,6 @@ class EcsSpec:
     @property
     def kappa(self) -> float:
         return math.exp(-2.0 * self.alpha**2)
-
-    @property
-    def norm(self) -> float:
-        return 1.0 / math.sqrt(2.0 * (1.0 + self.sign * math.exp(-4.0 * self.alpha**2)))
-
-    def coefficient_tensor(self) -> np.ndarray:
-        """2x2 coefficients C[x, y] over basis |x a> (x) |y a|, x,y in {+,-}."""
-        c = np.zeros((2, 2), dtype=complex)
-        c[0, 1] = self.norm
-        c[1, 0] = self.sign * self.norm
-        return c
-
-
-def gram_matrix(alpha: float) -> np.ndarray:
-    k = math.exp(-2.0 * alpha * alpha)
-    return np.array([[1.0, k], [k, 1.0]])
 
 
 # -- log-domain series ---------------------------------------------------------
@@ -137,70 +121,33 @@ def pseudospin_bloch(alpha: float) -> np.ndarray:
     return np.array([math.exp(log_mx), 0.0, -math.exp(-2.0 * alpha * alpha)])
 
 
-# -- coefficient maps ----------------------------------------------------------
-
-
-def rotation_map(theta: float, phi: float) -> np.ndarray:
-    """Asymptotic action of the displacement/Kerr composite on coefficients:
-    |a>  -> sin(t/2)|a> + e^{-i p} cos(t/2)|-a>,
-    |-a> -> e^{i p} cos(t/2)|a> - sin(t/2)|-a>.
-    Columns are the images; the map is exactly unitary."""
-    s, c = math.sin(0.5 * theta), math.cos(0.5 * theta)
-    ph = np.exp(1j * phi)
-    return np.array([[s, ph * c], [np.conj(ph) * c, -s]])
-
-
 # -- operator matrix elements ---------------------------------------------------
 
 
-def _elements_uncertified(family: str, alpha: float) -> np.ndarray:
+@lru_cache(maxsize=4096)
+def _elements(family: str, alpha: float) -> np.ndarray:
     k = math.exp(-2.0 * alpha * alpha)
     if family == "onoff":
         e = math.exp(-alpha * alpha)
-        return np.array([[1.0 - 2.0 * e, k - 2.0 * e], [k - 2.0 * e, 1.0 - 2.0 * e]], dtype=complex)
-    return np.array([[-k, -1.0], [-1.0, -k]], dtype=complex)
-
-
-def _certify_elements(family: str, alpha: float, m: np.ndarray) -> None:
-    from . import fock  # local import: fock never imports this module
-
-    dim = fock.default_dim(alpha)
-    kets = (fock.coherent(alpha, dim), fock.coherent(-alpha, dim))
-    op = fock.on_off_op(dim) if family == "onoff" else fock.parity_op(dim)
-    worst = 0.0
-    for i in range(2):
-        for j in range(2):
-            oracle = complex(np.vdot(kets[i].amplitudes, op.matrix @ kets[j].amplitudes))
-            worst = max(worst, abs(oracle - m[i, j]))
-    if worst > 1e-8:
-        raise CertificationError(
-            f"operator elements {family!r} at alpha={alpha} deviate from the "
-            f"Fock oracle by {worst:.3e}"
-        )
-
-
-@lru_cache(maxsize=4096)
-def _cached_elements(family: str, alpha: float, certify: bool) -> np.ndarray:
-    m = _elements_uncertified(family, alpha)
-    if certify:
-        _certify_elements(family, alpha, m)
+        m = np.array([[1.0 - 2.0 * e, k - 2.0 * e], [k - 2.0 * e, 1.0 - 2.0 * e]], dtype=complex)
+    else:
+        m = np.array([[-k, -1.0], [-1.0, -k]], dtype=complex)
     m.setflags(write=False)
     return m
 
 
-def operator_elements(family: str, alpha: float, certify: bool | None = None) -> np.ndarray:
+def operator_elements(family: str, alpha: float) -> np.ndarray:
     """2x2 matrix M[x, y] = <x a|O|y a> for x, y in {+1, -1}.
 
     Families: onoff (O = 1 - 2|0><0|, -1 on the vacuum) and parity
     (O = -(-1)^n, +1 on odd photon numbers), the two measurement families of
     :mod:`leggett_lab.correlations`, which reads P = M00 and Q = M01.
-    Closed forms are certified at build time against the Fock oracle
-    whenever alpha <= 3; results are cached per (family, alpha).
+    With e = e^{-a^2} and kappa = e^{-2 a^2}, on/off gives M00 = 1 - 2e and
+    M01 = kappa - 2e, parity M00 = -kappa and M01 = -1; M11 = M00 and
+    M10 = M01.  The read-only result is cached per (family, alpha).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown operator family {family!r}")
     if alpha < MIN_COEFF_ALPHA:
         raise ValueError(f"operator elements need alpha >= {MIN_COEFF_ALPHA}")
-    if certify is None:
-        certify = alpha <= ORACLE_ALPHA_MAX
-    return _cached_elements(family, float(alpha), bool(certify))
+    return _elements(family, float(alpha))

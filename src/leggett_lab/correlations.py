@@ -23,7 +23,7 @@ and B(v; b) is A with h_B.
   (-K, -K, -1) for ECS- and (tanh(2 alpha^2) K, tanh(2 alpha^2) K, 1) for
   ECS+, with K = K(alpha); the ECS+ entries are the raw expectation after
   relabeling party B's settings by the reflection (bx, by, bz) ->
-  (-bx, by, bz), certified against the Fock oracle in the tests.  The
+  (-bx, by, bz), checked against the Fock oracle in the tests.  The
   operator identity (u.s)(a.s)(u.s) = (2(u.a)u - a).s makes the local
   average a . h(u) with h(u) = 2(u.m)u - m, the Bloch vector m(alpha)
   reflected about u; party B holds |-alpha>, whose m has its x component
@@ -31,10 +31,12 @@ and B(v; b) is A with h_B.
 * On/off and parity: the two-ket basis {|alpha>, |-alpha>}.  The measured
   operator has the elements P + Q sigma_x, with P = M00 and Q = M01 of
   :func:`operator_elements`, and the Gram matrix is 1 + kappa sigma_x with
-  kappa = e^{-2 alpha^2}.  rotation_map(theta, phi) is the Hermitian
-  reflection U = n . sigma with n = (cos(theta/2) cos phi,
-  -cos(theta/2) sin phi, sin(theta/2)).  Since
-  (n.sigma) sigma_k (n.sigma) = 2 n_k (n.sigma) - sigma_k,
+  kappa = e^{-2 alpha^2}.  A setting (theta, phi) acts on the coefficients
+  by the map U(theta, phi) that sends |alpha> to sin(theta/2) |alpha> +
+  e^{-i phi} cos(theta/2) |-alpha> and |-alpha> to e^{i phi} cos(theta/2)
+  |alpha> - sin(theta/2) |-alpha>: the Hermitian reflection U = n . sigma
+  with n = (cos(theta/2) cos phi, -cos(theta/2) sin phi, sin(theta/2)).
+  Since (n.sigma) sigma_k (n.sigma) = 2 n_k (n.sigma) - sigma_k,
 
       U (P + Q sigma_x) U = P + Q w . sigma,  w = 2 (n.x) n - x,
 
@@ -48,12 +50,12 @@ and B(v; b) is A with h_B.
   of numerator and Gram normalization gives E with t = (1, 1, -1) for ECS+
   and (-1, -1, -1) for ECS-.
 
-  Caveat: rotation_map is the asymptotic (large-alpha) action of the
-  displacement/Kerr composite.  It is unitary on the coefficients but not
-  on span{|alpha>, |-alpha>} with its Gram metric when kappa is not
-  negligible, so at alpha below about 2 E is not a quantum correlation and
-  can exceed quantum bounds: optimized parity CHSH for ECS- reaches
-  B = 3.669 at alpha = 0.3, above Tsirelson's 2 sqrt 2.
+  Caveat: U is the asymptotic (large-alpha) action of the displacement/Kerr
+  composite.  It is unitary on the coefficients but not on
+  span{|alpha>, |-alpha>} with its Gram metric when kappa is not negligible,
+  so at alpha below about 2 E is not a quantum correlation and can exceed
+  quantum bounds: optimized parity CHSH for ECS- reaches B = 3.669 at
+  alpha = 0.3, above Tsirelson's 2 sqrt 2.
 
 Evaluators
 ----------
@@ -113,7 +115,7 @@ def _unit(theta, phi, xp):
 
 
 def _axis(theta, phi, xp):
-    """Axis n of rotation_map(theta, phi) = n . sigma."""
+    """Axis n of the coefficient map U(theta, phi) = n . sigma."""
     half = 0.5 * theta
     c = xp.cos(half)
     return c * xp.cos(phi), -c * xp.sin(phi), xp.sin(half)

@@ -5,13 +5,5 @@ class LeggettLabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class TruncationError(LeggettLabError):
-    """Fock-space truncation leaves too much tail probability."""
-
-
-class CertificationError(LeggettLabError):
-    """A closed-form quantity disagrees with its brute-force oracle."""
-
-
 class ConvergenceError(LeggettLabError):
     """A multi-start search did not settle on a reproducible optimum."""

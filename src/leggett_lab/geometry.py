@@ -32,18 +32,10 @@ class Direction:
     theta: float
     phi: float
 
-    def cartesian(self) -> np.ndarray:
-        return to_cartesian(self)
-
-
-def to_cartesian(d: Direction) -> np.ndarray:
-    """Unit vector (sin t cos p, sin t sin p, cos t)."""
-    st = math.sin(d.theta)
-    return np.array([st * math.cos(d.phi), st * math.sin(d.phi), math.cos(d.theta)])
-
 
 def from_cartesian(v) -> Direction:
-    """Inverse of :func:`to_cartesian`; poles map to phi = 0.
+    """The direction of a nonzero vector v = r (sin t cos p, sin t sin p,
+    cos t); poles map to phi = 0.
 
     theta = atan2(hypot(x, y), z) keeps full precision near the poles, where
     acos(z / r) loses it (a direction 1e-8 from a pole moved by about 1e-8).
@@ -54,11 +46,6 @@ def from_cartesian(v) -> Direction:
     theta = math.atan2(math.hypot(x, y), z)
     phi = 0.0 if math.sin(theta) < _POLE_EPS else math.atan2(y, x)
     return Direction(theta, phi)
-
-
-def angle_between(a: Direction, b: Direction) -> float:
-    dot = float(np.dot(to_cartesian(a), to_cartesian(b)))
-    return math.acos(max(-1.0, min(1.0, dot)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +98,7 @@ def _layouts(name, phis, angles, n_a: int, groups, bound_pairs) -> list:
     """The layouts of one name at each phi of phis, from the (P, n_a + n_b, 2)
     angles of their settings, party A's first.  The unit vectors
     (sin t cos p, sin t sin p, cos t) of every setting of every point are
-    computed in one pass: the formula of :func:`to_cartesian`, in numpy."""
+    computed in one numpy pass; :func:`from_cartesian` inverts them."""
     st = np.sin(angles[..., 0])
     v = np.empty(angles.shape[:-1] + (3,))
     v[..., 0] = st * np.cos(angles[..., 1])

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from leggett_lab import Direction, SearchConfig, optimize
+from leggett_lab import Direction, EcsSpec, SearchConfig, optimize
 
 
 @pytest.fixture
@@ -14,6 +16,48 @@ def random_direction(rng) -> Direction:
     z = rng.uniform(-1.0, 1.0)
     phi = rng.uniform(-np.pi, np.pi)
     return Direction(float(np.arccos(z)), float(phi))
+
+
+def to_cartesian(d: Direction) -> np.ndarray:
+    """Unit vector (sin t cos p, sin t sin p, cos t)."""
+    st = math.sin(d.theta)
+    return np.array([st * math.cos(d.phi), st * math.sin(d.phi), math.cos(d.theta)])
+
+
+def angle_between(a: Direction, b: Direction) -> float:
+    dot = float(np.dot(to_cartesian(a), to_cartesian(b)))
+    return math.acos(max(-1.0, min(1.0, dot)))
+
+
+# -- two-ket oracles -------------------------------------------------------------------
+#
+# The coefficient algebra of the on/off and parity models in the basis
+# {|a>, |-a>}, in complex arithmetic: the oracle of the closed forms in
+# leggett_lab.correlations.
+
+
+def gram_matrix(alpha: float) -> np.ndarray:
+    k = math.exp(-2.0 * alpha * alpha)
+    return np.array([[1.0, k], [k, 1.0]])
+
+
+def coefficient_tensor(spec: EcsSpec) -> np.ndarray:
+    """2x2 coefficients C[x, y] of the ECS over the basis |x a> (x) |y a>, x, y in {+, -}."""
+    norm = 1.0 / math.sqrt(2.0 * (1.0 + spec.sign * math.exp(-4.0 * spec.alpha**2)))
+    c = np.zeros((2, 2), dtype=complex)
+    c[0, 1] = norm
+    c[1, 0] = spec.sign * norm
+    return c
+
+
+def rotation_map(theta: float, phi: float) -> np.ndarray:
+    """Asymptotic action of the displacement/Kerr composite on coefficients:
+    |a>  -> sin(t/2)|a> + e^{-i p} cos(t/2)|-a>,
+    |-a> -> e^{i p} cos(t/2)|a> - sin(t/2)|-a>.
+    Columns are the images; the map is exactly unitary."""
+    s, c = math.sin(0.5 * theta), math.cos(0.5 * theta)
+    ph = np.exp(1j * phi)
+    return np.array([[s, ph * c], [np.conj(ph) * c, -s]])
 
 
 # -- engine oracles --------------------------------------------------------------------

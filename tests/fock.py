@@ -1,11 +1,11 @@
 """Truncated number-basis simulator of one and two bosonic modes.
 
-This module is the brute-force oracle: coherent states, displacement and
-Kerr unitaries, the composite rotation that acts as a qubit rotation on the
-span of |alpha> and |-alpha>, pseudo-spin operators, and plain expectation
-values.  Everything here is dense numpy in a truncated Fock space, except
-the displacement, which takes scipy's matrix exponential on call; the
-closed forms elsewhere in the package are certified against it.
+This module is the brute-force oracle of the tests: coherent states,
+displacement and Kerr unitaries, the composite rotation that acts as a qubit
+rotation on the span of |alpha> and |-alpha>, pseudo-spin operators, and
+plain expectation values.  Everything here is dense numpy in a truncated
+Fock space, except the displacement, which takes scipy's matrix exponential
+on call.  The closed forms of ``leggett_lab`` are tested against it.
 """
 
 from __future__ import annotations
@@ -15,11 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
-from .geometry import Direction
-from .util import log_factorials
+from leggett_lab.errors import LeggettLabError
+from leggett_lab.geometry import Direction
+from leggett_lab.util import log_factorials
 
 TAIL_TOL = 1e-8
+
+
+class TruncationError(LeggettLabError):
+    """Fock-space truncation leaves too much tail probability."""
 
 
 def default_dim(alpha: float) -> int:
@@ -110,12 +114,7 @@ def annihilation(dim: int) -> FockOperator:
 
 
 def displace(beta: complex, dim: int) -> FockOperator:
-    """exp(beta a^dag - beta* a) on the truncated space.
-
-    No command calls it or :func:`composite_rotation`; they are oracles of
-    the tests, so scipy is imported here and the Fock certification of the
-    coherent-state algebra runs on numpy alone.
-    """
+    """exp(beta a^dag - beta* a) on the truncated space, by scipy's expm."""
     from scipy.linalg import expm
 
     a = annihilation(dim).matrix

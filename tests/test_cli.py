@@ -552,6 +552,38 @@ def test_scan_phi_on_an_ecs_state_names_the_missing_alpha():
     )
 
 
+@pytest.mark.parametrize("text", ["-1", "1.5"])
+@pytest.mark.parametrize("command", sorted(command for command, flags in cli.FLAGS.items() if "--seed" in flags))
+def test_seed_below_0_or_not_whole_exits_2(command, text, tmp_path):
+    # checked by the parser: numpy's generators reject a negative seed only
+    # inside a search, and the closed-form commands draw nothing
+    argv = [command] + (["fig4"] if command == "reproduce" else [])
+    message = f"must be a whole number of at least 0, got {text!r}\n"
+    rc, out, err = _run(argv + ["--seed", text])
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: ") and err.endswith(f"error: argument --seed: {message}")
+    conf = _config_file(tmp_path, f"seed = {text}\n")
+    assert _run(argv + ["--config", conf]) == (2, "", f"error: config key 'seed' {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan-phi", "--state", "pes", "--alpha", "2", "--phi", "0.1:1:0.3"],
+    ["scan-alpha", "--alpha", "1:2:1"],
+])
+def test_scan_of_the_original_layout_needs_the_analytic_bound(argv, tmp_path):
+    out = tmp_path / "scan.csv"
+    argv = argv + ["--output", str(out)]
+    message = "error: argument --layout: original has no state-corrected bound; give --bound analytic\n"
+    conf = _config_file(tmp_path, "layout = original\n")
+    for given in (["--layout", "original"], ["--layout", "original", "--bound", "corrected"], ["--config", conf]):
+        rc, stdout, err = _run(argv + given)
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("usage: ") and err.endswith(message)
+        assert not out.exists()
+    assert _run(argv + ["--layout", "original", "--bound", "analytic"])[0] == 0
+    assert out.exists()
+
+
 # -- one parser per process ----------------------------------------------------------
 
 
@@ -605,7 +637,8 @@ def test_usage_error_leaves_the_parser_intact():
 
 
 # every command, all four measurement families, on small grids; fig3 stops on
-# its numeric_fmin spread check, the rest exit 0
+# its numeric_fmin spread check, the rest exit 0.  scipy is only the tests'
+# oracle (the Sobol draw, the Fock displacement), so blocking it changes nothing
 _SCIPY_FREE_COMMANDS = [
     ["reproduce", "fig4", "--alpha", "5:50:45", "--phi", "0.1:0.3:0.1", "--output", "fig4"],
     ["reproduce", "fig5", "--alpha", "0.8:1.6:0.8", "--starts", "8", "--output", "fig5"],
@@ -621,7 +654,7 @@ _SCIPY_FREE_COMMANDS = [
      "--output", "scan_alpha_on_off.csv"],
     ["bound", "--state", "pes", "--layout", "3p7", "--phi", "0.3"],
     ["bound", "--state", "ecs-", "--alpha", "2", "--phi", "0.5"],
-    # the parity elements at alpha <= 3 pass the Fock certification
+    # parity at alpha 3, where the tests compare the elements with the Fock oracle
     ["bound", "--layout", "3p7", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--phi", "0.75"],
     ["chsh", "--state", "pes"],
     ["chsh", "--state", "ecs+", "--alpha", "2", "--optimize"],
@@ -686,8 +719,8 @@ def test_every_command_runs_without_scipy(scipy_blocked_and_free_runs):
 
 
 def test_no_command_loads_scipy(scipy_blocked_and_free_runs):
-    # the on/off and parity commands too: the Sobol starts and the Fock
-    # certification are numpy code
+    # the on/off and parity commands too: the Sobol starts are numpy code and
+    # the operator elements a closed form
     _, free = scipy_blocked_and_free_runs
     assert free["scipy"] == []
 

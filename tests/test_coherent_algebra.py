@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from leggett_lab import (
-    CertificationError,
     EcsSpec,
-    gram_matrix,
     kappa_K,
     operator_elements,
     pseudospin_bloch,
-    rotation_map,
 )
-from leggett_lab import fock
-from leggett_lab.coherent_algebra import FAMILIES, _certify_elements, _elements_uncertified, _log_sum_exp
+from leggett_lab.coherent_algebra import FAMILIES, _log_sum_exp
+import fock
+from conftest import coefficient_tensor, gram_matrix, rotation_map
 
 
 # -- EcsSpec --------------------------------------------------------------------
@@ -23,7 +21,7 @@ def test_ecs_spec_norm_consistency():
     for alpha in (0.3, 1.0, 2.5):
         for sign in (+1, -1):
             spec = EcsSpec(alpha, sign)
-            c = spec.coefficient_tensor()
+            c = coefficient_tensor(spec)
             g = gram_matrix(alpha)
             norm2 = np.einsum("xy,xu,yv,uv->", c.conj(), g, g, c).real
             assert abs(norm2 - 1.0) < 1e-12
@@ -187,31 +185,32 @@ def test_elements_hermitian_exact():
         assert np.array_equal(m, m.conj().T)
 
 
+def _oracle_elements(family, alpha):
+    """<x a|O|y a> in the truncated Fock space."""
+    dim = fock.default_dim(alpha)
+    kets = (fock.coherent(alpha, dim).amplitudes, fock.coherent(-alpha, dim).amplitudes)
+    op = (fock.on_off_op(dim) if family == "onoff" else fock.parity_op(dim)).matrix
+    return np.array([[np.vdot(bra, op @ ket) for ket in kets] for bra in kets])
+
+
+def _matches_oracle(family, alpha, m):
+    return np.abs(m - _oracle_elements(family, alpha)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_elements_match_the_fock_oracle_to_1e_12(family):
+    for k in range(1, 61):  # alpha = 0.05:3:0.05
+        alpha = 0.05 * k
+        assert _matches_oracle(family, alpha, operator_elements(family, alpha)), alpha
+
+
 @pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_certification_catches_a_1e_6_error_in_any_element(family, alpha):
-    m = _elements_uncertified(family, alpha)
-    _certify_elements(family, alpha, m)
+def test_oracle_comparison_catches_a_1e_6_error_in_any_element(family, alpha):
+    m = operator_elements(family, alpha)
+    assert _matches_oracle(family, alpha, m)
     for i in range(2):
         for j in range(2):
             bad = m.copy()
             bad[i, j] += 1e-6
-            with pytest.raises(CertificationError):
-                _certify_elements(family, alpha, bad)
-
-
-def test_elements_certification_aborts_on_mismatch(monkeypatch):
-    import leggett_lab.coherent_algebra as ca
-
-    ca._cached_elements.cache_clear()
-    real = ca._elements_uncertified
-
-    def broken(family, alpha):
-        m = real(family, alpha).copy()
-        m[0, 0] += 1e-6
-        return m
-
-    monkeypatch.setattr(ca, "_elements_uncertified", broken)
-    with pytest.raises(CertificationError):
-        ca.operator_elements("onoff", 1.0)
-    ca._cached_elements.cache_clear()
+            assert not _matches_oracle(family, alpha, bad)

@@ -8,15 +8,14 @@ from leggett_lab import (
     Direction,
     EcsSpec,
     ecs_model,
-    gram_matrix,
     kappa_K,
     operator_elements,
     pes_model,
     pseudospin_bloch,
-    rotation_map,
 )
-from leggett_lab import correlations, fock
-from conftest import random_direction
+from leggett_lab import correlations
+import fock
+from conftest import coefficient_tensor, gram_matrix, random_direction, rotation_map, to_cartesian
 
 PES = pes_model()
 
@@ -28,7 +27,7 @@ def _coeff_correlation(spec, family, a, b):
     arithmetic."""
     m = operator_elements("onoff" if family == "on_off" else "parity", spec.alpha)
     g = gram_matrix(spec.alpha)
-    d = rotation_map(a.theta, a.phi) @ spec.coefficient_tensor() @ rotation_map(b.theta, b.phi).T
+    d = rotation_map(a.theta, a.phi) @ coefficient_tensor(spec) @ rotation_map(b.theta, b.phi).T
     num = np.einsum("xy,xu,yv,uv->", d.conj(), m, m, d)
     den = np.einsum("xy,xu,yv,uv->", d.conj(), g, g, d).real
     return float(num.real / den)
@@ -52,7 +51,7 @@ def _fock_mapped_ecs(alpha, sign, a, b, dim):
     explicit coherent kets (the oracle for the coefficient-algebra route)."""
     kets = [fock.coherent(alpha, dim).amplitudes, fock.coherent(-alpha, dim).amplitudes]
     spec = EcsSpec(alpha, sign)
-    d = rotation_map(a.theta, a.phi) @ spec.coefficient_tensor() @ rotation_map(b.theta, b.phi).T
+    d = rotation_map(a.theta, a.phi) @ coefficient_tensor(spec) @ rotation_map(b.theta, b.phi).T
     return sum(
         d[x, y] * np.outer(kets[x], kets[y]) for x in range(2) for y in range(2)
     )
@@ -136,12 +135,12 @@ def test_pseudospin_local_avg_reflection_cases(rng):
     a = Direction(0.8, 0.5)
     # u = a: reflection fixes a
     assert model.local_average_a(a, a) == pytest.approx(
-        float(np.dot(a.cartesian(), m)), abs=1e-14
+        float(np.dot(to_cartesian(a), m)), abs=1e-14
     )
     # u perpendicular to a: reflection negates a
     u = Direction(0.8 + np.pi / 2, 0.5)
     assert model.local_average_a(u, a) == pytest.approx(
-        -float(np.dot(a.cartesian(), m)), abs=1e-12
+        -float(np.dot(to_cartesian(a), m)), abs=1e-12
     )
 
 
@@ -240,7 +239,7 @@ def test_onoff_factorizes_at_large_alpha(rng):
     model = ecs_model(alpha, -1, "on_off")
     g = gram_matrix(alpha)
     m = operator_elements("onoff", alpha)
-    c0 = spec.coefficient_tensor()
+    c0 = coefficient_tensor(spec)
     for _ in range(10):
         a, b = random_direction(rng), random_direction(rng)
         d = rotation_map(a.theta, a.phi) @ c0 @ rotation_map(b.theta, b.phi).T
@@ -254,7 +253,7 @@ def test_onoff_factorizes_at_large_alpha(rng):
 def test_model_facade_dispatch(rng):
     pes = pes_model()
     a, b = random_direction(rng), random_direction(rng)
-    ab = float(np.dot(a.cartesian(), b.cartesian()))
+    ab = float(np.dot(to_cartesian(a), to_cartesian(b)))
     assert pes.correlation(a, b) == pytest.approx(-ab, abs=1e-15)
     assert pes.local_average_a(a, b) == pytest.approx(ab, abs=1e-15)
     spec_model = ecs_model(1.2, -1, "pseudo_spin")

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from leggett_lab import Direction, TruncationError
-from leggett_lab.fock import (
+from leggett_lab import Direction
+from fock import (
+    TruncationError,
     coherent,
     coherent_tail_mass,
     composite_rotation,

@@ -5,15 +5,13 @@ import pytest
 
 from leggett_lab import (
     Direction,
-    angle_between,
     build_layout,
     build_layouts,
     from_cartesian,
     rotate_settings,
-    to_cartesian,
 )
 from leggett_lab.optimize import _rotations
-from conftest import random_direction
+from conftest import angle_between, random_direction, to_cartesian
 
 
 def _euler(z1, y, z2):

@@ -24,7 +24,7 @@ from leggett_lab import (
     rotate_settings,
 )
 from leggett_lab import optimize
-from conftest import simplex_minimize
+from conftest import simplex_minimize, to_cartesian
 from leggett_lab.inequality import VIOLATION_TOL, evaluate_points
 
 _SPHERE2 = ((0.0, np.pi), (-np.pi, np.pi)) * 2
@@ -154,8 +154,8 @@ def test_numeric_fmin_phi0_argmin():
     assert numeric_fmin(pes_model(), lay).f_min == 0.0
     x, value = _searched_direct(pes_model(), lay, SearchConfig(starts=32, seed=0))
     assert value < 1e-9
-    u = Direction(x[0], x[1]).cartesian()
-    v = Direction(x[2], x[3]).cartesian()
+    u = to_cartesian(Direction(x[0], x[1]))
+    v = to_cartesian(Direction(x[2], x[3]))
     assert np.linalg.norm(u - v) < 1e-3  # paired settings coincide: u = v
 
 

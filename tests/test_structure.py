@@ -16,7 +16,7 @@ def _imported_modules(node):
             return set()
         if node.module and node.module != "leggett_lab":
             return {node.module.split(".")[-1]}
-        return {alias.name for alias in node.names} & MODULES  # from . import fock
+        return {alias.name for alias in node.names} & MODULES  # from . import svg
     if isinstance(node, ast.Import):
         return {a.name.split(".")[-1] for a in node.names if a.name.startswith("leggett_lab.")}
     return set()
@@ -33,16 +33,30 @@ def _function_level_imports():
     return found
 
 
-def test_only_two_package_modules_are_imported_inside_functions():
-    # svg only when --svg draws; fock only for the certification of the
-    # operator elements.  Every other module is imported at the top, so the
-    # dependency order of the modules is the order of their imports.
-    assert _function_level_imports() == {("cli", "svg"), ("coherent_algebra", "fock")}
+def test_only_svg_is_imported_inside_a_function():
+    # svg only when --svg draws.  Every other module is imported at the top,
+    # so the dependency order of the modules is the order of their imports.
+    assert _function_level_imports() == {("cli", "svg")}
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only run-time dependency; scipy is an oracle of the tests
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found |= {(path.stem, name) for name in names if name.split(".")[0] == "scipy"}
+    assert found == set()
 
 
 def test_the_finder_sees_each_form_of_import():
     cases = {
-        "def f():\n    from . import fock\n": {"fock"},
+        "def f():\n    from . import svg\n": {"svg"},
         "def f():\n    from .optimize import numeric_fmin\n": {"optimize"},
         "def f():\n    from leggett_lab.util import stable_seed\n": {"util"},
         "def f():\n    import leggett_lab.svg\n": {"svg"},
