@@ -18,6 +18,16 @@ bound       bound term f_min for one layout/model/phi
 reproduce   preset sweeps behind the figure data (fig3..fig6)
             --alpha --phi --independent-rotations --starts --seed --output --svg
 
+The layouts of --layout are the Leggett inequalities original, threeplus7
+(3p7) and threeplus6 (3p6).  The commands scan-phi, scan-alpha and bound
+take all three, and the command threshold takes threeplus7 and threeplus6,
+the layouts with a threshold phi.  The state-corrected bound covers
+threeplus7 and threeplus6 only, so scan-phi and scan-alpha take original
+only with --bound analytic, and bound reports no corrected f_min for it.
+The command chsh takes no layout: it evaluates B at fixed canonical
+settings, or optimizes them with --optimize.  A layout that its command
+does not take exits 2.
+
 A flag that its command does not read exits 2 ("unrecognized arguments"),
 and so does --independent-rotations on reproduce fig4 and fig6, which never
 optimize.  Every command also takes --config, which names a "key = value"
@@ -28,9 +38,7 @@ too.  A switch (optimize, shared, svg) takes true/false, yes/no, on/off or
 wins over the file, and the file over the built-in default (RunConfig's).
 The inputs are argv and the --config file it names, if any, so identical
 argv and file give byte-identical output; the seed, a whole number of at
-least 0, is --seed, then the file, then 0.  scan-phi and scan-alpha exit 2
-on --layout original unless --bound is analytic: the state-corrected bound
-covers threeplus7 and threeplus6 only.  A lo:hi:step range of more than
+least 0, is --seed, then the file, then 0.  A lo:hi:step range of more than
 MAX_RANGE_POINTS points exits 2 before any point is built.
 
 The argument parser is built once per process and shared by every call of
@@ -73,7 +81,6 @@ LAYOUT_ALIASES = {
     "threeplus7": "threeplus7",
     "3p6": "threeplus6",
     "threeplus6": "threeplus6",
-    "chsh": "chsh",
 }
 STATES = ("pes", "ecs+", "ecs-")
 FAMILIES = ("pseudo_spin", "on_off", "parity")
@@ -201,6 +208,15 @@ FLAGS = {
 }
 
 
+# keywords that one command's flag takes over its _OPTIONS entry: threshold
+# bisects only the layouts with a threshold phi
+_COMMAND_OPTIONS = {
+    ("threshold", "--layout"): dict(
+        choices=sorted(alias for alias, name in LAYOUT_ALIASES.items() if name in DEFAULT_THRESHOLD_PHI)
+    ),
+}
+
+
 def _read_config_file(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -230,7 +246,7 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("figure", choices=("fig3", "fig4", "fig5", "fig6"))
         p.add_argument("--config", help="key = value defaults file")
         for flag in flags:
-            p.add_argument(flag, **_OPTIONS[flag])
+            p.add_argument(flag, **{**_OPTIONS[flag], **_COMMAND_OPTIONS.get((name, flag), {})})
     return parser, commands
 
 
@@ -425,11 +441,8 @@ def _cmd_bound(cfg: RunConfig):
     layout = build_layout(cfg.layout, phi)
     family, sign = _model_args(cfg)
     model = _model(family, sign, float(cfg.alpha) if cfg.alpha else 1.0)
-    fields = {"phi": phi, "f_min_analytic": None, "f_min_corrected": None, "f_direct": None, "f_triangle": None}
-    try:
-        fields["f_min_analytic"] = analytic_fmin(cfg.layout, phi)
-    except ValueError:
-        pass
+    fields = {"phi": phi, "f_min_analytic": analytic_fmin(cfg.layout, phi),
+              "f_min_corrected": None, "f_direct": None, "f_triangle": None}
     if cfg.layout in ("threeplus7", "threeplus6"):
         res = numeric_fmin(model, layout, SearchConfig(cfg.starts, cfg.seed))
         fields.update(f_min_corrected=res.f_min, f_direct=res.f_direct, f_triangle=res.f_triangle)

@@ -1,13 +1,16 @@
-"""Directions on the unit sphere, measurement-setting layouts, and their rigid rotations.
+"""Directions on the unit sphere, Leggett setting layouts, and their rigid rotations.
 
 Spherical convention used project-wide: polar angle theta is measured from +z,
 azimuth phi from +x toward +y.  A direction at the poles (sin(theta) ~ 0) is
 canonicalized to phi = 0.
 
-A layout holds its settings as (n, 3) unit-vector arrays, which is what the
-evaluators read, together with the (theta, phi) angles they were computed
-from.  A :class:`Direction` is the input and output form.  A grid of
-layouts is built as arrays in one pass (:func:`build_layouts`).
+A layout is the settings of one Leggett inequality (original, threeplus7 or
+threeplus6) at one phi.  It holds them as (n, 3) unit-vector arrays, which
+is what the evaluators read, together with the (theta, phi) angles they
+were computed from; it offers no per-setting Directions.  A
+:class:`Direction` is the form of a single setting, such as the CHSH
+settings of :mod:`leggett_lab.inequality`.  A grid of layouts is built as
+arrays in one pass (:func:`build_layouts`).
 
 A rigid rotation is a 3x3 proper rotation matrix.  :func:`rotate_settings`
 applies one per layout, or one per party of each layout, to the vector
@@ -50,16 +53,16 @@ def from_cartesian(v) -> Direction:
 
 @dataclass(frozen=True, eq=False)
 class SettingsLayout:
-    """A named measurement-setting geometry with its inequality structure.
+    """The settings of a named Leggett inequality with its term structure.
 
     ``a`` and ``b`` hold the settings of the two parties as read-only (n, 3)
     unit-vector arrays.  ``angles`` is the pair of read-only (n, 2) arrays of
     the (theta, phi) those vectors were computed from, or None for a layout
-    whose vectors were rotated as arrays.  ``a_list`` and ``b_list`` give
-    the settings as Directions: of those angles, or of the vectors when
-    there are none.
+    whose vectors were rotated as arrays.
     ``groups`` holds (weight, [(a_index, b_index), ...]) with 0-based indices;
     the inequality value is sum over groups of weight * |sum of correlations|.
+    There is at least one group: a layout without one has no inequality,
+    and building it raises ValueError.
     ``bound_pairs`` lists (j, j2, weight): b-side index pairs that share an
     a-setting inside one group, used by the triangle-relaxed numeric bound.
     """
@@ -72,18 +75,9 @@ class SettingsLayout:
     bound_pairs: tuple
     angles: tuple | None = None
 
-    @property
-    def a_list(self) -> tuple:
-        return self._directions(0)
-
-    @property
-    def b_list(self) -> tuple:
-        return self._directions(1)
-
-    def _directions(self, party: int) -> tuple:
-        if self.angles is None:
-            return tuple(from_cartesian(v) for v in (self.a, self.b)[party])
-        return tuple(Direction(theta, phi) for theta, phi in self.angles[party].tolist())
+    def __post_init__(self):
+        if not self.groups:
+            raise ValueError(f"layout {self.name!r} has no inequality term groups")
 
     def __eq__(self, other):
         if not isinstance(other, SettingsLayout):
@@ -151,10 +145,6 @@ def build_layouts(name: str, phis) -> list:
         w = 2.0 / 3.0
         groups = ((w, ((0, 0), (0, 1))), (w, ((1, 2), (1, 3))), (w, ((2, 4), (2, 5))))
         bound_pairs = ((0, 1, w), (2, 3, w), (4, 5, w))
-    elif name == "chsh":
-        a = (x, y)
-        b = ((half, -0.75 * math.pi), (half, 0.75 * math.pi))
-        groups = bound_pairs = ()
     else:
         raise ValueError(f"unknown layout name {name!r}")
     angles = np.empty((len(phis), len(a) + len(b), 2))

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .correlations import CorrelationModel, ModelStack
-from .geometry import Direction, SettingsLayout, build_layout
+from .geometry import Direction, SettingsLayout
 
 VIOLATION_TOL = 1e-7  # margin above which a violation verdict is issued
 
@@ -83,8 +83,6 @@ def leggett_value(model, layout):
     if len(models) > 1 and len(layouts) > 1 and len(models) != len(layouts):
         raise ValueError(f"{len(models)} models for {len(layouts)} layouts")
     groups = layouts[0].groups
-    if not groups:
-        raise ValueError(f"layout {layouts[0].name!r} has no inequality term groups")
     if any(lay.groups != groups for lay in layouts):
         raise ValueError("the layouts of one evaluation must share their term groups")
     ia, jb = _term_indices(groups)
@@ -268,10 +266,11 @@ def chsh_value(
     return ChshEvaluation(B, (a, a2, b, b2), B > 2.0)
 
 
-def chsh_at_layout(model: CorrelationModel, layout: SettingsLayout | None = None) -> ChshEvaluation:
-    """CHSH at fixed settings (the canonical diagonal geometry by default)."""
-    if layout is None:
-        layout = build_layout("chsh")
-    a, a2 = layout.a_list
-    b, b2 = layout.b_list
-    return chsh_value(model, a, a2, b, b2)
+# the canonical CHSH settings a = x, a2 = y, b and b2, all on the equator, b
+# and b2 at azimuth -3 pi/4 and 3 pi/4: the singlet's B is 2 sqrt(2) there
+_CHSH_SETTINGS = tuple(Direction(0.5 * math.pi, p) for p in (0.0, 0.5 * math.pi, -0.75 * math.pi, 0.75 * math.pi))
+
+
+def chsh_at_layout(model: CorrelationModel) -> ChshEvaluation:
+    """CHSH at the fixed canonical settings (a, a2, b, b2) above."""
+    return chsh_value(model, *_CHSH_SETTINGS)

@@ -442,8 +442,6 @@ def _rigid_groups(models, layouts):
         raise ValueError("a batch of rigid searches must share one measurement family")
     if len({(lay.name, lay.groups) for lay in layouts}) != 1:
         raise ValueError("a batch of rigid searches must share one layout name")
-    if not layouts[0].groups:
-        raise ValueError(f"layout {layouts[0].name!r} has no inequality term groups")
     return layouts[0].groups
 
 
@@ -735,8 +733,8 @@ def optimize_rigid(
     parties independently (R_a, R_b); shared=True applies one common rotation
     R to both.  The optimized value is never below the unrotated one, and the
     bound is recomputed at the optimal rotated settings before the verdict.
-    The models share one family and the layouts one inequality, with at
-    least one term group; otherwise ValueError.
+    The models share one family and the layouts one inequality; otherwise
+    ValueError.
 
     Tensor models (the singlet and pseudo-spin) are solved in closed form,
     and configs is not used.  With E(a, b) = a^T T b and T = diag(t), a
@@ -822,9 +820,7 @@ def _model(family: str, sign: int, alpha: float | None) -> CorrelationModel:
     return pes_model() if family == "qubit_projective" else ecs_model(alpha, sign, family)
 
 
-def _evaluate(
-    models, layouts, seeds, optimize, shared, bound_mode, starts, rigid_starts
-) -> list[LeggettEvaluation]:
+def _evaluate(models, layouts, seeds, optimize, shared, bound_mode, starts) -> list[LeggettEvaluation]:
     """The inequality evaluation of models[g] on layouts[g] at each point g.
 
     Point g bounds with SearchConfig(starts, seeds[g]).  Without optimize the
@@ -832,14 +828,14 @@ def _evaluate(
     (:func:`leggett_lab.inequality.evaluate_points`); with it, the rigid
     rotations of all points are optimized as one batch
     (:func:`optimize_rigid`), point g searched with
-    SearchConfig(rigid_starts, stable_seed(seeds[g], "rigid")).  Points of a
+    SearchConfig(starts, stable_seed(seeds[g], "rigid")).  Points of a
     closed-form family get no configs, and their seeds are not read.
     """
     searched = _searched(models)
     bcfgs = [SearchConfig(starts, seed) for seed in seeds] if searched else None
     if not optimize:
         return inequality.evaluate_points(models, layouts, bound_mode, bcfgs)
-    ocfgs = [SearchConfig(rigid_starts, stable_seed(seed, "rigid")) for seed in seeds] if searched else None
+    ocfgs = [SearchConfig(starts, stable_seed(seed, "rigid")) for seed in seeds] if searched else None
     return optimize_rigid(models, layouts, ocfgs, shared=shared, bound_mode=bound_mode, bound_configs=bcfgs)
 
 
@@ -867,6 +863,8 @@ class ThresholdResult:
 
 
 DEFAULT_THRESHOLD_PHI = {"threeplus7": 0.2507, "threeplus6": 2.0 * math.atan(1.0 / 3.0)}
+THRESHOLD_BRACKET = (0.5, 10.0)  # the amplitudes the coarse grid of threshold_alpha spans
+THRESHOLD_SCAN_POINTS = 16  # the points of that grid
 
 
 def _predict_root(known: dict, lo: float, hi: float) -> float:
@@ -921,22 +919,22 @@ def threshold_alpha(
     optimized: bool = False,
     tolerance: float = 1e-3,
     phi: float | None = None,
-    bracket: tuple = (0.5, 10.0),
     seed: int = 0,
-    starts: int | None = None,
+    starts: int = 32,
     shared: bool = True,
     bound_mode: str = "state_corrected",
-    scan_points: int = 16,
 ) -> ThresholdResult:
     """Bisect the inequality margin over the state amplitude.
 
-    The margin is scanned on a coarse grid over the bracket first; the last
+    The margin is scanned first on a fixed coarse grid, THRESHOLD_SCAN_POINTS
+    evenly spaced amplitudes spanning THRESHOLD_BRACKET; the last
     sign change from nonpositive to positive (the amplitude beyond which the
     violation persists) seeds the bisection, which narrows the bracket to
     the requested width.  Each margin evaluation runs fresh inner
     optimizations with seeds derived from the amplitude, so a rerun with the
     same seed reproduces the result bit for bit.  All-positive margins give
-    verdict "always", all-nonpositive "never".
+    verdict "always", all-nonpositive "never".  Every bound and rigid search
+    draws starts starts.
 
     The coarse grid is one evaluation (:func:`_evaluate`): its bounds point
     by point, then L of all its amplitudes as one array, at fixed settings
@@ -973,19 +971,10 @@ def threshold_alpha(
         seeds = [None] * len(alphas)
         if _searched(models):
             seeds = [stable_seed(seed, layout_name, family, sign, round(alpha, 12)) for alpha in alphas]
-        evs = _evaluate(
-            models,
-            [layout] * len(alphas),
-            seeds,
-            optimized,
-            shared,
-            bound_mode,
-            starts or 32,
-            starts or (32 if shared else 64),
-        )
+        evs = _evaluate(models, [layout] * len(alphas), seeds, optimized, shared, bound_mode, starts)
         return [ev.margin for ev in evs]
 
-    grid = np.linspace(bracket[0], bracket[1], scan_points).tolist()  # floats, rounded alike by the seeds
+    grid = np.linspace(*THRESHOLD_BRACKET, THRESHOLD_SCAN_POINTS).tolist()  # floats, rounded alike by the seeds
     margins_grid = margins(grid)
     evaluations = len(margins_grid)
     lo = hi = None
@@ -997,7 +986,7 @@ def threshold_alpha(
     if lo is None:
         verdict = "always" if all(m > 0.0 for m in margins_grid) else "never"
         return ThresholdResult(
-            verdict, None, tuple(bracket), margins_grid[0], margins_grid[-1], None, evaluations
+            verdict, None, THRESHOLD_BRACKET, margins_grid[0], margins_grid[-1], None, evaluations
         )
 
     speculate = optimized and (bound_mode != "state_corrected" or _model(family, sign, lo).tensor is not None)
@@ -1030,7 +1019,7 @@ class SweepRecord:
     phi: float
     L: float
     f_min_corrected: float | None
-    f_min_analytic: float | None
+    f_min_analytic: float
     bound_used: float
     chsh_B: float | None
     margin: float
@@ -1064,10 +1053,6 @@ def _record(task: ScanTask, index: int, alpha, phi, model, seed, ev: LeggettEval
     it empty rather than run a search that the verdict does not read.
     """
     f_corr = ev.bound.f_min if ev.bound.mode == "state_corrected" else None
-    try:
-        f_an = inequality.analytic_fmin(task.layout_name, phi)
-    except ValueError:
-        f_an = None
     if f_corr is None and seed is None and task.layout_name != "original":
         f_corr = numeric_fmin(model, ev.layout).f_min
 
@@ -1082,7 +1067,7 @@ def _record(task: ScanTask, index: int, alpha, phi, model, seed, ev: LeggettEval
         phi=phi,
         L=ev.L,
         f_min_corrected=f_corr,
-        f_min_analytic=f_an,
+        f_min_analytic=inequality.analytic_fmin(task.layout_name, phi),
         bound_used=ev.bound.bound,
         chsh_B=chsh_b,
         margin=ev.margin,
@@ -1122,7 +1107,7 @@ def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
     seeds = [None] * len(grid)
     if _searched(models):
         seeds = [stable_seed(task.seed, task.layout_name, task.family, i) for i in range(len(grid))]
-    evs = _evaluate(models, layouts, seeds, task.optimize, task.shared, task.bound_mode, task.starts, task.starts)
+    evs = _evaluate(models, layouts, seeds, task.optimize, task.shared, task.bound_mode, task.starts)
     return [
         _record(task, i, alpha, phi, model, seed, ev)
         for i, ((alpha, phi), model, seed, ev) in enumerate(zip(coords, models, seeds, evs))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from leggett_lab import Direction, EcsSpec, SearchConfig, optimize
+from leggett_lab import Direction, EcsSpec, SearchConfig, from_cartesian, optimize
 
 
 @pytest.fixture
@@ -27,6 +27,14 @@ def to_cartesian(d: Direction) -> np.ndarray:
 def angle_between(a: Direction, b: Direction) -> float:
     dot = float(np.dot(to_cartesian(a), to_cartesian(b)))
     return math.acos(max(-1.0, min(1.0, dot)))
+
+
+def directions(layout) -> tuple:
+    """The settings of a layout's two parties as two tuples of Directions: of
+    its angles, or of its vectors when it has none (a rotated layout)."""
+    if layout.angles is None:
+        return tuple(tuple(from_cartesian(v) for v in vectors) for vectors in (layout.a, layout.b))
+    return tuple(tuple(Direction(theta, phi) for theta, phi in angles.tolist()) for angles in layout.angles)
 
 
 # -- two-ket oracles -------------------------------------------------------------------

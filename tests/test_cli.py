@@ -225,13 +225,6 @@ def test_fig3_fault_command_stops_on_the_named_spread(tmp_path):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("state", [["--state", "pes"], ["--state", "ecs-", "--family", "on_off", "--alpha", "5"]])
-def test_optimized_scan_on_a_layout_without_term_groups_exits_2(state):
-    rc, out, err = _run(["scan-phi", "--layout", "chsh", "--phi", "0.2", "--optimize", "--starts", "4"] + state)
-    assert (rc, out) == (2, "")
-    assert err == "error: layout 'chsh' has no inequality term groups\n"
-
-
 @pytest.mark.parametrize("family", ["on_off", "parity"])
 def test_analytic_scan_of_a_searched_family_runs_no_bound_search(family, tmp_path, monkeypatch):
     # the verdict reads the analytic bound; f_min_corrected is left empty
@@ -582,6 +575,54 @@ def test_scan_of_the_original_layout_needs_the_analytic_bound(argv, tmp_path):
         assert not out.exists()
     assert _run(argv + ["--layout", "original", "--bound", "analytic"])[0] == 0
     assert out.exists()
+
+
+_LAYOUT_COMMANDS = sorted(command for command, flags in cli.FLAGS.items() if "--layout" in flags)
+# a cheap closed-form call of each command that takes --layout
+_LAYOUT_CALLS = {
+    "bound": ["--state", "pes", "--phi", "0.5"],
+    "scan-alpha": ["--state", "pes", "--phi", "0.3", "--alpha", "1:3:1", "--bound", "analytic"],
+    "scan-phi": ["--state", "pes", "--phi", "0.1:0.5:0.2", "--bound", "analytic"],
+    "threshold": ["--state", "pes", "--tolerance", "0.1"],
+}
+
+
+def _offered_layouts():
+    """(command, layout) for every --layout choice that a command's subparser offers."""
+    commands = cli._shared_parser()[1]
+    for command in _LAYOUT_COMMANDS:
+        (action,) = [a for a in commands[command]._actions if a.dest == "layout"]
+        yield from ((command, layout) for layout in action.choices)
+
+
+@pytest.mark.parametrize("command, layout", list(_offered_layouts()))
+def test_every_offered_layout_is_answered(command, layout, tmp_path):
+    out = tmp_path / "out"
+    rc, stdout, err = _run([command, "--layout", layout, "--output", str(out)] + _LAYOUT_CALLS[command])
+    assert (rc, err) == (0, "")
+    summary = json.loads(stdout)
+    assert summary["outputs"] == [str(out)]
+    if command == "bound":
+        assert summary["f_min_analytic"] is not None
+
+
+@pytest.mark.parametrize("command", _LAYOUT_COMMANDS)
+def test_the_chsh_settings_are_no_layout(command):
+    rc, out, err = _run([command, "--layout", "chsh"] + _LAYOUT_CALLS[command])
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: ") and "argument --layout: invalid choice: 'chsh'" in err
+
+
+def test_threshold_of_the_original_layout_exits_2_at_parse_time(tmp_path):
+    out = tmp_path / "threshold.json"
+    argv = ["threshold", "--state", "pes", "--output", str(out)]
+    rc, stdout, err = _run(argv + ["--layout", "original"])
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("usage: ") and "argument --layout: invalid choice: 'original'" in err
+    conf = _config_file(tmp_path, "layout = original\n")
+    message = "error: config key 'layout' must be one of 3p6, 3p7, threeplus6, threeplus7\n"
+    assert _run(argv + ["--config", conf]) == (2, "", message)
+    assert not out.exists()
 
 
 # -- one parser per process ----------------------------------------------------------

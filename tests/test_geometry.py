@@ -5,13 +5,14 @@ import pytest
 
 from leggett_lab import (
     Direction,
+    SettingsLayout,
     build_layout,
     build_layouts,
     from_cartesian,
     rotate_settings,
 )
 from leggett_lab.optimize import _rotations
-from conftest import angle_between, random_direction, to_cartesian
+from conftest import angle_between, directions, random_direction, to_cartesian
 
 
 def _euler(z1, y, z2):
@@ -71,56 +72,56 @@ def test_rotation_preserves_angles(rng):
 
 
 def test_layout_original():
-    lay = build_layout("original", 0.4)
-    assert len(lay.a_list) == 2 and len(lay.b_list) == 3
+    a, b = directions(build_layout("original", 0.4))
+    assert len(a) == 2 and len(b) == 3
     # b3 stores the a2 duplication explicitly
-    assert lay.b_list[2] == lay.a_list[1]
-    assert abs(angle_between(lay.a_list[0], lay.b_list[0]) - 0.4) < 1e-12
-    assert abs(angle_between(lay.a_list[1], lay.b_list[1]) - 0.4) < 1e-12
+    assert b[2] == a[1]
+    assert abs(angle_between(a[0], b[0]) - 0.4) < 1e-12
+    assert abs(angle_between(a[1], b[1]) - 0.4) < 1e-12
 
 
 def test_layout_threeplus7_structure():
     phi = 0.25
-    lay = build_layout("threeplus7", phi)
-    assert len(lay.a_list) == 3 and len(lay.b_list) == 7
+    a, b = directions(build_layout("threeplus7", phi))
+    assert len(a) == 3 and len(b) == 7
     # the three zero-angle settings coincide exactly
-    assert lay.b_list[4] == lay.a_list[0]
-    assert lay.b_list[5] == lay.a_list[1]
-    assert lay.b_list[6] == lay.a_list[2]
+    assert b[4] == a[0]
+    assert b[5] == a[1]
+    assert b[6] == a[2]
     # b1 = (pi/2, phi)
-    assert lay.b_list[0] == Direction(np.pi / 2, 0.25)
+    assert b[0] == Direction(np.pi / 2, 0.25)
     # every phi-labelled pair has relative angle phi
     for i, j in [(0, 0), (1, 1), (1, 2), (2, 3)]:
-        assert abs(angle_between(lay.a_list[i], lay.b_list[j]) - phi) < 1e-12
+        assert abs(angle_between(a[i], b[j]) - phi) < 1e-12
 
 
 def test_layout_threeplus7_phi0_collapse():
-    lay = build_layout("threeplus7", 0.0)
+    a, b = directions(build_layout("threeplus7", 0.0))
     pairs = [(0, 0), (1, 1), (1, 2), (2, 3), (0, 4), (1, 5), (2, 6)]
     for i, j in pairs:
-        assert np.allclose(
-            to_cartesian(lay.a_list[i]), to_cartesian(lay.b_list[j]), atol=1e-12
-        )
+        assert np.allclose(to_cartesian(a[i]), to_cartesian(b[j]), atol=1e-12)
 
 
 def test_layout_threeplus6_vectors():
     phi = 0.8
     lay = build_layout("threeplus6", phi)
-    assert len(lay.a_list) == 3 and len(lay.b_list) == 6
-    assert lay.b_list[0] == Direction(np.pi / 2, 0.4)
-    assert lay.b_list[1] == Direction(np.pi / 2, -0.4)
+    a, b = directions(lay)
+    assert len(a) == 3 and len(b) == 6
+    assert b[0] == Direction(np.pi / 2, 0.4)
+    assert b[1] == Direction(np.pi / 2, -0.4)
     # angle(a_i, b_i+-) = phi/2 for every group
     for w, terms in lay.groups:
         for i, j in terms:
-            assert abs(angle_between(lay.a_list[i], lay.b_list[j]) - phi / 2) < 1e-10
+            assert abs(angle_between(a[i], b[j]) - phi / 2) < 1e-10
 
 
 def test_layout_threeplus6_difference_vectors_orthogonal():
     for phi in np.linspace(0.05, np.pi - 0.05, 25):
         lay = build_layout("threeplus6", phi)
+        _, b = directions(lay)
         diffs = []
         for j, j2, _ in lay.bound_pairs:
-            diffs.append(to_cartesian(lay.b_list[j]) - to_cartesian(lay.b_list[j2]))
+            diffs.append(to_cartesian(b[j]) - to_cartesian(b[j2]))
         for k in range(3):
             for l in range(k + 1, 3):
                 assert abs(np.dot(diffs[k], diffs[l])) < 1e-9
@@ -128,21 +129,20 @@ def test_layout_threeplus6_difference_vectors_orthogonal():
 
 def test_layout_phi0_collapse_threeplus6():
     lay = build_layout("threeplus6", 0.0)
+    a, b = directions(lay)
     for w, terms in lay.groups:
         for i, j in terms:
-            assert np.allclose(
-                to_cartesian(lay.a_list[i]), to_cartesian(lay.b_list[j]), atol=1e-12
-            )
+            assert np.allclose(to_cartesian(a[i]), to_cartesian(b[j]), atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["original", "threeplus7", "threeplus6", "chsh"])
+@pytest.mark.parametrize("name", ["original", "threeplus7", "threeplus6"])
 def test_layout_grid_equals_each_layout_and_its_angles(name):
     phis = np.linspace(0.0, np.pi, 9)
     grid = build_layouts(name, phis)
     for phi, lay in zip(phis, grid):
         alone = build_layout(name, phi)
         assert lay == alone and lay.phi == phi
-        for vectors, dirs in ((lay.a, lay.a_list), (lay.b, lay.b_list)):
+        for vectors, dirs in zip((lay.a, lay.b), directions(lay)):
             assert not vectors.flags.writeable
             assert np.abs(vectors - [to_cartesian(d) for d in dirs]).max() <= 1e-15
     assert build_layouts(name, []) == []
@@ -162,20 +162,28 @@ def test_layout_rejects_bad_input():
     with pytest.raises(ValueError):
         build_layout("nope", 0.1)
     with pytest.raises(ValueError):
+        build_layout("chsh", 0.0)
+    with pytest.raises(ValueError):
         build_layout("threeplus6", -0.2)
     with pytest.raises(ValueError):
         build_layout("threeplus6", 3.5)
+
+
+def test_layout_without_term_groups_is_refused():
+    lay = build_layout("threeplus6", 0.4)
+    with pytest.raises(ValueError, match="layout 'threeplus6' has no inequality term groups"):
+        SettingsLayout(lay.name, lay.phi, lay.a, lay.b, (), lay.bound_pairs, lay.angles)
 
 
 def test_rotate_settings_identity_and_axis():
     lay = build_layout("threeplus7", 0.3)
     (same,) = rotate_settings([lay], _euler(0.0, 0.0, 0.0))
     assert same.angles is None
-    for d, e in zip(lay.a_list + lay.b_list, same.a_list + same.b_list):
+    for d, e in zip(sum(directions(lay), ()), sum(directions(same), ())):
         assert np.allclose(to_cartesian(d), to_cartesian(e), atol=1e-12)
     # z-rotation by pi moves a1 = (pi/2, 0) to (pi/2, pi)
     (rot,) = rotate_settings([lay], _euler(np.pi, 0.0, 0.0))
-    assert np.allclose(to_cartesian(rot.a_list[0]), [-1, 0, 0], atol=1e-12)
+    assert np.allclose(to_cartesian(directions(rot)[0][0]), [-1, 0, 0], atol=1e-12)
 
 
 def test_rotate_settings_preserves_party_angles(rng):
@@ -184,7 +192,7 @@ def test_rotate_settings_preserves_party_angles(rng):
         ra = _euler(*rng.uniform(0, 2 * np.pi, 3))
         rb = _euler(*rng.uniform(0, 2 * np.pi, 3))
         (rot,) = rotate_settings([lay], ra, rb)
-        for lst, new in ((lay.a_list, rot.a_list), (lay.b_list, rot.b_list)):
+        for lst, new in zip(directions(lay), directions(rot)):
             for i in range(len(lst)):
                 for j in range(i + 1, len(lst)):
                     assert (
@@ -207,5 +215,5 @@ def test_rotate_settings_shared_mode():
     r = _euler(0.3, 1.1, -0.4)
     (shared,) = rotate_settings([lay], r)
     (both,) = rotate_settings([lay], r, r)
-    for d, e in zip(shared.b_list, both.b_list):
+    for d, e in zip(directions(shared)[1], directions(both)[1]):
         assert np.allclose(to_cartesian(d), to_cartesian(e), atol=1e-15)

@@ -117,8 +117,7 @@ def test_optimize_rigid_pes_threeplus6_no_gain():
 
 def test_threshold_pes_always_verdict():
     res = threshold_alpha(
-        "qubit_projective", -1, "threeplus6", optimized=False, seed=10, starts=16,
-        scan_points=5, tolerance=0.05,
+        "qubit_projective", -1, "threeplus6", optimized=False, seed=10, starts=16, tolerance=0.05,
     )
     assert res.verdict == "always"
     assert res.alpha_star is None
@@ -127,8 +126,7 @@ def test_threshold_pes_always_verdict():
 
 def test_threshold_bisection_brackets():
     res = threshold_alpha(
-        "pseudo_spin", -1, "threeplus6", optimized=False, seed=11, starts=16,
-        scan_points=8, tolerance=0.05, bracket=(0.9, 6.0),
+        "pseudo_spin", -1, "threeplus6", optimized=False, seed=11, starts=16, tolerance=0.05,
     )
     assert res.verdict == "threshold"
     assert res.margin_lo <= 0 < res.margin_hi
@@ -137,7 +135,7 @@ def test_threshold_bisection_brackets():
 
 
 def test_threshold_deterministic():
-    kw = dict(optimized=False, seed=12, starts=12, scan_points=6, tolerance=0.2, bracket=(1.0, 5.0))
+    kw = dict(optimized=False, seed=12, starts=12, tolerance=0.2)
     r1 = threshold_alpha("pseudo_spin", -1, "threeplus6", **kw)
     r2 = threshold_alpha("pseudo_spin", -1, "threeplus6", **kw)
     assert r1.alpha_star == r2.alpha_star
@@ -595,17 +593,6 @@ def test_rigid_batch_of_no_points_and_of_mixed_problems():
     configs = [_cfg(starts=4), _cfg(starts=4, tolerance=1e-8)]
     with pytest.raises(ValueError, match="tolerance"):
         optimize_rigid([parity] * 2, [lay, lay], configs, shared=True, bound_mode="analytic2d")
-
-
-@pytest.mark.parametrize(
-    "model", [pes_model(), ecs_model(1.0, -1), ecs_model(3.0, -1, "parity")], ids=lambda m: m.label
-)
-@pytest.mark.parametrize("shared", [True, False])
-def test_rigid_layout_without_term_groups_raises(model, shared):
-    with pytest.raises(ValueError, match="no inequality term groups"):
-        optimize_rigid([model], [build_layout("chsh")], [_cfg(starts=4)], shared=shared)
-    with pytest.raises(ValueError, match="no inequality term groups"):
-        optimize._make_rigid_objective([model], [build_layout("chsh")], shared)
 
 
 # -- closed-form rigid optimum of the tensor models --------------------------------------
