@@ -30,22 +30,15 @@ does not take exits 2.
 
 A flag that its command does not read exits 2 ("unrecognized arguments"),
 and so does --independent-rotations on reproduce fig4 and fig6, which never
-optimize.  Every command also takes --config, which names a "key = value"
-file whose keys are the option names of its flags (the dest of each flag,
-such as starts, shared or fmt); a key that the command does not read exits 2
-too.  A switch (optimize, shared, svg) takes true/false, yes/no, on/off or
-1/0 in any case; any other value exits 2.  A flag given on the command line
-wins over the file, and the file over the built-in default (RunConfig's).
-The inputs are argv and the --config file it names, if any, so identical
-argv and file give byte-identical output; the seed, a whole number of at
-least 0, is --seed, then the file, then 0.  A lo:hi:step range of more than
-MAX_RANGE_POINTS points exits 2 before any point is built.
+optimize.  argv is the only input: a flag not given keeps the built-in
+default (RunConfig's), so identical argv gives byte-identical output; the
+seed, a whole number of at least 0, is --seed, else 0.  A lo:hi:step range
+of more than MAX_RANGE_POINTS points exits 2 before any point is built.
 
 The argument parser is built once per process and shared by every call of
 :func:`parse_args` and :func:`run`; nothing changes it.  Its subparsers put
-a flag in the namespace only when it is given, so :func:`parse_args` lays
-the flags given over the --config file's values, each typed and checked
-like its flag.
+a flag in the namespace only when it is given, so RunConfig holds the one
+set of defaults.
 """
 
 from __future__ import annotations
@@ -217,20 +210,6 @@ _COMMAND_OPTIONS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line must be 'key = value': {raw!r}")
-            key, val = (p.strip() for p in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
-
-
 @functools.cache
 def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subparser per command: built once, never changed."""
@@ -244,45 +223,14 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
         commands[name] = p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         if name == "reproduce":
             p.add_argument("figure", choices=("fig3", "fig4", "fig5", "fig6"))
-        p.add_argument("--config", help="key = value defaults file")
         for flag in flags:
             p.add_argument(flag, **{**_OPTIONS[flag], **_COMMAND_OPTIONS.get((name, flag), {})})
     return parser, commands
 
 
-_CONFIG_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
-                    "false": False, "no": False, "off": False, "0": False}
-
-
-def _config_values(subparser: argparse.ArgumentParser, values: dict) -> dict:
-    """The values of a --config file, typed and checked as the subparser's options."""
-    actions = {a.dest: a for a in subparser._actions if a.option_strings and a.dest not in ("help", "config")}
-    typed = {}
-    for key, text in values.items():
-        action = actions.get(key)
-        if action is None:
-            raise ValueError(f"unknown config key {key!r}")
-        if action.nargs == 0:  # store_true / store_false: the file gives the value itself
-            value = _CONFIG_BOOLEANS.get(text.lower())
-            if value is None:
-                raise ValueError(f"config key {key!r} must be true or false")
-        else:
-            try:
-                value = action.type(text) if action.type else text
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"config key {key!r} {exc}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"config key {key!r} must be one of {', '.join(map(str, action.choices))}")
-        typed[key] = value
-    return typed
-
-
 def parse_args(argv) -> RunConfig:
     parser, commands = _shared_parser()
     fields = vars(parser.parse_args(argv))
-    if "config" in fields:  # the flags given win over the file
-        values = _read_config_file(fields.pop("config"))
-        fields = {**_config_values(commands[fields["command"]], values), **fields}
     if fields.get("figure") in _FIXED_SETTINGS_FIGURES and not fields.get("shared", True):
         commands["reproduce"].error(f"argument --independent-rotations: reproduce {fields['figure']} never optimizes")
     if "layout" in fields:
@@ -404,19 +352,7 @@ def _write_summary(cfg: RunConfig, **fields) -> dict:
 
 
 def _cmd_threshold(cfg: RunConfig):
-    family, sign = _model_args(cfg)
-    res = threshold_alpha(
-        family,
-        sign,
-        cfg.layout,
-        optimized=cfg.optimize,
-        tolerance=cfg.tolerance,
-        phi=float(cfg.phi) if cfg.phi else None,
-        seed=cfg.seed,
-        starts=cfg.starts,
-        shared=cfg.shared,
-        bound_mode=_bound_mode(cfg),
-    )
+    res = threshold_alpha(_task(cfg, phi=float(cfg.phi) if cfg.phi else None), cfg.tolerance)
     return _write_summary(
         cfg,
         verdict=res.verdict,
@@ -541,9 +477,6 @@ def run(argv) -> int:
         cfg = parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         summary = _DISPATCH[cfg.command](cfg)
     except LeggettLabError as exc:

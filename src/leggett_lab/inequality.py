@@ -256,14 +256,15 @@ def evaluate_points(models, layouts, mode: str = "state_corrected", configs=None
 def chsh_value(
     model: CorrelationModel, a: Direction, a2: Direction, b: Direction, b2: Direction
 ) -> ChshEvaluation:
-    """B = E(a,b) + E(a,b2) + E(a2,b) - E(a2,b2); violation means B > 2."""
+    """B = E(a,b) + E(a,b2) + E(a2,b) - E(a2,b2); the inequality is |B| <= 2,
+    so violation means |B| > 2, of either sign."""
     B = (
         model.correlation(a, b)
         + model.correlation(a, b2)
         + model.correlation(a2, b)
         - model.correlation(a2, b2)
     )
-    return ChshEvaluation(B, (a, a2, b, b2), B > 2.0)
+    return ChshEvaluation(B, (a, a2, b, b2), abs(B) > 2.0)
 
 
 # the canonical CHSH settings a = x, a2 = y, b and b2, all on the equator, b

@@ -846,6 +846,23 @@ def _searched(models) -> bool:
     return bool(models) and models[0].tensor is None
 
 
+@dataclass(frozen=True)
+class ScanTask:
+    """The question at every grid point of a scan, or the one a threshold bisects."""
+
+    layout_name: str
+    family: str = "qubit_projective"
+    sign: int = -1
+    alpha: float | None = None
+    phi: float | None = None
+    bound_mode: str = "state_corrected"
+    optimize: bool = False
+    shared: bool = True
+    include_chsh: bool = False
+    starts: int = 32
+    seed: int = 0
+
+
 # -- threshold bisection ------------------------------------------------------------------
 
 
@@ -912,19 +929,14 @@ def _bisection_path(lo: float, hi: float, tolerance: float, root: float) -> list
     return path
 
 
-def threshold_alpha(
-    family: str,
-    sign: int,
-    layout_name: str,
-    optimized: bool = False,
-    tolerance: float = 1e-3,
-    phi: float | None = None,
-    seed: int = 0,
-    starts: int = 32,
-    shared: bool = True,
-    bound_mode: str = "state_corrected",
-) -> ThresholdResult:
-    """Bisect the inequality margin over the state amplitude.
+def threshold_alpha(task: ScanTask, tolerance: float = 1e-3) -> ThresholdResult:
+    """Bisect the inequality margin of task over the state amplitude.
+
+    The task states the question as :func:`scan` reads it: its layout,
+    family, sign, phi (None for the layout's DEFAULT_THRESHOLD_PHI), bound
+    mode, optimize, shared, starts and seed.  task.alpha and
+    task.include_chsh are ignored: the amplitude is what the bisection
+    varies, and no CHSH value is computed.
 
     The margin is scanned first on a fixed coarse grid, THRESHOLD_SCAN_POINTS
     evenly spaced amplitudes spanning THRESHOLD_BRACKET; the last
@@ -934,7 +946,7 @@ def threshold_alpha(
     optimizations with seeds derived from the amplitude, so a rerun with the
     same seed reproduces the result bit for bit.  All-positive margins give
     verdict "always", all-nonpositive "never".  Every bound and rigid search
-    draws starts starts.
+    draws task.starts starts.
 
     The coarse grid is one evaluation (:func:`_evaluate`): its bounds point
     by point, then L of all its amplitudes as one array, at fixed settings
@@ -959,19 +971,20 @@ def threshold_alpha(
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
-    if layout_name not in DEFAULT_THRESHOLD_PHI:
-        raise ValueError(f"threshold supports threeplus7/threeplus6, not {layout_name!r}")
-    if phi is None:
-        phi = DEFAULT_THRESHOLD_PHI[layout_name]
-    layout = build_layout(layout_name, phi)
+    if task.layout_name not in DEFAULT_THRESHOLD_PHI:
+        raise ValueError(f"threshold supports threeplus7/threeplus6, not {task.layout_name!r}")
+    phi = DEFAULT_THRESHOLD_PHI[task.layout_name] if task.phi is None else task.phi
+    layout = build_layout(task.layout_name, phi)
 
     def margins(alphas) -> list[float]:
         """The margin at each amplitude; the rigid searches of all of them run as one batch."""
-        models = [_model(family, sign, alpha) for alpha in alphas]
+        models = [_model(task.family, task.sign, alpha) for alpha in alphas]
         seeds = [None] * len(alphas)
         if _searched(models):
-            seeds = [stable_seed(seed, layout_name, family, sign, round(alpha, 12)) for alpha in alphas]
-        evs = _evaluate(models, [layout] * len(alphas), seeds, optimized, shared, bound_mode, starts)
+            seeds = [stable_seed(task.seed, task.layout_name, task.family, task.sign, round(alpha, 12))
+                     for alpha in alphas]
+        evs = _evaluate(models, [layout] * len(alphas), seeds, task.optimize, task.shared, task.bound_mode,
+                        task.starts)
         return [ev.margin for ev in evs]
 
     grid = np.linspace(*THRESHOLD_BRACKET, THRESHOLD_SCAN_POINTS).tolist()  # floats, rounded alike by the seeds
@@ -989,7 +1002,9 @@ def threshold_alpha(
             verdict, None, THRESHOLD_BRACKET, margins_grid[0], margins_grid[-1], None, evaluations
         )
 
-    speculate = optimized and (bound_mode != "state_corrected" or _model(family, sign, lo).tensor is not None)
+    speculate = task.optimize and (
+        task.bound_mode != "state_corrected" or _model(task.family, task.sign, lo).tensor is not None
+    )
     known = dict(zip(grid, margins_grid))
     while True:
         mid = 0.5 * (lo + hi)  # a bisection midpoint, or alpha* once the bracket is narrow enough
@@ -1026,23 +1041,6 @@ class SweepRecord:
     violated: bool
     starts: int
     seed: int
-
-
-@dataclass(frozen=True)
-class ScanTask:
-    """What to compute at every grid point of a scan."""
-
-    layout_name: str
-    family: str = "qubit_projective"
-    sign: int = -1
-    alpha: float | None = None
-    phi: float | None = None
-    bound_mode: str = "state_corrected"
-    optimize: bool = False
-    shared: bool = True
-    include_chsh: bool = False
-    starts: int = 32
-    seed: int = 0
 
 
 def _record(task: ScanTask, index: int, alpha, phi, model, seed, ev: LeggettEvaluation) -> SweepRecord:
@@ -1142,7 +1140,15 @@ def implication_check(
 ) -> ImplicationReport:
     """For every grid point where the Leggett evaluation is violated, an
     optimized CHSH evaluation must exceed 2.  Returns the counterexamples
-    (expected empty)."""
+    (expected empty).
+
+    The state-corrected bound is a loose search (300 iterations, no polish,
+    no convergence check), and it is conservative.  Any value a search
+    returns is an attained objective value, so f_loose >= f_min, and its
+    bound 4 - f_loose is at most the true one: the loose search can only
+    flag extra Leggett violations.  Likewise a searched B is at most the
+    true CHSH maximum.  So the check can report false counterexamples, but
+    never a false ok."""
     counterexamples = []
     n_violations = 0
     n_points = 0

@@ -286,86 +286,9 @@ def test_fixed_setting_sweeps_never_call_the_scalar_correlation(tmp_path, monkey
         assert (rc, err) == (0, ""), argv
 
 
-# -- --config precedence: flag, then the file, then the built-in default -------------
-
-# key -> (a command that reads it, file value, flag, from the file, from the flag,
-# built-in default); the flag value differs from the file's, and for fmt and bound
-# it equals the built-in default
-_CONFIG_KEYS = {
-    "state": ("chsh", "ecs+", ["--state", "ecs-"], "ecs+", "ecs-", "pes"),
-    "family": ("chsh", "parity", ["--family", "on_off"], "parity", "on_off", "pseudo_spin"),
-    "layout": ("bound", "3p7", ["--layout", "original"], "threeplus7", "original", "threeplus6"),
-    "alpha": ("chsh", "2", ["--alpha", "3"], "2", "3", ""),
-    "phi": ("bound", "0.4", ["--phi", "0.5"], "0.4", "0.5", ""),
-    "bound": ("threshold", "analytic", ["--bound", "corrected"], "analytic", "corrected", "corrected"),
-    "optimize": ("chsh", "false", ["--optimize"], False, True, False),
-    "shared": ("threshold", "true", ["--independent-rotations"], True, False, True),
-    "starts": ("chsh", "8", ["--starts", "4"], 8, 4, 32),
-    "tolerance": ("threshold", "0.01", ["--tolerance", "0.1"], 0.01, 0.1, 1e-3),
-    "output": ("chsh", "a.json", ["--output", "b.json"], "a.json", "b.json", ""),
-    "fmt": ("scan-phi", "json", ["--format", "csv"], "json", "csv", "csv"),
-    "svg": ("scan-alpha", "0", ["--svg"], False, True, False),
-}
-
-
-def _config_file(tmp_path, text):
-    path = tmp_path / "run.conf"
-    path.write_text(text)
-    return str(path)
-
-
-@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
-def test_config_file_sits_between_flag_and_default(key, tmp_path):
-    command, text, flag, from_file, from_flag, default = _CONFIG_KEYS[key]
-    conf = _config_file(tmp_path, f"# defaults\n{key.replace('_', '-')} = {text}\n")
-    assert getattr(cli.parse_args([command, "--config", conf]), key) == from_file
-    assert getattr(cli.parse_args([command, "--config", conf] + flag), key) == from_flag
-    assert getattr(cli.parse_args([command] + flag), key) == from_flag
-    assert getattr(cli.parse_args([command]), key) == default
-
-
-@pytest.mark.parametrize(
-    "text, values",
-    [
-        ("optimize = true\nshared = false\nsvg = yes\n", (True, False, True)),
-        ("optimize = ON\nshared = No\nsvg = 1\n", (True, False, True)),
-        ("optimize = 0\nshared = TRUE\nsvg = off\n", (False, True, False)),
-    ],
-)
-def test_config_file_sets_a_store_true_flag(text, values, tmp_path):
-    conf = _config_file(tmp_path, text)
-    cfg = cli.parse_args(["scan-phi", "--config", conf])
-    assert (cfg.optimize, cfg.shared, cfg.svg) == values
-
-
-def test_config_file_starts_reach_the_search(tmp_path):
-    argv = ["chsh", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--optimize", "--seed", "0"]
-    conf = _config_file(tmp_path, "starts = 8\n")
-    assert _run(argv + ["--config", conf]) == _run(argv + ["--starts", "8"])
-
-
-def test_seed_precedence(tmp_path):
-    conf = _config_file(tmp_path, "seed = 5\n")
+def test_seed_precedence():
     assert cli.parse_args(["bound"]).seed == 0
-    assert cli.parse_args(["bound", "--config", conf]).seed == 5
-    assert cli.parse_args(["bound", "--config", conf, "--seed", "3"]).seed == 3
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("colour = red\n", "error: unknown config key 'colour'\n"),
-        ("figure = fig4\n", "error: unknown config key 'figure'\n"),
-        ("state = ecs\n", "error: config key 'state' must be one of pes, ecs+, ecs-\n"),
-        ("starts\n", "error: config line must be 'key = value': 'starts\\n'\n"),
-        ("optimize = ture\n", "error: config key 'optimize' must be true or false\n"),
-        ("optimize = 2\n", "error: config key 'optimize' must be true or false\n"),
-        ("optimize =\n", "error: config key 'optimize' must be true or false\n"),
-    ],
-)
-def test_bad_config_file_exits_2(text, message, tmp_path):
-    conf = _config_file(tmp_path, text)
-    assert _run(["chsh", "--config", conf]) == (2, "", message)
+    assert cli.parse_args(["bound", "--seed", "3"]).seed == 3
 
 
 # -- each command takes only the flags it reads ----------------------------------------
@@ -425,27 +348,24 @@ def test_unread_flag_exits_2(command, flag, value, tmp_path):
 
 
 @pytest.mark.parametrize("figure", ["fig4", "fig6"])
-@pytest.mark.parametrize("how", ["flag", "config"])
-def test_unoptimized_figure_rejects_independent_rotations(figure, how, tmp_path):
-    argv = ["reproduce", figure, "--output", str(tmp_path / "out")]
-    if how == "flag":
-        argv.append("--independent-rotations")
-    else:
-        argv += ["--config", _config_file(tmp_path, "shared = false\n")]
+def test_unoptimized_figure_rejects_independent_rotations(figure, tmp_path):
+    argv = ["reproduce", figure, "--output", str(tmp_path / "out"), "--independent-rotations"]
     rc, out, err = _run(argv)
     assert (rc, out) == (2, "")
     assert f"argument --independent-rotations: reproduce {figure} never optimizes" in err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
-    "command, text",
-    [(["chsh"], "layout = 3p7\n"), (["bound"], "optimize = true\n"), (["reproduce", "fig3"], "bound = analytic\n")],
-)
-def test_config_key_the_command_does_not_read_exits_2(command, text, tmp_path):
-    key = text.split()[0]
-    conf = _config_file(tmp_path, text)
-    assert _run(command + ["--config", conf]) == (2, "", f"error: unknown config key {key!r}\n")
+@pytest.mark.parametrize("command", sorted(cli.FLAGS))
+def test_config_flag_exits_2(command, tmp_path):
+    # argv is the only input: every key a config file could set is a flag
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed = 5\n")
+    argv = [command] + (["fig4"] if command == "reproduce" else [])
+    rc, out, err = _run(argv + ["--output", str(tmp_path / "out"), "--config", str(conf)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: ") and "unrecognized arguments: --config" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", sorted(cli.FLAGS))
@@ -527,7 +447,7 @@ def test_threshold_tolerance_that_bisection_cannot_reach_exits_2(tolerance):
 def test_threshold_alpha_rejects_a_tolerance_it_cannot_reach():
     for tolerance in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tolerance must be finite and positive"):
-            optimize.threshold_alpha("pseudo_spin", -1, "threeplus6", tolerance=tolerance)
+            optimize.threshold_alpha(optimize.ScanTask("threeplus6", "pseudo_spin"), tolerance=tolerance)
 
 
 @pytest.mark.parametrize("alpha", ["1e200", "1e10"])
@@ -547,7 +467,7 @@ def test_scan_phi_on_an_ecs_state_names_the_missing_alpha():
 
 @pytest.mark.parametrize("text", ["-1", "1.5"])
 @pytest.mark.parametrize("command", sorted(command for command, flags in cli.FLAGS.items() if "--seed" in flags))
-def test_seed_below_0_or_not_whole_exits_2(command, text, tmp_path):
+def test_seed_below_0_or_not_whole_exits_2(command, text):
     # checked by the parser: numpy's generators reject a negative seed only
     # inside a search, and the closed-form commands draw nothing
     argv = [command] + (["fig4"] if command == "reproduce" else [])
@@ -555,8 +475,6 @@ def test_seed_below_0_or_not_whole_exits_2(command, text, tmp_path):
     rc, out, err = _run(argv + ["--seed", text])
     assert (rc, out) == (2, "")
     assert err.startswith("usage: ") and err.endswith(f"error: argument --seed: {message}")
-    conf = _config_file(tmp_path, f"seed = {text}\n")
-    assert _run(argv + ["--config", conf]) == (2, "", f"error: config key 'seed' {message}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -567,8 +485,7 @@ def test_scan_of_the_original_layout_needs_the_analytic_bound(argv, tmp_path):
     out = tmp_path / "scan.csv"
     argv = argv + ["--output", str(out)]
     message = "error: argument --layout: original has no state-corrected bound; give --bound analytic\n"
-    conf = _config_file(tmp_path, "layout = original\n")
-    for given in (["--layout", "original"], ["--layout", "original", "--bound", "corrected"], ["--config", conf]):
+    for given in (["--layout", "original"], ["--layout", "original", "--bound", "corrected"]):
         rc, stdout, err = _run(argv + given)
         assert (rc, stdout) == (2, "")
         assert err.startswith("usage: ") and err.endswith(message)
@@ -619,9 +536,6 @@ def test_threshold_of_the_original_layout_exits_2_at_parse_time(tmp_path):
     rc, stdout, err = _run(argv + ["--layout", "original"])
     assert (rc, stdout) == (2, "")
     assert err.startswith("usage: ") and "argument --layout: invalid choice: 'original'" in err
-    conf = _config_file(tmp_path, "layout = original\n")
-    message = "error: config key 'layout' must be one of 3p6, 3p7, threeplus6, threeplus7\n"
-    assert _run(argv + ["--config", conf]) == (2, "", message)
     assert not out.exists()
 
 
@@ -646,29 +560,6 @@ def test_parser_is_built_once(monkeypatch):
     assert calls == []
 
 
-def test_config_file_builds_no_second_parser(monkeypatch, tmp_path):
-    conf = _config_file(tmp_path, "starts = 8\nseed = 3\n")
-    cli._shared_parser()
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def spy(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-    cfg = cli.parse_args(["chsh", "--config", conf, "--seed", "5"])
-    assert (cfg.starts, cfg.seed) == (8, 5)
-    assert built == []
-
-
-def test_config_file_leaves_later_calls_on_the_built_in_defaults(tmp_path):
-    conf = _config_file(tmp_path, "optimize = true\nshared = false\nsvg = yes\n")
-    assert cli.parse_args(["scan-phi", "--config", conf]).optimize
-    cfg = cli.parse_args(["scan-phi", "--seed", "0"])
-    assert cfg == cli.RunConfig("scan-phi")
-
-
 def test_usage_error_leaves_the_parser_intact():
     argv = ["bound", "--layout", "3p7", "--phi", "0.3", "--seed", "0"]
     alone = _module_run("leggett_lab", *argv)
@@ -690,6 +581,7 @@ _SCIPY_FREE_COMMANDS = [
     ["threshold", "--layout", "3p7", "--state", "ecs-", "--optimize"],
     ["threshold", "--layout", "3p6", "--state", "ecs-", "--optimize"],
     ["scan-phi", "--state", "pes", "--phi", "0.2:0.6:0.2", "--output", "scan_phi.csv"],
+    ["scan-phi", "--state", "pes", "--phi", "0.2:0.6:0.2", "--format", "json", "--svg", "--output", "scan_phi.json"],
     ["scan-alpha", "--optimize", "--alpha", "0.5:2:0.5", "--output", "scan_alpha.csv"],
     ["scan-alpha", "--family", "on_off", "--phi", "1.0", "--alpha", "3:5:2", "--starts", "8",
      "--output", "scan_alpha_on_off.csv"],
@@ -698,6 +590,7 @@ _SCIPY_FREE_COMMANDS = [
     # parity at alpha 3, where the tests compare the elements with the Fock oracle
     ["bound", "--layout", "3p7", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--phi", "0.75"],
     ["chsh", "--state", "pes"],
+    ["chsh", "--state", "ecs+", "--alpha", "2"],
     ["chsh", "--state", "ecs+", "--alpha", "2", "--optimize"],
     ["chsh", "--state", "ecs+", "--family", "on_off", "--alpha", "1", "--optimize", "--starts", "8"],
     ["--help"],
@@ -755,7 +648,8 @@ def test_every_command_runs_without_scipy(scipy_blocked_and_free_runs):
     assert [rc for rc, _, _ in blocked["runs"]] == [1 if i == fig3 else 0 for i in range(len(_SCIPY_FREE_COMMANDS))]
     assert blocked["runs"][fig3][2] == "error: top-decile spread 9.713e-04 after 32 starts\n"
     assert blocked["runs"][-1][1].startswith("usage: leggett-lab")
-    assert len(blocked["files"]) == 2 + 4 + 2 + 3  # fig4 at two amplitudes, fig5, fig6, three scans
+    # fig4 at two amplitudes, fig5, fig6, three CSV scans, and one JSON scan with its SVG
+    assert len(blocked["files"]) == 2 + 4 + 2 + 3 + 2
     assert blocked == free  # same exit codes, stdout, stderr and files
 
 

@@ -317,6 +317,20 @@ def test_chsh_value_and_canonical_settings():
     assert abs(ev.B) <= 4.0
 
 
+@pytest.mark.parametrize("alpha, B", [(1.0, -2.5718426309428386), (2.0, -2.6366859514445973), (5.0, -2.7996918956841528)])
+def test_chsh_verdict_is_two_sided(alpha, B):
+    # the inequality is |B| <= 2: ECS+ pseudo-spin at the canonical settings violates it from below
+    ev = chsh_at_layout(ecs_model(alpha, +1, "pseudo_spin"))
+    assert ev.B == B and ev.violated
+
+
+def test_chsh_between_minus_2_and_0_is_no_violation():
+    z, b = Direction(0.0, 0.0), Direction(np.pi / 3, 0.0)
+    ev = chsh_value(pes_model(), z, z, b, b)  # B = -2 cos(pi/3)
+    assert ev.B == pytest.approx(-1.0, abs=1e-12)
+    assert not ev.violated
+
+
 def test_implication_check_small_grid():
     rep = implication_check(
         "pseudo_spin", -1, np.linspace(3.0, 8.0, 3), np.linspace(0.15, 0.5, 3), starts=8, seed=5

@@ -116,18 +116,14 @@ def test_optimize_rigid_pes_threeplus6_no_gain():
 
 
 def test_threshold_pes_always_verdict():
-    res = threshold_alpha(
-        "qubit_projective", -1, "threeplus6", optimized=False, seed=10, starts=16, tolerance=0.05,
-    )
+    res = threshold_alpha(ScanTask("threeplus6", "qubit_projective", -1, seed=10, starts=16), tolerance=0.05)
     assert res.verdict == "always"
     assert res.alpha_star is None
     assert res.margin_lo > 0 and res.margin_hi > 0
 
 
 def test_threshold_bisection_brackets():
-    res = threshold_alpha(
-        "pseudo_spin", -1, "threeplus6", optimized=False, seed=11, starts=16, tolerance=0.05,
-    )
+    res = threshold_alpha(ScanTask("threeplus6", "pseudo_spin", -1, seed=11, starts=16), tolerance=0.05)
     assert res.verdict == "threshold"
     assert res.margin_lo <= 0 < res.margin_hi
     assert res.bracket[1] - res.bracket[0] <= 0.05
@@ -135,11 +131,16 @@ def test_threshold_bisection_brackets():
 
 
 def test_threshold_deterministic():
-    kw = dict(optimized=False, seed=12, starts=12, tolerance=0.2)
-    r1 = threshold_alpha("pseudo_spin", -1, "threeplus6", **kw)
-    r2 = threshold_alpha("pseudo_spin", -1, "threeplus6", **kw)
+    task = ScanTask("threeplus6", "pseudo_spin", -1, seed=12, starts=12)
+    r1 = threshold_alpha(task, tolerance=0.2)
+    r2 = threshold_alpha(task, tolerance=0.2)
     assert r1.alpha_star == r2.alpha_star
     assert r1.bracket == r2.bracket
+
+
+def test_threshold_ignores_the_task_amplitude_and_chsh():
+    task = ScanTask("threeplus7", "pseudo_spin", -1, seed=1)
+    assert threshold_alpha(replace(task, alpha=3.0, include_chsh=True), 0.1) == threshold_alpha(task, 0.1)
 
 
 @pytest.mark.parametrize("family", ["parity", "on_off"])  # verdicts "never" and "threshold"
@@ -155,7 +156,7 @@ def test_threshold_seeds_round_grid_and_midpoint_amplitudes_alike(family, monkey
         return stable_seed(*parts)
 
     monkeypatch.setattr(optimize, "stable_seed", spy)
-    res = threshold_alpha(family, -1, "threeplus7", bound_mode="analytic2d", tolerance=0.5)
+    res = threshold_alpha(ScanTask("threeplus7", family, -1, bound_mode="analytic2d"), tolerance=0.5)
     assert len(amplitudes) == res.evaluations  # the grid, then any bisection midpoints
     assert all(type(a) is float for a in amplitudes)
 
@@ -688,7 +689,7 @@ _THRESHOLD_PINS = {
 @pytest.mark.parametrize("layout_name, sign", sorted(_THRESHOLD_PINS))
 def test_optimized_threshold_result_is_pinned(layout_name, sign):
     star, bracket, m_lo, m_hi, m_star = _THRESHOLD_PINS[layout_name, sign]
-    res = threshold_alpha("pseudo_spin", sign, layout_name, optimized=True, seed=0)
+    res = threshold_alpha(ScanTask(layout_name, "pseudo_spin", sign, optimize=True, seed=0))
     assert res == optimize.ThresholdResult("threshold", star, bracket, m_lo, m_hi, m_star, 27)
 
 
@@ -751,7 +752,7 @@ def test_speculative_walk_equals_sequential_bisection(name, predictor, monkeypat
     monkeypatch.setattr(optimize, "optimize_rigid", _stub_rigid(margin, calls))
     if _PREDICTORS[predictor] is not None:
         monkeypatch.setattr(optimize, "_predict_root", _PREDICTORS[predictor])
-    res = threshold_alpha("pseudo_spin", -1, "threeplus7", optimized=True, seed=0)
+    res = threshold_alpha(ScanTask("threeplus7", "pseudo_spin", -1, optimize=True, seed=0))
     want, visited = _sequential_threshold(margin)
     assert res == want
     assert len(calls[0]) == 16  # the amplitude scan
@@ -771,7 +772,7 @@ def test_coefficient_threshold_speculates_only_without_a_searched_bound(family, 
     margin = _STUB_MARGINS["root-at-midpoint"]
     calls = []
     monkeypatch.setattr(optimize, "optimize_rigid", _stub_rigid(margin, calls))
-    res = threshold_alpha(family, -1, "threeplus7", optimized=True, bound_mode=bound_mode, seed=0)
+    res = threshold_alpha(ScanTask("threeplus7", family, -1, bound_mode=bound_mode, optimize=True, seed=0))
     want, visited = _sequential_threshold(margin)
     assert res == want
     if speculates:
@@ -789,7 +790,7 @@ def test_unoptimized_threshold_evaluates_each_margin_once(monkeypatch):
         return evaluate(models, *args, **kwargs)
 
     monkeypatch.setattr(optimize.inequality, "evaluate_points", counted)
-    res = threshold_alpha("pseudo_spin", -1, "threeplus7", seed=1)
+    res = threshold_alpha(ScanTask("threeplus7", "pseudo_spin", -1, seed=1))
     assert res.verdict == "threshold"
     assert len(calls) == res.evaluations == 27
 
@@ -803,6 +804,6 @@ def test_optimized_threshold_makes_few_rigid_batches(monkeypatch):
         return rigid(models, *args, **kwargs)
 
     monkeypatch.setattr(optimize, "optimize_rigid", counted)
-    res = threshold_alpha("pseudo_spin", -1, "threeplus7", optimized=True, seed=1)
+    res = threshold_alpha(ScanTask("threeplus7", "pseudo_spin", -1, optimize=True, seed=1))
     assert res.evaluations == 27
     assert len(calls) <= 3  # the scan and at most two predicted bisection paths
