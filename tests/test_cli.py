@@ -286,9 +286,90 @@ def test_fixed_setting_sweeps_never_call_the_scalar_correlation(tmp_path, monkey
         assert (rc, err) == (0, ""), argv
 
 
+# -- precedence: the flag, then the built-in default -------------------------------------
+
+# key -> (a command that reads it, flag, from the flag, built-in default); for fmt
+# and bound the flag names the built-in default
+_FLAG_KEYS = {
+    "state": ("chsh", ["--state", "ecs-"], "ecs-", "pes"),
+    "family": ("chsh", ["--family", "on_off"], "on_off", "pseudo_spin"),
+    "layout": ("bound", ["--layout", "original"], "original", "threeplus6"),
+    "alpha": ("chsh", ["--alpha", "3"], "3", ""),
+    "phi": ("bound", ["--phi", "0.5"], "0.5", ""),
+    "bound": ("threshold", ["--bound", "corrected"], "corrected", "corrected"),
+    "optimize": ("chsh", ["--optimize"], True, False),
+    "shared": ("threshold", ["--independent-rotations"], False, True),
+    "starts": ("chsh", ["--starts", "4"], 4, 32),
+    "tolerance": ("threshold", ["--tolerance", "0.1"], 0.1, 1e-3),
+    "output": ("chsh", ["--output", "b.json"], "b.json", ""),
+    "fmt": ("scan-phi", ["--format", "csv"], "csv", "csv"),
+    "svg": ("scan-alpha", ["--svg"], True, False),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_FLAG_KEYS))
+def test_flag_sits_over_the_built_in_default(key):
+    command, flag, from_flag, default = _FLAG_KEYS[key]
+    assert getattr(cli.parse_args([command] + flag), key) == from_flag
+    assert getattr(cli.parse_args([command]), key) == default
+
+
+@pytest.mark.parametrize(
+    "flags, values",
+    [
+        ([], (False, True, False)),
+        (["--optimize", "--svg"], (True, True, True)),
+        (["--independent-rotations"], (False, False, False)),
+    ],
+)
+def test_store_true_flags_set_their_values(flags, values):
+    cfg = cli.parse_args(["scan-phi"] + flags)
+    assert (cfg.optimize, cfg.shared, cfg.svg) == values
+
+
+def test_starts_and_seed_reach_the_search(monkeypatch):
+    searches = []
+    search = cli.optimize_chsh
+
+    def spy(model, config):
+        searches.append(config)
+        return search(model, config)
+
+    monkeypatch.setattr(cli, "optimize_chsh", spy)
+    argv = ["chsh", "--state", "ecs-", "--family", "parity", "--alpha", "3", "--optimize"]
+    assert _run(argv + ["--starts", "8", "--seed", "3"])[0] == 0
+    assert _run(argv)[0] == 0
+    assert [(c.starts, c.seed) for c in searches] == [(8, 3), (32, 0)]
+
+
 def test_seed_precedence():
     assert cli.parse_args(["bound"]).seed == 0
     assert cli.parse_args(["bound", "--seed", "3"]).seed == 3
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--colour", "red"], "error: unrecognized arguments: --colour red\n"),
+        (["--figure", "fig4"], "error: unrecognized arguments: --figure fig4\n"),
+        (["--state", "ecs"], "error: argument --state: invalid choice: 'ecs' (choose from "),
+        (["--starts"], "error: argument --starts: expected one argument\n"),
+        (["--optimize=ture"], "error: argument --optimize: ignored explicit argument 'ture'\n"),
+        (["--optimize=2"], "error: argument --optimize: ignored explicit argument '2'\n"),
+        (["--optimize="], "error: argument --optimize: ignored explicit argument ''\n"),
+    ],
+)
+def test_bad_flag_exits_2(flags, message):
+    # argparse's quoting of the choices varies across Python versions
+    rc, out, err = _run(["chsh"] + flags)
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: ") and message in err
+
+
+def test_flags_leave_later_calls_on_the_built_in_defaults():
+    assert cli.parse_args(["scan-phi", "--optimize", "--independent-rotations", "--svg"]).optimize
+    cfg = cli.parse_args(["scan-phi", "--seed", "0"])
+    assert cfg == cli.RunConfig("scan-phi")
 
 
 # -- each command takes only the flags it reads ----------------------------------------
