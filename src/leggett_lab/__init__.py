@@ -36,7 +36,6 @@ from .optimize import (
     ImplicationReport,
     ScanTask,
     SearchConfig,
-    SimplexResult,
     SweepRecord,
     ThresholdResult,
     implication_check,

@@ -33,8 +33,9 @@ tensor models the engine remains the test oracle of the closed forms.
 Each search fixes the box its starts are drawn from, one (lo, hi) interval
 per coordinate: two (theta, phi) spheres for the direct bound, one for the
 triangle bound, four for CHSH, and three Euler angles per rotation for the
-rigid search.  A :class:`SearchConfig` carries only the number of starts,
-the seed and the stopping rule.
+rigid search.  A :class:`SearchConfig` carries only the number of starts
+and the seed; every search stops by one rule, the module constants
+``_TOLERANCE`` and ``_MAX_ITERATIONS``.
 
 Owners let one batch hold the starts of several problems.  Each start
 belongs to one problem, and the objective looks up that problem's constants
@@ -83,8 +84,8 @@ evaluate the local averages A = (P + Q s) / (1 + kappa s) with
 :meth:`leggett_lab.correlations.CorrelationModel.local_averages`, the direct
 one for both parties and the triangle one for party B.
 
-:func:`implication_check` runs the bound and CHSH searches over a grid to
-check that every Leggett violation comes with a CHSH violation.
+:func:`implication_check` asks, as a sweep of :func:`scan` per amplitude,
+whether every Leggett violation of a grid comes with a CHSH violation.
 """
 
 from __future__ import annotations
@@ -119,14 +120,18 @@ class SearchConfig:
     """Multi-start Nelder-Mead configuration.
 
     starts are drawn from a Sobol sequence seeded with seed and scaled to the
-    box of the search that uses the config; the box is not part of it.
-    tolerance is the simplex value spread at which a start stops.
+    box of the search that uses the config; the box is not part of it.  Every
+    search stops by the same rule, _TOLERANCE and _MAX_ITERATIONS.
     """
 
     starts: int = 32
     seed: int = 0
-    max_iterations: int = 2000
-    tolerance: float = 1e-10
+
+
+# the stopping rule of every start of a search: a simplex value spread of at
+# most _TOLERANCE, or _MAX_ITERATIONS iterations (unconverged)
+_TOLERANCE = 1e-10
+_MAX_ITERATIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -340,21 +345,14 @@ def _start_points(ranges, config: SearchConfig) -> np.ndarray:
     return pts
 
 
-def _run_problems(objective, ranges, configs, starts) -> list[list[SimplexResult]]:
+def _run_problems(objective, ranges, starts) -> list[list[SimplexResult]]:
     """The starts of several problems in one lockstep batch; problem g owns starts[g].
 
-    The problems share the box ranges, which sets the initial simplex steps,
-    and the configs must agree on tolerance and max_iterations, the engine
-    settings that every start shares.
+    The problems share the box ranges, which sets the initial simplex steps.
     """
-    if len({(c.tolerance, c.max_iterations) for c in configs}) > 1:
-        raise ValueError("a batch of searches must share tolerance and max_iterations")
-    config = configs[0]
     owners = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
     steps = [0.15 * (hi - lo) for lo, hi in ranges]
-    x, v, ok, nfev = _nelder_mead(
-        objective, np.concatenate(starts), steps, config.tolerance, config.max_iterations, owners
-    )
+    x, v, ok, nfev = _nelder_mead(objective, np.concatenate(starts), steps, _TOLERANCE, _MAX_ITERATIONS, owners)
     rows = np.split(np.arange(len(v)), np.cumsum([len(s) for s in starts])[:-1])
     return [
         [SimplexResult(x[r], float(v[r]), bool(ok[r]), int(nfev[r]), i) for i, r in enumerate(problem)]
@@ -366,7 +364,7 @@ def _run_starts(objective, ranges, config: SearchConfig, starts=None) -> list[Si
     """All starts of one search over the box ranges in one lockstep batch (the Sobol starts by default)."""
     if starts is None:
         starts = _start_points(ranges, config)
-    return _run_problems(objective, ranges, [config], [starts])[0]
+    return _run_problems(objective, ranges, [starts])[0]
 
 
 def _best_of(results: list[SimplexResult]) -> SimplexResult:
@@ -505,13 +503,7 @@ def _bound_objectives(model: CorrelationModel, layout: SettingsLayout):
     return direct, triangle
 
 
-def numeric_fmin(
-    model: CorrelationModel,
-    layout: SettingsLayout,
-    config: SearchConfig | None = None,
-    check_convergence: bool = True,
-    polish: bool = True,
-) -> BoundResult:
+def numeric_fmin(model: CorrelationModel, layout: SettingsLayout, config: SearchConfig | None = None) -> BoundResult:
     """State-corrected bound term: adversarial minimum over hidden vectors.
 
     For the singlet and the pseudo-spin family the minimum is exact and
@@ -534,16 +526,17 @@ def numeric_fmin(
     both are reported.
 
     Each form is a multi-start search with config (the triangle with half
-    the starts, at least 8, and its own seed).  With polish, each form's
-    best start is refined by a small-step descent (fatol 1e-15, at most 5000
-    iterations) and replaced when that is lower.  With check_convergence and
-    at least 4 starts, the top decile of the direct starts (at least 2) is
-    re-polished (fatol 1e-13, at most 1500 iterations), and a spread of
-    their values above 1e-6 raises ConvergenceError.  The direct best's
-    polish and the decile's re-polish are one engine batch whose rows keep
-    their own tolerance and iteration cap, so each row ends where a
-    separate polish would.  evaluations counts every start of both forms and
-    the two best-start polishes, not the re-polish.
+    the starts, at least 8, and its own seed).  Each form's best start is
+    refined by a small-step descent (fatol 1e-15, at most 5000 iterations)
+    and replaced when that is lower.  With at least 4 starts, the top decile
+    of the direct starts (at least 2) is re-polished (fatol 1e-13, at most
+    1500 iterations), and a spread of their values above 1e-6 raises
+    ConvergenceError.  The direct best's polish and the decile's re-polish
+    are one engine batch whose rows keep their own tolerance and iteration
+    cap, so each row ends where a separate polish would.  evaluations counts
+    every start of both forms and the two best-start polishes, not the
+    re-polish.  Every caller takes this one path: no flag skips a polish or
+    the spread check.
     """
     if layout.name not in ("threeplus7", "threeplus6"):
         raise ValueError(f"numeric bound supports threeplus7/threeplus6, not {layout.name!r}")
@@ -554,34 +547,24 @@ def numeric_fmin(
     direct, triangle = _bound_objectives(model, layout)
     results = _run_starts(direct, _SPHERE * 2, config)
     best = _best_of(results)
-    head = [best] if polish else []
-    top = []
-    if check_convergence and config.starts >= 4:
-        top = sorted(results, key=lambda r: r.value)[: max(2, -(-config.starts // 10))]
-    pn = 0
-    if head or top:  # one batch: the best start's polish, then the top decile's re-polish
-        px, pv, pns = _polish(
-            direct,
-            np.array([r.point for r in head + top]),
-            fatol=[1e-15] * len(head) + [1e-13] * len(top),
-            maxiter=[5000] * len(head) + [1500] * len(top),
-        )
-        if head:
-            pn = int(pns[0])
-            if pv[0] < best.value:
-                best = replace(best, point=px[0], value=float(pv[0]))
-        vals = np.sort(pv[len(head) :])
-        if top and vals[-1] - vals[0] > 1e-6:
-            raise ConvergenceError(
-                f"top-decile spread {vals[-1] - vals[0]:.3e} after {config.starts} starts"
-            )
+    top = sorted(results, key=lambda r: r.value)[: max(2, -(-config.starts // 10))] if config.starts >= 4 else []
+    # one batch: the best start's polish, then the top decile's re-polish
+    px, pv, pns = _polish(
+        direct,
+        np.array([r.point for r in [best] + top]),
+        fatol=[1e-15] + [1e-13] * len(top),
+        maxiter=[5000] + [1500] * len(top),
+    )
+    pn = int(pns[0])
+    if pv[0] < best.value:
+        best = replace(best, point=px[0], value=float(pv[0]))
+    vals = np.sort(pv[1:])
+    if top and vals[-1] - vals[0] > 1e-6:
+        raise ConvergenceError(f"top-decile spread {vals[-1] - vals[0]:.3e} after {config.starts} starts")
 
-    tri_cfg = replace(config, starts=max(8, config.starts // 2), seed=stable_seed(config.seed, "triangle"))
+    tri_cfg = SearchConfig(max(8, config.starts // 2), stable_seed(config.seed, "triangle"))
     tri_results = _run_starts(triangle, _SPHERE, tri_cfg)
-    tri_best = _best_of(tri_results)
-    tn = 0
-    if polish:
-        tri_best, tn = _polish_best(triangle, tri_best)
+    tri_best, tn = _polish_best(triangle, _best_of(tri_results))
 
     f_direct = max(0.0, best.value)
     f_triangle = max(0.0, tri_best.value)
@@ -762,13 +745,12 @@ def optimize_rigid(
       B = diag(1, 1, det Q det X).
 
     On/off and parity are searched.  Point g is searched with configs[g]
-    (default: 32 starts for a shared rotation, 64 for independent ones; None
-    entries or a None list take it) over ZYZ Euler angles, 3 or 6 of them.
-    The starts of all points advance as one lockstep batch, and every
-    point's best start is polished in one more batch; each point follows
-    exactly the trajectory it would follow alone.  The identity rotation is
-    always start 0.  R_a and R_b are the matrices of the best angles
-    (:func:`_rotation_pair`), as in the search objective.
+    (None entries, or a None list, take SearchConfig()) over ZYZ Euler
+    angles, 3 or 6 of them.  The starts of all points advance as one
+    lockstep batch, and every point's best start is polished in one more
+    batch; each point follows exactly the trajectory it would follow alone.
+    The identity rotation is always start 0.  R_a and R_b are the matrices
+    of the best angles (:func:`_rotation_pair`), as in the search objective.
 
     Either way, :func:`leggett_lab.geometry.rotate_settings` applies R_a and
     R_b to the layouts' (n, 3) vector arrays of all points at once, and L at
@@ -803,12 +785,12 @@ def optimize_rigid(
 def _searched_angles(models, layouts, configs, shared: bool) -> np.ndarray:
     """The polished best Euler angles of each point's multi-start rigid search: (P, 3) or (P, 6)."""
     ranges = _EULER if shared else _EULER * 2
-    configs = [c or SearchConfig(starts=32 if shared else 64) for c in configs or [None] * len(models)]
+    configs = [c or SearchConfig() for c in configs or [None] * len(models)]
     objective = _make_rigid_objective(models, layouts, shared)
     starts = [_start_points(ranges, c) for c in configs]
     for st in starts:
         st[0] = 0.0  # start 0 is the identity rotation, not the box midpoint
-    bests = [_best_of(r) for r in _run_problems(objective, ranges, configs, starts)]
+    bests = [_best_of(r) for r in _run_problems(objective, ranges, starts)]
     return np.array([best.point for best, _ in _polish_bests(objective, bests)])
 
 
@@ -1119,57 +1101,52 @@ def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
 class ImplicationReport:
     """Grid check that every Leggett violation comes with a CHSH violation."""
 
-    counterexamples: tuple
+    counterexamples: tuple  # (alpha, phi, margin, B) of each violation with B <= 2
     leggett_violations: int
-    points: int
+    points: int  # the points evaluated, those of unsettled amplitudes excluded
+    unsettled: tuple  # (alpha, message) of each amplitude whose sweep raised ConvergenceError
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples
+        return not self.counterexamples and not self.unsettled
 
 
-def implication_check(
-    family: str,
-    sign: int,
-    alpha_grid,
-    phi_grid,
-    layout_name: str = "threeplus7",
-    bound_mode: str = "state_corrected",
-    starts: int = 16,
-    seed: int = 0,
-) -> ImplicationReport:
-    """For every grid point where the Leggett evaluation is violated, an
-    optimized CHSH evaluation must exceed 2.  Returns the counterexamples
-    (expected empty).
+def implication_check(task: ScanTask, alpha_grid, phi_grid) -> ImplicationReport:
+    """Check that every violated grid point has an optimized CHSH B > 2.
 
-    The state-corrected bound is a loose search (300 iterations, no polish,
-    no convergence check), and it is conservative.  Any value a search
-    returns is an attained objective value, so f_loose >= f_min, and its
-    bound 4 - f_loose is at most the true one: the loose search can only
-    flag extra Leggett violations.  Likewise a searched B is at most the
-    true CHSH maximum.  So the check can report false counterexamples, but
-    never a false ok."""
-    counterexamples = []
-    n_violations = 0
-    n_points = 0
-    for i, alpha in enumerate(alpha_grid):
-        model = _model(family, sign, alpha)
-        chsh_b = None
-        for j, phi in enumerate(phi_grid):
-            n_points += 1
-            layout = build_layout(layout_name, phi)
-            value = inequality.leggett_value(model, layout)
-            if bound_mode == "state_corrected":
-                cfg = SearchConfig(starts, stable_seed(seed, i, j), max_iterations=300, tolerance=1e-9)
-                bound = numeric_fmin(model, layout, cfg, check_convergence=False, polish=False)
-            else:
-                bound = inequality.leggett_bound(model, layout, mode=bound_mode)
-            margin = value - bound.bound
-            if not margin > inequality.VIOLATION_TOL:
-                continue
-            n_violations += 1
-            if chsh_b is None:  # settings-independent, one optimization per alpha
-                chsh_b = optimize_chsh(model, SearchConfig(starts, stable_seed(seed, "chsh", i))).B
-            if not chsh_b > 2.0:
-                counterexamples.append((float(alpha), float(phi), margin, chsh_b))
-    return ImplicationReport(tuple(counterexamples), n_violations, n_points)
+    Each amplitude of alpha_grid is one :func:`scan` over phi_grid
+    (nondecreasing, as scan requires) with task.alpha set to it and
+    include_chsh on, so a point is bounded, optimized and seeded exactly as
+    a scan-phi row: the task gives the layout, family, sign, bound mode,
+    optimize, shared, starts and seed.  task.alpha, task.phi and
+    task.include_chsh are ignored.  A violated row with B <= 2 is a
+    counterexample (alpha, phi, margin, B).  An amplitude whose sweep raises
+    ConvergenceError is recorded as (alpha, message) in unsettled, and the
+    check goes on to the next one; its points are not counted.
+
+    ok means no counterexample and nothing unsettled, so the check never
+    calls a grid it did not finish ok.  The bound is the one every scan
+    uses, and soundness needs no looser search: for the singlet and
+    pseudo-spin the bound and B are closed forms, and for on/off and parity
+    every searched f is an attained objective value, so f >= f_min and the
+    bound 4 - f is at most the true one, while a searched B is at most the
+    true maximum.  A searched point can therefore flag extra violations and
+    false counterexamples, never a false ok.  Where a search does not
+    settle, its ConvergenceError marks the amplitude unsettled instead of
+    going unseen.
+    """
+    counterexamples, unsettled = [], []
+    violations = points = 0
+    for alpha in alpha_grid:
+        try:
+            rows = scan("phi", phi_grid, replace(task, alpha=float(alpha), include_chsh=True))
+        except ConvergenceError as exc:
+            unsettled.append((float(alpha), str(exc)))
+            continue
+        points += len(rows)
+        for r in rows:
+            if r.violated:
+                violations += 1
+                if not r.chsh_B > 2.0:
+                    counterexamples.append((r.alpha, r.phi, r.margin, r.chsh_B))
+    return ImplicationReport(tuple(counterexamples), violations, points, tuple(unsettled))

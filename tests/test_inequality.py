@@ -7,6 +7,7 @@ import pytest
 from leggett_lab import (
     ConvergenceError,
     Direction,
+    ScanTask,
     SearchConfig,
     analytic_fmin,
     build_layout,
@@ -24,6 +25,7 @@ from leggett_lab import (
     rotate_settings,
 )
 from leggett_lab import optimize
+from leggett_lab.util import stable_seed
 from conftest import directions, simplex_minimize, to_cartesian
 from leggett_lab.inequality import VIOLATION_TOL, evaluate_points
 
@@ -268,11 +270,12 @@ def test_fmin_attained_at_proof_witnesses():
 
 
 def test_numeric_fmin_convergence_error():
-    with pytest.raises(ConvergenceError):
+    # a full search whose top decile does not settle: parity ECS-, 3p7, alpha 5
+    with pytest.raises(ConvergenceError, match="top-decile spread 2.211e-03 after 8 starts"):
         numeric_fmin(
             ecs_model(5.0, -1, "parity"),
-            build_layout("threeplus6", 0.65),
-            SearchConfig(starts=4, seed=0, max_iterations=12),
+            build_layout("threeplus7", 0.3),
+            SearchConfig(8, stable_seed(6, 1, 0)),
         )
 
 
@@ -333,7 +336,7 @@ def test_chsh_between_minus_2_and_0_is_no_violation():
 
 def test_implication_check_small_grid():
     rep = implication_check(
-        "pseudo_spin", -1, np.linspace(3.0, 8.0, 3), np.linspace(0.15, 0.5, 3), starts=8, seed=5
+        ScanTask("threeplus7", "pseudo_spin", -1, starts=8, seed=5), np.linspace(3.0, 8.0, 3), np.linspace(0.15, 0.5, 3)
     )
     assert rep.ok
     assert rep.leggett_violations > 0  # the window genuinely violates
@@ -341,11 +344,55 @@ def test_implication_check_small_grid():
 
 
 def test_implication_check_parity_vacuous():
-    rep = implication_check(
-        "parity", -1, [1.0, 5.0], [0.3, 0.8], starts=8, seed=6
-    )
-    assert rep.ok
+    # at alpha 1 the bound search does not settle, so the check is not ok; alpha 5 settles
+    rep = implication_check(ScanTask("threeplus7", "parity", -1, starts=8, seed=6), [1.0, 5.0], [0.3, 0.8])
+    assert rep.counterexamples == ()
     assert rep.leggett_violations == 0
+    assert rep.unsettled == ((1.0, "top-decile spread 1.924e-06 after 8 starts"),)
+    assert rep.points == 2
+    assert not rep.ok
+
+
+def test_implication_check_ignores_the_task_point_and_chsh():
+    task = ScanTask("threeplus6", "pseudo_spin", +1, optimize=True)
+    grids = [0.5, 2.0], [0.3, 0.9]
+    want = implication_check(task, *grids)
+    assert implication_check(replace(task, alpha=7.0, phi=1.5, include_chsh=False), *grids) == want
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
+@pytest.mark.parametrize("layout_name", ["threeplus7", "threeplus6"])
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_optimized_implication_check_counts_the_closed_form_violations(sign, layout_name, shared):
+    # the violations of the closed-form rigid optimum L* against the exact
+    # bound, as in the dense grid test below, on the same points
+    alphas, phis = [0.3, 1.0, 2.5, 6.0], [0.1, 0.4, 0.9, 1.6]
+    models = [ecs_model(alpha, sign) for alpha in alphas]
+    layouts = [build_layout(layout_name, phi) for phi in phis]
+    value, _ = optimize._rigid_optimum([m for m in models for _ in layouts], layouts * len(models), shared)
+    bound = np.array([numeric_fmin(m, lay).bound for m in models for lay in layouts])
+    rep = implication_check(ScanTask(layout_name, "pseudo_spin", sign, optimize=True, shared=shared), alphas, phis)
+    assert rep.leggett_violations == (value > bound + VIOLATION_TOL).sum() > 0
+    assert rep.counterexamples == () and rep.unsettled == () and rep.ok
+    assert rep.points == len(alphas) * len(phis)
+
+
+def test_implication_check_counts_the_amplitudes_around_an_unsettled_one(monkeypatch):
+    numeric = optimize.inequality._numeric_fmin_impl
+
+    def failing(model, layout, config):
+        if model.ecs.alpha == 5.5:
+            raise ConvergenceError("no settled bound")
+        return numeric(model, layout, config)
+
+    task, phis = ScanTask("threeplus7", "pseudo_spin", -1), [0.15, 0.325, 0.5]
+    settled = implication_check(task, [3.0, 8.0], phis)
+    monkeypatch.setattr(optimize.inequality, "_numeric_fmin_impl", failing)
+    rep = implication_check(task, [3.0, 5.5, 8.0], phis)
+    assert rep.unsettled == ((5.5, "no settled bound"),)
+    assert rep.points == 6 and not rep.ok
+    assert rep.leggett_violations == settled.leggett_violations > 0
+    assert rep.counterexamples == settled.counterexamples == ()
 
 
 @pytest.mark.parametrize("layout_name", ["threeplus7", "threeplus6"])

@@ -26,8 +26,8 @@ from leggett_lab.util import stable_seed
 from conftest import random_direction, rowwise, scalar_nelder_mead, simplex_minimize
 
 
-def _cfg(starts=16, seed=0, **kw):
-    return SearchConfig(starts=starts, seed=seed, **kw)
+def _cfg(starts=16, seed=0):
+    return SearchConfig(starts=starts, seed=seed)
 
 
 def test_simplex_convex_bowl():
@@ -41,7 +41,7 @@ def test_simplex_rosenbrock():
     def rosen(x):
         return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
 
-    res = simplex_minimize(rosen, [(-2, 2), (-1, 3)], _cfg(starts=8, max_iterations=4000))
+    res = simplex_minimize(rosen, [(-2, 2), (-1, 3)], _cfg(starts=8), maxiter=4000)
     assert np.allclose(res.point, [1.0, 1.0], atol=1e-4)
 
 
@@ -58,7 +58,7 @@ def test_simplex_deterministic():
 
 
 def test_simplex_flags_unconverged():
-    res = simplex_minimize(lambda x: float(np.sum(x**2)), [(-1, 1)] * 3, _cfg(starts=2, max_iterations=3))
+    res = simplex_minimize(lambda x: float(np.sum(x**2)), [(-1, 1)] * 3, _cfg(starts=2), maxiter=3)
     assert not res.converged  # flagged but still returned
     assert res.value >= 0.0
 
@@ -252,28 +252,26 @@ def test_sobol_draw_rejects_dimensions_outside_one_to_eight(d):
 
 
 @pytest.mark.parametrize(
-    "f, ranges, cfg",
+    "f, ranges, cfg, maxiter",
     [
-        (_rosenbrock, [(-2, 2), (-1, 3)], _cfg(starts=12, seed=21, max_iterations=4000)),
-        (_kinked, [(-2, 2)] * 3, _cfg(starts=12, seed=22)),
-        (_kinked, [(-2, 2)] * 3, _cfg(starts=6, seed=23, max_iterations=7)),
-        (_terraced, [(-2, 2)] * 3, _cfg(starts=12, seed=24)),
+        (_rosenbrock, [(-2, 2), (-1, 3)], _cfg(starts=12, seed=21), 4000),
+        (_kinked, [(-2, 2)] * 3, _cfg(starts=12, seed=22), optimize._MAX_ITERATIONS),
+        (_kinked, [(-2, 2)] * 3, _cfg(starts=6, seed=23), 7),
+        (_terraced, [(-2, 2)] * 3, _cfg(starts=12, seed=24), optimize._MAX_ITERATIONS),
     ],
     ids=["rosenbrock", "kinked", "exhausted", "ties"],
 )
-def test_lockstep_engine_matches_scalar_oracle(f, ranges, cfg):
+def test_lockstep_engine_matches_scalar_oracle(f, ranges, cfg, maxiter):
     starts = optimize._start_points(ranges, cfg)
     steps = [0.15 * (hi - lo) for lo, hi in ranges]
-    x, v, ok, nfev = optimize._nelder_mead(
-        rowwise(f), starts, steps, cfg.tolerance, cfg.max_iterations
-    )
+    x, v, ok, nfev = optimize._nelder_mead(rowwise(f), starts, steps, optimize._TOLERANCE, maxiter)
     for s, x0 in enumerate(starts):
-        rx, rv, rok, rn = scalar_nelder_mead(f, x0, steps, cfg.tolerance, cfg.max_iterations)
+        rx, rv, rok, rn = scalar_nelder_mead(f, x0, steps, optimize._TOLERANCE, maxiter)
         assert np.array_equal(x[s], rx)
         assert v[s] == rv
         assert ok[s] == rok
         assert nfev[s] == rn
-    if cfg.max_iterations == 7:
+    if maxiter == 7:
         assert not ok.any()
     else:
         assert ok.all()
@@ -315,35 +313,32 @@ def test_speculative_and_two_call_steps_match_the_scalar_oracle(n_starts, monkey
             return rowwise(_kinked)(points)
 
         monkeypatch.setattr(optimize, "_SPECULATIVE_LIVE", limit)
-        runs[limit] = optimize._nelder_mead(counted, starts, steps, cfg.tolerance, cfg.max_iterations), len(calls)
+        runs[limit] = (
+            optimize._nelder_mead(counted, starts, steps, optimize._TOLERANCE, optimize._MAX_ITERATIONS),
+            len(calls),
+        )
     (got, speculative_calls), (want, two_call_calls) = runs.values()
-    fatol, maxiter = [cfg.tolerance] * n_starts, [cfg.max_iterations] * n_starts
+    fatol, maxiter = [optimize._TOLERANCE] * n_starts, [optimize._MAX_ITERATIONS] * n_starts
     _assert_rows_match_scalar_oracle(got, _kinked, starts, steps, fatol, maxiter)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert speculative_calls < two_call_calls
 
 
-def _sequential_fmin(model, layout, config, check_convergence=True, polish=True):
+def _sequential_fmin(model, layout, config):
     """numeric_fmin with its polishes as separate engine runs: the best start's,
     then the top decile's re-polish, then the triangle best's."""
     direct, triangle = optimize._bound_objectives(model, layout)
     results = optimize._run_starts(direct, optimize._SPHERE * 2, config)
-    best = optimize._best_of(results)
-    pn = 0
-    if polish:
-        best, pn = optimize._polish_best(direct, best)
-    if check_convergence and config.starts >= 4:
+    best, pn = optimize._polish_best(direct, optimize._best_of(results))
+    if config.starts >= 4:
         top = sorted(results, key=lambda r: r.value)[: max(2, -(-config.starts // 10))]
         vals = np.sort(optimize._polish(direct, np.array([r.point for r in top]), fatol=1e-13, maxiter=1500)[1])
         if vals[-1] - vals[0] > 1e-6:
             raise ConvergenceError(f"top-decile spread {vals[-1] - vals[0]:.3e} after {config.starts} starts")
     tri_cfg = replace(config, starts=max(8, config.starts // 2), seed=stable_seed(config.seed, "triangle"))
     tri_results = optimize._run_starts(triangle, optimize._SPHERE, tri_cfg)
-    tri_best = optimize._best_of(tri_results)
-    tn = 0
-    if polish:
-        tri_best, tn = optimize._polish_best(triangle, tri_best)
+    tri_best, tn = optimize._polish_best(triangle, optimize._best_of(tri_results))
     f_direct, f_triangle = max(0.0, best.value), max(0.0, tri_best.value)
     f_min = max(f_direct, f_triangle)
     evaluations = sum(r.evaluations for r in results) + pn + sum(r.evaluations for r in tri_results) + tn
@@ -359,20 +354,13 @@ _FMIN_POINTS = {
 
 
 @pytest.mark.parametrize(
-    "family, seed, options",
-    [(family, seed, {}) for family in ("on_off", "parity") for seed in (0, 1)]
-    + [
-        ("on_off", 0, {"polish": False}),
-        ("parity", 1, {"check_convergence": False}),
-        ("parity", 0, {"polish": False, "check_convergence": False}),
-        ("on_off", 1, {"starts": 3}),
-    ],
+    "family, seed, starts",
+    [(family, seed, 32) for family in ("on_off", "parity") for seed in (0, 1)] + [("on_off", 1, 3)],
 )
-def test_numeric_fmin_equals_the_sequential_polishes(family, seed, options):
+def test_numeric_fmin_equals_the_sequential_polishes(family, seed, starts):
     model, layout = _FMIN_POINTS[family]
-    options = dict(options)
-    config = _cfg(starts=options.pop("starts", 32), seed=seed)
-    assert optimize.numeric_fmin(model, layout, config, **options) == _sequential_fmin(model, layout, config, **options)
+    config = _cfg(starts=starts, seed=seed)
+    assert optimize.numeric_fmin(model, layout, config) == _sequential_fmin(model, layout, config)
 
 
 def test_fig3_fault_point_raises_the_sequential_polish_message(monkeypatch):
@@ -429,12 +417,12 @@ _EULER3 = ((0.0, 2 * np.pi),) * 3
 @pytest.mark.parametrize("name", sorted(_batched_objectives()))
 def test_batched_objective_rows_do_not_depend_on_the_batch(name):
     objective, ranges = _batched_objectives()[name]
-    cfg = _cfg(starts=6, seed=31, max_iterations=150)
+    cfg = _cfg(starts=6, seed=31)
     starts = optimize._start_points(ranges, cfg)
     steps = [0.15 * (hi - lo) for lo, hi in ranges]
-    batch = optimize._nelder_mead(objective, starts, steps, cfg.tolerance, cfg.max_iterations)
+    batch = optimize._nelder_mead(objective, starts, steps, optimize._TOLERANCE, 150)
     for s in range(cfg.starts):
-        alone = optimize._nelder_mead(objective, starts[s : s + 1], steps, cfg.tolerance, cfg.max_iterations)
+        alone = optimize._nelder_mead(objective, starts[s : s + 1], steps, optimize._TOLERANCE, 150)
         assert np.array_equal(batch[0][s], alone[0][0])
         assert batch[1][s] == alone[1][0]
         assert batch[2][s] == alone[2][0]
@@ -520,7 +508,7 @@ def _grid_problems():
 
 
 def _rigid_configs(starts):
-    return [_cfg(starts=s, seed=40 + g, max_iterations=400) for g, s in enumerate(starts)]
+    return [_cfg(starts=s, seed=40 + g) for g, s in enumerate(starts)]
 
 
 @pytest.mark.parametrize("name", sorted(_grid_problems()))
@@ -529,7 +517,7 @@ def test_grid_batch_gives_each_problem_its_solo_search(name):
     configs = _rigid_configs(n_starts)
     ranges = _EULER3 * (1 if shared else 2)
     starts = [optimize._start_points(ranges, c) for c in configs]
-    batched = optimize._run_problems(optimize._make_rigid_objective(models, layouts, shared), ranges, configs, starts)
+    batched = optimize._run_problems(optimize._make_rigid_objective(models, layouts, shared), ranges, starts)
     bests = []
     for g, (model, layout, config) in enumerate(zip(models, layouts, configs)):
         solo_objective = optimize._make_rigid_objective([model], [layout], shared)
@@ -568,7 +556,7 @@ def test_coefficient_rigid_optimum_reports_the_searched_value(family, shared):
     # the settings are rotated and evaluated as the search objective does
     models = [ecs_model(alpha, -1, family) for alpha in (1.0, 3.0) for _ in range(4)]
     layouts = [build_layout("threeplus7", phi) for _ in range(2) for phi in (0.1, 0.25, 0.75, 1.5)]
-    configs = [_cfg(starts=8, seed=50 + g, max_iterations=400) for g in range(len(models))]
+    configs = [_cfg(starts=8, seed=50 + g) for g in range(len(models))]
     evs = optimize_rigid(models, layouts, configs, shared=shared, bound_mode="analytic2d")
     x = optimize._searched_angles(models, layouts, configs, shared)
     for g, (model, layout, ev) in enumerate(zip(models, layouts, evs)):
@@ -591,9 +579,6 @@ def test_rigid_batch_of_no_points_and_of_mixed_problems():
         for model in (ecs_model(1.0, -1), parity):
             with pytest.raises(ValueError, match="one layout name"):
                 optimize_rigid([model] * 2, [lay, lay6], shared=shared, bound_mode="analytic2d")
-    configs = [_cfg(starts=4), _cfg(starts=4, tolerance=1e-8)]
-    with pytest.raises(ValueError, match="tolerance"):
-        optimize_rigid([parity] * 2, [lay, lay], configs, shared=True, bound_mode="analytic2d")
 
 
 # -- closed-form rigid optimum of the tensor models --------------------------------------
