@@ -33,7 +33,11 @@ and so does --independent-rotations on reproduce fig4 and fig6, which never
 optimize.  argv is the only input: a flag not given keeps the built-in
 default (RunConfig's), so identical argv gives byte-identical output; the
 seed, a whole number of at least 0, is --seed, else 0.  A lo:hi:step range
-of more than MAX_RANGE_POINTS points exits 2 before any point is built.
+of more than MAX_RANGE_POINTS points exits 2 before any point is built, and
+so does a range or single --alpha or --phi value that is not finite.  A
+--tolerance below THRESHOLD_MIN_TOLERANCE (3.55e-15), the narrowest width
+the threshold bisection can always reach, exits 2 when the arguments are
+parsed.
 
 The argument parser is built once per process and shared by every call of
 :func:`parse_args` and :func:`run`; nothing changes it.  Its subparsers put
@@ -57,6 +61,7 @@ from .geometry import build_layout
 from .inequality import analytic_fmin, chsh_at_layout
 from .optimize import (
     DEFAULT_THRESHOLD_PHI,
+    THRESHOLD_MIN_TOLERANCE,
     ScanTask,
     SearchConfig,
     SweepRecord,
@@ -106,19 +111,20 @@ class RunConfig:
 
 
 def parse_range(text: str) -> list[float]:
-    """'lo:hi:step' inclusive of lo, exclusive of hi + step/2; plain numbers
-    give a single-point grid.  Index-based so grids carry no accumulation
-    drift.  The grid holds the i with i < (hi - lo) / step + 1/2, so a range
-    of more than MAX_RANGE_POINTS points raises ValueError before any point
-    is built."""
-    if ":" not in text:
-        return [float(text)]
+    """'lo:hi:step' inclusive of lo, exclusive of hi + step/2; a plain number
+    gives a single-point grid.  Every number must be finite.  Index-based so
+    grids carry no accumulation drift.  The grid holds the i with
+    i < (hi - lo) / step + 1/2, so a range of more than MAX_RANGE_POINTS
+    points raises ValueError before any point is built."""
     pieces = text.split(":")
-    if len(pieces) != 3:
+    if len(pieces) not in (1, 3):
         raise ValueError(f"range must be lo:hi:step, got {text!r}")
-    lo, hi, step = (float(p) for p in pieces)
-    if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ValueError(f"range bounds and step must be finite, got {text!r}")
+    values = [float(p) for p in pieces]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"range numbers must be finite, got {text!r}")
+    if len(values) == 1:
+        return values
+    lo, hi, step = values
     if step <= 0:
         raise ValueError("range step must be positive")
     if (hi - lo) / step + 0.5 > MAX_RANGE_POINTS:
@@ -157,13 +163,16 @@ def _seed(text: str) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """--tolerance: a finite positive width, which the threshold bisection can reach."""
+    """--tolerance: a finite width of at least THRESHOLD_MIN_TOLERANCE, the
+    narrowest that the threshold bisection can reach."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    if not (math.isfinite(value) and value >= THRESHOLD_MIN_TOLERANCE):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of at least {THRESHOLD_MIN_TOLERANCE!r}, got {text!r}"
+        )
     return value
 
 

@@ -40,14 +40,19 @@ and the seed; every search stops by one rule, the module constants
 Owners let one batch hold the starts of several problems.  Each start
 belongs to one problem, and the objective looks up that problem's constants
 (the setting vectors of its layout and the t, P, Q, kappa of its model) by
-the owner of each row.  :func:`optimize_rigid` runs the starts of every
-point of a sweep as one batch and then polishes every point's best start as
-one more batch, so a scan with ``optimize`` and the amplitude scan of
-:func:`threshold_alpha` each make one such call; a single point is the
-batch of one.  The bisection of :func:`threshold_alpha` batches too: it
-evaluates the midpoints it predicts it will visit as one call and consumes
-them in the one-at-a-time order, which the determinism contract below makes
-bit-identical to evaluating them one at a time.
+the owner of each row.  :func:`_search` is the one multi-start entry point:
+it runs the starts of P problems as one batch, polishes each problem's best
+start as one more batch and returns the point, value and evaluation count
+of each problem as arrays.  The CHSH search, the triangle bound and the
+rigid search call it; the direct bound reads the engine's arrays itself,
+because it also re-polishes its top decile.  :func:`optimize_rigid`
+searches every point of a sweep as one :func:`_search`, so a scan with
+``optimize`` and the amplitude scan of :func:`threshold_alpha` each make
+one such call; a single point is the batch of one.  The bisection of
+:func:`threshold_alpha` batches too: it evaluates the midpoints it predicts
+it will visit as one call and consumes them in the one-at-a-time order,
+which the determinism contract below makes bit-identical to evaluating
+them one at a time.
 
 Determinism contract: identical config and objective give bit-identical
 results.  Start 0 is the range midpoint (the identity rotation for rigid
@@ -132,15 +137,6 @@ class SearchConfig:
 # most _TOLERANCE, or _MAX_ITERATIONS iterations (unconverged)
 _TOLERANCE = 1e-10
 _MAX_ITERATIONS = 2000
-
-
-@dataclass(frozen=True)
-class SimplexResult:
-    point: np.ndarray
-    value: float
-    converged: bool
-    evaluations: int
-    start_index: int
 
 
 # While at most this many starts are live, a step evaluates the reflection,
@@ -345,32 +341,6 @@ def _start_points(ranges, config: SearchConfig) -> np.ndarray:
     return pts
 
 
-def _run_problems(objective, ranges, starts) -> list[list[SimplexResult]]:
-    """The starts of several problems in one lockstep batch; problem g owns starts[g].
-
-    The problems share the box ranges, which sets the initial simplex steps.
-    """
-    owners = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
-    steps = [0.15 * (hi - lo) for lo, hi in ranges]
-    x, v, ok, nfev = _nelder_mead(objective, np.concatenate(starts), steps, _TOLERANCE, _MAX_ITERATIONS, owners)
-    rows = np.split(np.arange(len(v)), np.cumsum([len(s) for s in starts])[:-1])
-    return [
-        [SimplexResult(x[r], float(v[r]), bool(ok[r]), int(nfev[r]), i) for i, r in enumerate(problem)]
-        for problem in rows
-    ]
-
-
-def _run_starts(objective, ranges, config: SearchConfig, starts=None) -> list[SimplexResult]:
-    """All starts of one search over the box ranges in one lockstep batch (the Sobol starts by default)."""
-    if starts is None:
-        starts = _start_points(ranges, config)
-    return _run_problems(objective, ranges, [starts])[0]
-
-
-def _best_of(results: list[SimplexResult]) -> SimplexResult:
-    return min(results, key=lambda r: (r.value, r.start_index))
-
-
 def _polish(objective, x0, fatol=1e-15, maxiter=5000, owners=None):
     """Small-step descent from each row of x0, as one batch; (points, values, evaluations)."""
     x0 = np.atleast_2d(x0)
@@ -378,19 +348,25 @@ def _polish(objective, x0, fatol=1e-15, maxiter=5000, owners=None):
     return x, v, nfev
 
 
-def _polish_bests(objective, bests: list[SimplexResult]) -> list[tuple[SimplexResult, int]]:
-    """Each problem's best, polished as one batch (problem g owns row g) and
-    replaced by its polished point when that is lower; with the polish evaluations."""
-    px, pval, pn = _polish(objective, np.array([b.point for b in bests]), owners=np.arange(len(bests)))
-    return [
-        (replace(b, point=px[g], value=float(pval[g])) if pval[g] < b.value else b, int(pn[g]))
-        for g, b in enumerate(bests)
-    ]
+def _search(objective, ranges, starts):
+    """The multi-start searches of P problems over the box ranges; problem g owns starts[g].
 
-
-def _polish_best(objective, best: SimplexResult) -> tuple[SimplexResult, int]:
-    """best, replaced by its polished point when that is lower; and the polish evaluations."""
-    return _polish_bests(objective, [best])[0]
+    The starts of all problems advance as one lockstep batch, with initial
+    simplex steps of 0.15 of the box.  Each problem's best start has the
+    lowest value, the first start on a tie; the P bests are polished as one
+    more batch, and a polished point replaces its best only when it is
+    lower.  Returns per problem the point (P, d), the value (P,) and the
+    evaluations (P,) of all its starts and its polish.
+    """
+    sizes = [len(s) for s in starts]
+    first = np.cumsum(sizes) - sizes  # the row of each problem's start 0
+    steps = [0.15 * (hi - lo) for lo, hi in ranges]
+    owners = np.repeat(np.arange(len(starts)), sizes)
+    x, v, _, nfev = _nelder_mead(objective, np.concatenate(starts), steps, _TOLERANCE, _MAX_ITERATIONS, owners)
+    best = first + np.array([np.argmin(v[r : r + n]) for r, n in zip(first, sizes)])
+    px, pv, pn = _polish(objective, x[best], owners=np.arange(len(starts)))
+    lower = pv < v[best]
+    return np.where(lower[:, None], px, x[best]), np.where(lower, pv, v[best]), np.add.reduceat(nfev, first) + pn
 
 
 # -- batched objectives --------------------------------------------------------------
@@ -526,17 +502,19 @@ def numeric_fmin(model: CorrelationModel, layout: SettingsLayout, config: Search
     both are reported.
 
     Each form is a multi-start search with config (the triangle with half
-    the starts, at least 8, and its own seed).  Each form's best start is
-    refined by a small-step descent (fatol 1e-15, at most 5000 iterations)
-    and replaced when that is lower.  With at least 4 starts, the top decile
-    of the direct starts (at least 2) is re-polished (fatol 1e-13, at most
-    1500 iterations), and a spread of their values above 1e-6 raises
-    ConvergenceError.  The direct best's polish and the decile's re-polish
-    are one engine batch whose rows keep their own tolerance and iteration
-    cap, so each row ends where a separate polish would.  evaluations counts
-    every start of both forms and the two best-start polishes, not the
-    re-polish.  Every caller takes this one path: no flag skips a polish or
-    the spread check.
+    the starts, at least 8, and its own seed).  Each form's best start (the
+    lowest value, the first start on a tie) is refined by a small-step
+    descent (fatol 1e-15, at most 5000 iterations) and replaced when that is
+    lower; the triangle form is one :func:`_search`.  The direct form ranks
+    its starts by a stable sort of their values: the first is the best, and
+    with at least 4 starts the first tenth (at least 2) is the top decile,
+    which is re-polished (fatol 1e-13, at most 1500 iterations); a spread of
+    their values above 1e-6 raises ConvergenceError.  The direct best's
+    polish and the decile's re-polish are one engine batch whose rows keep
+    their own tolerance and iteration cap, so each row ends where a separate
+    polish would.  evaluations counts every start of both forms and the two
+    best-start polishes, not the re-polish.  Every caller takes this one
+    path: no flag skips a polish or the spread check.
     """
     if layout.name not in ("threeplus7", "threeplus6"):
         raise ValueError(f"numeric bound supports threeplus7/threeplus6, not {layout.name!r}")
@@ -545,29 +523,27 @@ def numeric_fmin(model: CorrelationModel, layout: SettingsLayout, config: Search
         return BoundResult(f, 4.0 - f, "state_corrected", f_direct=f, f_triangle=f)
     config = config or SearchConfig()
     direct, triangle = _bound_objectives(model, layout)
-    results = _run_starts(direct, _SPHERE * 2, config)
-    best = _best_of(results)
-    top = sorted(results, key=lambda r: r.value)[: max(2, -(-config.starts // 10))] if config.starts >= 4 else []
+    steps = [0.15 * (hi - lo) for lo, hi in _SPHERE * 2]
+    x, v, ok, nfev = _nelder_mead(direct, _start_points(_SPHERE * 2, config), steps, _TOLERANCE, _MAX_ITERATIONS)
+    order = np.argsort(v, kind="stable")  # the best start first, the first start on a tie
+    best = order[0]
+    top = order[: max(2, -(-config.starts // 10)) if config.starts >= 4 else 0]
     # one batch: the best start's polish, then the top decile's re-polish
-    px, pv, pns = _polish(
+    px, pv, pn = _polish(
         direct,
-        np.array([r.point for r in [best] + top]),
+        x[np.concatenate(([best], top))],
         fatol=[1e-15] + [1e-13] * len(top),
         maxiter=[5000] + [1500] * len(top),
     )
-    pn = int(pns[0])
-    if pv[0] < best.value:
-        best = replace(best, point=px[0], value=float(pv[0]))
     vals = np.sort(pv[1:])
-    if top and vals[-1] - vals[0] > 1e-6:
+    if len(top) and vals[-1] - vals[0] > 1e-6:
         raise ConvergenceError(f"top-decile spread {vals[-1] - vals[0]:.3e} after {config.starts} starts")
 
     tri_cfg = SearchConfig(max(8, config.starts // 2), stable_seed(config.seed, "triangle"))
-    tri_results = _run_starts(triangle, _SPHERE, tri_cfg)
-    tri_best, tn = _polish_best(triangle, _best_of(tri_results))
+    _, tri_v, tri_n = _search(triangle, _SPHERE, [_start_points(_SPHERE, tri_cfg)])
 
-    f_direct = max(0.0, best.value)
-    f_triangle = max(0.0, tri_best.value)
+    f_direct = max(0.0, float(min(pv[0], v[best])))  # the polished best where it is lower
+    f_triangle = max(0.0, float(tri_v[0]))
     f_min = max(f_direct, f_triangle)
     return BoundResult(
         f_min=f_min,
@@ -575,9 +551,8 @@ def numeric_fmin(model: CorrelationModel, layout: SettingsLayout, config: Search
         mode="state_corrected",
         f_direct=f_direct,
         f_triangle=f_triangle,
-        converged=best.converged,
-        evaluations=sum(r.evaluations for r in results) + pn
-        + sum(r.evaluations for r in tri_results) + tn,
+        converged=bool(ok[best]),
+        evaluations=int(nfev.sum() + pn[0] + tri_n[0]),
     )
 
 
@@ -633,8 +608,7 @@ def optimize_chsh(model: CorrelationModel, config: SearchConfig | None = None) -
     if model.tensor is not None:
         return _tensor_chsh(model)
     negative_b = _chsh_objective(model)
-    best, _ = _polish_best(negative_b, _best_of(_run_starts(negative_b, _SPHERE * 4, config or SearchConfig())))
-    x = best.point
+    x = _search(negative_b, _SPHERE * 4, [_start_points(_SPHERE * 4, config or SearchConfig())])[0][0]
     return chsh_value(
         model,
         Direction(float(x[0]), float(x[1])),
@@ -746,11 +720,12 @@ def optimize_rigid(
 
     On/off and parity are searched.  Point g is searched with configs[g]
     (None entries, or a None list, take SearchConfig()) over ZYZ Euler
-    angles, 3 or 6 of them.  The starts of all points advance as one
-    lockstep batch, and every point's best start is polished in one more
-    batch; each point follows exactly the trajectory it would follow alone.
-    The identity rotation is always start 0.  R_a and R_b are the matrices
-    of the best angles (:func:`_rotation_pair`), as in the search objective.
+    angles, 3 or 6 of them.  All points are one :func:`_search`: their
+    starts advance as one lockstep batch, and every point's best start is
+    polished in one more batch; each point follows exactly the trajectory it
+    would follow alone.  The identity rotation is always start 0.  R_a and
+    R_b are the matrices of the best angles (:func:`_rotation_pair`), as in
+    the search objective.
 
     Either way, :func:`leggett_lab.geometry.rotate_settings` applies R_a and
     R_b to the layouts' (n, 3) vector arrays of all points at once, and L at
@@ -790,8 +765,7 @@ def _searched_angles(models, layouts, configs, shared: bool) -> np.ndarray:
     starts = [_start_points(ranges, c) for c in configs]
     for st in starts:
         st[0] = 0.0  # start 0 is the identity rotation, not the box midpoint
-    bests = [_best_of(r) for r in _run_problems(objective, ranges, starts)]
-    return np.array([best.point for best, _ in _polish_bests(objective, bests)])
+    return _search(objective, ranges, starts)[0]
 
 
 # -- grid points --------------------------------------------------------------------------
@@ -864,6 +838,10 @@ class ThresholdResult:
 DEFAULT_THRESHOLD_PHI = {"threeplus7": 0.2507, "threeplus6": 2.0 * math.atan(1.0 / 3.0)}
 THRESHOLD_BRACKET = (0.5, 10.0)  # the amplitudes the coarse grid of threshold_alpha spans
 THRESHOLD_SCAN_POINTS = 16  # the points of that grid
+# the narrowest bracket the bisection always reaches: it stalls only where lo
+# and hi are adjacent doubles, at most ulp(THRESHOLD_BRACKET[1]) apart inside
+# the bracket, and then 0.5 * (lo + hi) is one of them
+THRESHOLD_MIN_TOLERANCE = 2.0 * math.ulp(THRESHOLD_BRACKET[1])
 
 
 def _predict_root(known: dict, lo: float, hi: float) -> float:
@@ -948,11 +926,11 @@ def threshold_alpha(task: ScanTask, tolerance: float = 1e-3) -> ThresholdResult:
     singlet or pseudo-spin) or with a bound mode other than state_corrected.
     Elsewhere a raised ConvergenceError of a speculative point could stop a
     run that bisection finishes, so each batch holds the next midpoint only.
-    A tolerance that is not finite and positive raises ValueError: the
-    bisection could not reach it.
+    A tolerance that is not finite or is below THRESHOLD_MIN_TOLERANCE
+    (3.55e-15) raises ValueError: the bisection could not reach it.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    if not (math.isfinite(tolerance) and tolerance >= THRESHOLD_MIN_TOLERANCE):
+        raise ValueError(f"tolerance must be finite and at least {THRESHOLD_MIN_TOLERANCE!r}, got {tolerance!r}")
     if task.layout_name not in DEFAULT_THRESHOLD_PHI:
         raise ValueError(f"threshold supports threeplus7/threeplus6, not {task.layout_name!r}")
     phi = DEFAULT_THRESHOLD_PHI[task.layout_name] if task.phi is None else task.phi

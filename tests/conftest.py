@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,20 +127,19 @@ def rowwise(objective):
     return lambda points, owners=None: np.array([objective(x) for x in points], dtype=float)
 
 
-def simplex_minimize(
-    objective, ranges, config: SearchConfig, maxiter: int = optimize._MAX_ITERATIONS
-) -> optimize.SimplexResult:
-    """Best point over seeded multi-start simplex descent in the box ranges.
+def simplex_minimize(objective, ranges, config: SearchConfig, maxiter: int = optimize._MAX_ITERATIONS):
+    """Best start of a seeded multi-start simplex descent in the box ranges.
 
     ranges gives one (lo, hi) interval per coordinate of objective, which
     maps one point to a float; the engine evaluates it row by row, with the
     starts and steps of a search and its tolerance, and at most maxiter
-    iterations per start.  A start that exhausts them without meeting the
+    iterations per start.  The best start has the lowest value, the first
+    start on a tie; its point, value, converged flag and start_index are
+    returned.  A start that exhausts its iterations without meeting the
     tolerance is still used but flags the result as unconverged.
     """
     starts = optimize._start_points(ranges, config)
     steps = [0.15 * (hi - lo) for lo, hi in ranges]
-    x, v, ok, nfev = optimize._nelder_mead(rowwise(objective), starts, steps, optimize._TOLERANCE, maxiter)
-    return optimize._best_of(
-        [optimize.SimplexResult(x[s], float(v[s]), bool(ok[s]), int(nfev[s]), s) for s in range(len(v))]
-    )
+    x, v, ok, _ = optimize._nelder_mead(rowwise(objective), starts, steps, optimize._TOLERANCE, maxiter)
+    s = int(np.argmin(v))
+    return SimpleNamespace(point=x[s], value=float(v[s]), converged=bool(ok[s]), start_index=s)

@@ -1,9 +1,11 @@
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -507,6 +509,8 @@ def test_exit_codes(argv, code):
         (["scan-phi", "--phi"], "0.5:0.1:0.1"),
         (["scan-alpha", "--alpha"], "2:1:0.5"),
         (["scan-alpha", "--alpha"], "0:1:inf"),  # one nan point without the finiteness check
+        (["scan-alpha", "--alpha"], "nan"),  # a single value once wrote "alpha": NaN, which is not JSON
+        (["scan-phi", "--phi"], "inf"),
     ],
 )
 def test_range_without_finite_points_exits_2(command, text, tmp_path):
@@ -517,18 +521,33 @@ def test_range_without_finite_points_exits_2(command, text, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("tolerance", ["0", "-1", "nan", "inf", "1e-16", "1e-300"])
 def test_threshold_tolerance_that_bisection_cannot_reach_exits_2(tolerance):
     # in a subprocess with a timeout: each of these values once kept the bisection looping
     res = _module_run("leggett_lab", "threshold", "--layout", "3p6", "--state", "ecs-", "--tolerance", tolerance)
     assert res.returncode == 2 and res.stdout == ""
-    assert f"argument --tolerance: must be a finite positive number, got {tolerance!r}" in res.stderr
+    assert f"argument --tolerance: must be a finite number of at least 3.552713678800501e-15, got {tolerance!r}" in (
+        res.stderr
+    )
 
 
 def test_threshold_alpha_rejects_a_tolerance_it_cannot_reach():
+    assert optimize.THRESHOLD_MIN_TOLERANCE == 2.0 * math.ulp(10.0)
     for tolerance in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        with pytest.raises(ValueError, match="tolerance must be finite and at least 3.552713678800501e-15"):
             optimize.threshold_alpha(optimize.ScanTask("threeplus6", "pseudo_spin"), tolerance=tolerance)
+    # below the floor the bisection once looped forever, so these run in a
+    # subprocess with a timeout; the floor itself is reached
+    call = ("from leggett_lab import optimize; task = optimize.ScanTask('threeplus6', 'pseudo_spin'); "
+            "print(optimize.threshold_alpha(task, tolerance={!r}).bracket)")
+    for tolerance in (1e-16, 1e-300):
+        res = _python("-c", call.format(tolerance))
+        assert res.returncode == 1 and res.stdout == ""
+        assert f"ValueError: tolerance must be finite and at least 3.552713678800501e-15, got {tolerance!r}" in res.stderr
+    res = _python("-c", call.format(optimize.THRESHOLD_MIN_TOLERANCE))
+    assert res.returncode == 0, res.stderr
+    lo, hi = ast.literal_eval(res.stdout)
+    assert 0.0 < hi - lo <= optimize.THRESHOLD_MIN_TOLERANCE
 
 
 @pytest.mark.parametrize("alpha", ["1e200", "1e10"])

@@ -148,8 +148,12 @@ def test_numeric_fmin_malus_threeplus6():
 def _searched_direct(model, layout, config):
     """Best point and value of the multi-start search of the direct bound objective."""
     direct, _ = optimize._bound_objectives(model, layout)
-    best = min(optimize._run_starts(direct, _SPHERE2, config), key=lambda r: (r.value, r.start_index))
-    return best.point, best.value
+    steps = [0.15 * (hi - lo) for lo, hi in _SPHERE2]
+    x, v, _, _ = optimize._nelder_mead(
+        direct, optimize._start_points(_SPHERE2, config), steps, optimize._TOLERANCE, optimize._MAX_ITERATIONS
+    )
+    best = min(range(len(v)), key=lambda s: (v[s], s))
+    return x[best], v[best]
 
 
 def test_numeric_fmin_phi0_argmin():

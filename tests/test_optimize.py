@@ -329,22 +329,28 @@ def _sequential_fmin(model, layout, config):
     """numeric_fmin with its polishes as separate engine runs: the best start's,
     then the top decile's re-polish, then the triangle best's."""
     direct, triangle = optimize._bound_objectives(model, layout)
-    results = optimize._run_starts(direct, optimize._SPHERE * 2, config)
-    best, pn = optimize._polish_best(direct, optimize._best_of(results))
+
+    def polished_best(objective, ranges, cfg):
+        """The arrays of the starts, and the best start's polished value, converged flag and evaluations."""
+        steps = [0.15 * (hi - lo) for lo, hi in ranges]
+        x, v, ok, nfev = optimize._nelder_mead(
+            objective, optimize._start_points(ranges, cfg), steps, optimize._TOLERANCE, optimize._MAX_ITERATIONS
+        )
+        best = min(range(len(v)), key=lambda s: (v[s], s))
+        _, pv, pn = optimize._polish(objective, x[best])
+        return x, v, float(min(pv[0], v[best])), bool(ok[best]), int(nfev.sum() + pn[0])
+
+    x, v, best_value, converged, n = polished_best(direct, optimize._SPHERE * 2, config)
     if config.starts >= 4:
-        top = sorted(results, key=lambda r: r.value)[: max(2, -(-config.starts // 10))]
-        vals = np.sort(optimize._polish(direct, np.array([r.point for r in top]), fatol=1e-13, maxiter=1500)[1])
+        top = sorted(range(len(v)), key=lambda s: v[s])[: max(2, -(-config.starts // 10))]
+        vals = np.sort(optimize._polish(direct, x[top], fatol=1e-13, maxiter=1500)[1])
         if vals[-1] - vals[0] > 1e-6:
             raise ConvergenceError(f"top-decile spread {vals[-1] - vals[0]:.3e} after {config.starts} starts")
     tri_cfg = replace(config, starts=max(8, config.starts // 2), seed=stable_seed(config.seed, "triangle"))
-    tri_results = optimize._run_starts(triangle, optimize._SPHERE, tri_cfg)
-    tri_best, tn = optimize._polish_best(triangle, optimize._best_of(tri_results))
-    f_direct, f_triangle = max(0.0, best.value), max(0.0, tri_best.value)
+    _, _, tri_value, _, tn = polished_best(triangle, optimize._SPHERE, tri_cfg)
+    f_direct, f_triangle = max(0.0, best_value), max(0.0, tri_value)
     f_min = max(f_direct, f_triangle)
-    evaluations = sum(r.evaluations for r in results) + pn + sum(r.evaluations for r in tri_results) + tn
-    return BoundResult(
-        f_min, 4.0 - f_min, "state_corrected", f_direct, f_triangle, best.converged, evaluations
-    )
+    return BoundResult(f_min, 4.0 - f_min, "state_corrected", f_direct, f_triangle, converged, n + tn)
 
 
 _FMIN_POINTS = {
@@ -517,26 +523,37 @@ def test_grid_batch_gives_each_problem_its_solo_search(name):
     configs = _rigid_configs(n_starts)
     ranges = _EULER3 * (1 if shared else 2)
     starts = [optimize._start_points(ranges, c) for c in configs]
-    batched = optimize._run_problems(optimize._make_rigid_objective(models, layouts, shared), ranges, starts)
-    bests = []
-    for g, (model, layout, config) in enumerate(zip(models, layouts, configs)):
-        solo_objective = optimize._make_rigid_objective([model], [layout], shared)
-        solo = optimize._run_starts(solo_objective, ranges, config, starts[g])
-        assert len(batched[g]) == len(solo) == n_starts[g]
-        for got, want in zip(batched[g], solo):
-            assert np.array_equal(got.point, want.point)
-            assert got.value == want.value
-            assert got.converged == want.converged
-            assert got.evaluations == want.evaluations
-            assert got.start_index == want.start_index
-        bests.append((optimize._best_of(solo), solo_objective))
-    polished = optimize._polish_bests(
-        optimize._make_rigid_objective(models, layouts, shared), [b for b, _ in bests]
+    objective = optimize._make_rigid_objective(models, layouts, shared)
+    steps = [0.15 * (hi - lo) for lo, hi in ranges]
+    owners = np.repeat(np.arange(len(starts)), n_starts)
+    batched = optimize._nelder_mead(
+        objective, np.concatenate(starts), steps, optimize._TOLERANCE, optimize._MAX_ITERATIONS, owners
     )
-    for (got, got_n), (best, solo_objective) in zip(polished, bests):
-        want, want_n = optimize._polish_best(solo_objective, best)
-        assert np.array_equal(got.point, want.point)
-        assert got.value == want.value and got_n == want_n
+    point, value, evaluations = optimize._search(objective, ranges, starts)
+    for g, (model, layout) in enumerate(zip(models, layouts)):
+        solo_objective = optimize._make_rigid_objective([model], [layout], shared)
+        solo = optimize._nelder_mead(solo_objective, starts[g], steps, optimize._TOLERANCE, optimize._MAX_ITERATIONS)
+        rows = owners == g
+        assert rows.sum() == len(solo[1]) == n_starts[g]
+        for got, want in zip(batched, solo):  # points, values, converged flags, evaluations
+            assert np.array_equal(got[rows], want)
+        want_point, want_value, want_n = optimize._search(solo_objective, ranges, [starts[g]])
+        assert np.array_equal(point[g], want_point[0])
+        assert value[g] == want_value[0] and evaluations[g] == want_n[0]
+
+
+def test_search_takes_the_first_of_tied_starts():
+    # a constant objective ties every start; problem 1 holds problem 0's rows
+    # in reverse order, so each problem must return its own start 0
+    ranges = [(-2.0, 2.0)] * 3
+    rows = optimize._start_points(ranges, _cfg(starts=5, seed=27))
+    point, value, evaluations = optimize._search(
+        lambda x, owners=None: np.zeros(len(x)), ranges, [rows, rows[::-1]]
+    )
+    assert np.array_equal(point[0], rows[0]) and np.array_equal(point[1], rows[-1])
+    assert value.tolist() == [0.0, 0.0]
+    # every start and the polish stop on their initial simplex of 4 points
+    assert evaluations.tolist() == [(5 + 1) * 4] * 2
 
 
 @pytest.mark.parametrize("name", sorted(_grid_problems()))
@@ -592,8 +609,7 @@ def _rigid_oracle(model, layout, shared, seed):
     cfg = _cfg(starts=32 if shared else 64, seed=seed)
     starts = optimize._start_points(ranges, cfg)
     starts[0] = 0.0
-    best = optimize._best_of(optimize._run_starts(objective, ranges, cfg, starts))
-    return -optimize._polish_best(objective, best)[0].value
+    return -optimize._search(objective, ranges, [starts])[1][0]
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
@@ -627,8 +643,8 @@ def test_rigid_closed_form_shared_rotation_needs_equal_transverse_entries():
 def _chsh_oracle(model, seed):
     """The Nelder-Mead CHSH maximum: 32 starts and a polish of the best."""
     negative_b = optimize._chsh_objective(model)
-    best = optimize._best_of(optimize._run_starts(negative_b, _SPHERE4, _cfg(starts=32, seed=seed)))
-    return -optimize._polish_best(negative_b, best)[0].value
+    starts = optimize._start_points(_SPHERE4, _cfg(starts=32, seed=seed))
+    return -optimize._search(negative_b, _SPHERE4, [starts])[1][0]
 
 
 _TENSOR_MODELS = [pes_model()] + [ecs_model(a, s) for a in (0.4, 1.0, 2.4, 5.0) for s in (-1, +1)]
