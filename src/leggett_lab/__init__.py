@@ -12,7 +12,6 @@ from .correlations import (
     ecs_model,
     pes_model,
 )
-from .errors import ConvergenceError, LeggettLabError
 from .geometry import (
     Direction,
     SettingsLayout,
@@ -33,6 +32,7 @@ from .inequality import (
     pes_fmin,
 )
 from .optimize import (
+    ConvergenceError,
     ImplicationReport,
     ScanTask,
     SearchConfig,

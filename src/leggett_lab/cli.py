@@ -56,12 +56,13 @@ import operator
 import os
 import sys
 
-from .errors import LeggettLabError
+from .correlations import ECS_FAMILIES, PES_FAMILY
 from .geometry import build_layout
-from .inequality import analytic_fmin, chsh_at_layout
+from .inequality import STATE_CORRECTED_LAYOUTS, analytic_fmin, chsh_at_layout
 from .optimize import (
     DEFAULT_THRESHOLD_PHI,
     THRESHOLD_MIN_TOLERANCE,
+    ConvergenceError,
     ScanTask,
     SearchConfig,
     SweepRecord,
@@ -81,7 +82,6 @@ LAYOUT_ALIASES = {
     "threeplus6": "threeplus6",
 }
 STATES = ("pes", "ecs+", "ecs-")
-FAMILIES = ("pseudo_spin", "on_off", "parity")
 
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRecord))
 _COLUMN_VALUES = operator.attrgetter(*CSV_COLUMNS)  # a record's values in column order
@@ -180,7 +180,7 @@ def _tolerance(text: str) -> float:
 # stays out of the namespace, so RunConfig holds the one set of defaults
 _OPTIONS = {
     "--state": dict(choices=STATES),
-    "--family": dict(choices=FAMILIES),
+    "--family": dict(choices=ECS_FAMILIES),
     "--layout": dict(choices=sorted(LAYOUT_ALIASES)),
     "--alpha": dict(help="value or lo:hi:step"),
     "--phi": dict(help="value or lo:hi:step"),
@@ -245,8 +245,10 @@ def parse_args(argv) -> RunConfig:
     if "layout" in fields:
         fields["layout"] = LAYOUT_ALIASES[fields["layout"]]
     cfg = RunConfig(**fields)
-    if cfg.command in ("scan-phi", "scan-alpha") and cfg.layout == "original" and cfg.bound == "corrected":
-        commands[cfg.command].error("argument --layout: original has no state-corrected bound; give --bound analytic")
+    if (cfg.command in ("scan-phi", "scan-alpha") and cfg.bound == "corrected"
+            and cfg.layout not in STATE_CORRECTED_LAYOUTS):
+        commands[cfg.command].error(
+            f"argument --layout: {cfg.layout} has no state-corrected bound; give --bound analytic")
     return cfg
 
 
@@ -296,7 +298,7 @@ def _write_records(path: str, records, variable: str, title: str, fmt: str = "cs
 
 def _model_args(cfg: RunConfig):
     if cfg.state == "pes":
-        return "qubit_projective", 0
+        return PES_FAMILY, 0
     return cfg.family, +1 if cfg.state == "ecs+" else -1
 
 
@@ -388,7 +390,7 @@ def _cmd_bound(cfg: RunConfig):
     model = _model(family, sign, float(cfg.alpha) if cfg.alpha else 1.0)
     fields = {"phi": phi, "f_min_analytic": analytic_fmin(cfg.layout, phi),
               "f_min_corrected": None, "f_direct": None, "f_triangle": None}
-    if cfg.layout in ("threeplus7", "threeplus6"):
+    if cfg.layout in STATE_CORRECTED_LAYOUTS:
         res = numeric_fmin(model, layout, SearchConfig(cfg.starts, cfg.seed))
         fields.update(f_min_corrected=res.f_min, f_direct=res.f_direct, f_triangle=res.f_triangle)
     return _write_summary(cfg, **fields)
@@ -480,15 +482,15 @@ _DISPATCH = {
 
 
 def run(argv) -> int:
-    """Entry point; returns the process exit code (0 ok, 1 internal invariant
-    failure, 2 argument errors)."""
+    """Entry point; returns the process exit code: 0 ok, 1 a search that did
+    not settle (ConvergenceError), 2 argument errors."""
     try:
         cfg = parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         summary = _DISPATCH[cfg.command](cfg)
-    except LeggettLabError as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

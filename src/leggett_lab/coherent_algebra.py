@@ -2,10 +2,11 @@
 
 The basis is nonorthogonal with overlap kappa = <a|-a> = e^{-2 a^2} (real a),
 so norms and expectations carry the Gram matrix [[1, kappa], [kappa, 1]].
-The on/off and parity elements <+-a|O|+-a> are closed forms in e^{-a^2} and
-kappa; the tests check them against the truncated Fock-space oracle.  The
-series behind K(alpha) and the pseudo-spin Bloch vector overflow naive
-arithmetic well below alpha = 20; they are summed entirely in the log domain.
+The elements <+-a|O|+-a> of FAMILIES, on_off and parity (the names of
+:mod:`leggett_lab.correlations`), are closed forms in e^{-a^2} and kappa;
+the tests check them against the truncated Fock-space oracle.  The series
+behind K(alpha) and the pseudo-spin Bloch vector overflow naive arithmetic
+well below alpha = 20; they are summed entirely in the log domain.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ MIN_COEFF_ALPHA = 0.05  # Gram matrix conditioning floor for coefficient algebra
 # by 1.6e-11 at 100.  The paper's largest amplitude is 50.
 MAX_ALPHA = 100.0
 
-FAMILIES = ("onoff", "parity")
+FAMILIES = ("on_off", "parity")
 
 
 # -- ECS bookkeeping -----------------------------------------------------------
@@ -127,7 +128,7 @@ def pseudospin_bloch(alpha: float) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def _elements(family: str, alpha: float) -> np.ndarray:
     k = math.exp(-2.0 * alpha * alpha)
-    if family == "onoff":
+    if family == "on_off":
         e = math.exp(-alpha * alpha)
         m = np.array([[1.0 - 2.0 * e, k - 2.0 * e], [k - 2.0 * e, 1.0 - 2.0 * e]], dtype=complex)
     else:
@@ -139,9 +140,10 @@ def _elements(family: str, alpha: float) -> np.ndarray:
 def operator_elements(family: str, alpha: float) -> np.ndarray:
     """2x2 matrix M[x, y] = <x a|O|y a> for x, y in {+1, -1}.
 
-    Families: onoff (O = 1 - 2|0><0|, -1 on the vacuum) and parity
-    (O = -(-1)^n, +1 on odd photon numbers), the two measurement families of
-    :mod:`leggett_lab.correlations`, which reads P = M00 and Q = M01.
+    family is one of FAMILIES: on_off (O = 1 - 2|0><0|, -1 on the vacuum)
+    or parity (O = -(-1)^n, +1 on odd photon numbers), the two measurement
+    families of :mod:`leggett_lab.correlations` under the same names, which
+    reads P = M00 and Q = M01; any other name raises ValueError.
     With e = e^{-a^2} and kappa = e^{-2 a^2}, on/off gives M00 = 1 - 2e and
     M01 = kappa - 2e, parity M00 = -kappa and M01 = -1; M11 = M00 and
     M10 = M01.  The read-only result is cached per (family, alpha).

@@ -207,7 +207,7 @@ def _representation(family: str, ecs: EcsSpec | None) -> _Representation:
         hidden, constants = _reflected_bloch, ((mx, my, mz), (-mx, my, mz))
         radius = math.sqrt(m.dot(m))  # np.linalg.norm(m), bit for bit
     else:
-        m = operator_elements("onoff" if family == "on_off" else "parity", ecs.alpha)
+        m = operator_elements(family, ecs.alpha)
         t = (1.0, 1.0, -1.0) if ecs.sign > 0 else (-1.0, -1.0, -1.0)
         p, q, kappa = float(m[0, 0].real), float(m[0, 1].real), ecs.kappa
         feature, vector_feature = _reflection, _reflection_of_vectors
@@ -239,7 +239,7 @@ class CorrelationModel:
     def __post_init__(self):
         if self.family == PES_FAMILY:
             if self.ecs is not None:
-                raise ValueError("qubit_projective applies to the singlet baseline only")
+                raise ValueError(f"{PES_FAMILY} applies to the singlet baseline only")
         elif self.family in ECS_FAMILIES:
             if self.ecs is None:
                 raise ValueError(f"{self.family} needs an EcsSpec")

@@ -144,6 +144,10 @@ def analytic_fmin(layout_name: str, phi: float) -> float:
     raise ValueError(f"no Leggett bound for layout {layout_name!r}")
 
 
+# the layouts with a state-corrected bound, those of pes_fmin's proof
+STATE_CORRECTED_LAYOUTS = ("threeplus7", "threeplus6")
+
+
 def pes_fmin(layout_name: str, phi: float) -> float:
     """Exact state-corrected bound term of the unit-sphere (Malus) model.
 
@@ -214,11 +218,11 @@ def leggett_bound(
 ) -> BoundResult:
     """Bound for the given layout in the requested mode.
 
-    The original layout supports only the analytic mode: its closed-form
-    factor rests on a rotational-invariance ensemble average that a
-    point-mass hidden-vector minimization does not reproduce, so the
-    state-corrected bound raises ValueError for it, as for every layout
-    other than threeplus7 and threeplus6.
+    The state-corrected mode covers the layouts of STATE_CORRECTED_LAYOUTS
+    and raises ValueError for any other.  The original layout supports only
+    the analytic mode: its closed-form factor rests on a rotational-invariance
+    ensemble average that a point-mass hidden-vector minimization does not
+    reproduce.
     """
     if mode == "analytic2d":
         f = analytic_fmin(layout.name, layout.phi)

@@ -102,8 +102,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .correlations import CorrelationModel, ModelStack, ecs_model, pes_model
-from .errors import ConvergenceError
+from .correlations import PES_FAMILY, CorrelationModel, ModelStack, ecs_model, pes_model
 from .geometry import (
     Direction,
     SettingsLayout,
@@ -118,6 +117,10 @@ from .util import stable_seed
 
 _SPHERE = ((0.0, math.pi), (-math.pi, math.pi))
 _EULER = ((0.0, 2.0 * math.pi),) * 3
+
+
+class ConvergenceError(Exception):
+    """A multi-start search did not settle on a reproducible optimum."""
 
 
 @dataclass(frozen=True)
@@ -321,23 +324,21 @@ def _sobol(d: int, n: int, seed: int) -> np.ndarray:
 def _start_points(ranges, config: SearchConfig) -> np.ndarray:
     """The box midpoint, then config.starts - 1 seeded Sobol points scaled to the box.
 
-    The Sobol points are the first of a power-of-two draw of :func:`_sobol`:
-    Joe-Kuo direction numbers (SIAM J. Sci. Comput. 30, 2635 (2008)) under
-    Matousek's linear matrix scramble and digital shift (J. Complexity 14,
-    527 (1998)), on numpy alone.  The draw equals
-    scipy.stats.qmc.Sobol(len(ranges), scramble=True,
-    seed=config.seed).random(n) bit for bit, which tests/test_optimize.py
-    checks against scipy 1.17.  Boxes of 1 to 8 coordinates; the searches
-    use 2, 3, 4, 6 and 8.
+    The Sobol points are a draw of exactly config.starts - 1 points of
+    :func:`_sobol`: Joe-Kuo direction numbers (SIAM J. Sci. Comput. 30, 2635
+    (2008)) under Matousek's linear matrix scramble and digital shift
+    (J. Complexity 14, 527 (1998)), on numpy alone.  The draw equals the
+    first config.starts - 1 points of scipy.stats.qmc.Sobol(len(ranges),
+    scramble=True, seed=config.seed).random(n) bit for bit, which
+    tests/test_optimize.py checks against scipy 1.17.  Boxes of 1 to 8
+    coordinates; the searches use 2, 3, 4, 6 and 8.
     """
     lo = np.array([r[0] for r in ranges])
     hi = np.array([r[1] for r in ranges])
     pts = np.empty((config.starts, len(ranges)))
     pts[0] = 0.5 * (lo + hi)
     if config.starts > 1:
-        n = config.starts - 1
-        pow2 = 1 << max(1, (n - 1).bit_length())
-        pts[1:] = lo + _sobol(len(ranges), pow2, config.seed)[:n] * (hi - lo)
+        pts[1:] = lo + _sobol(len(ranges), config.starts - 1, config.seed) * (hi - lo)
     return pts
 
 
@@ -516,8 +517,8 @@ def numeric_fmin(model: CorrelationModel, layout: SettingsLayout, config: Search
     best-start polishes, not the re-polish.  Every caller takes this one
     path: no flag skips a polish or the spread check.
     """
-    if layout.name not in ("threeplus7", "threeplus6"):
-        raise ValueError(f"numeric bound supports threeplus7/threeplus6, not {layout.name!r}")
+    if layout.name not in inequality.STATE_CORRECTED_LAYOUTS:
+        raise ValueError(f"numeric bound supports {'/'.join(inequality.STATE_CORRECTED_LAYOUTS)}, not {layout.name!r}")
     if model.tensor is not None:
         f = model.hidden_radius * inequality.pes_fmin(layout.name, layout.phi)
         return BoundResult(f, 4.0 - f, "state_corrected", f_direct=f, f_triangle=f)
@@ -772,8 +773,8 @@ def _searched_angles(models, layouts, configs, shared: bool) -> np.ndarray:
 
 
 def _model(family: str, sign: int, alpha: float | None) -> CorrelationModel:
-    """The singlet for family "qubit_projective" (alpha and sign unused), else the ECS model."""
-    return pes_model() if family == "qubit_projective" else ecs_model(alpha, sign, family)
+    """The singlet for family PES_FAMILY (alpha and sign unused), else the ECS model."""
+    return pes_model() if family == PES_FAMILY else ecs_model(alpha, sign, family)
 
 
 def _evaluate(models, layouts, seeds, optimize, shared, bound_mode, starts) -> list[LeggettEvaluation]:
@@ -807,7 +808,7 @@ class ScanTask:
     """The question at every grid point of a scan, or the one a threshold bisects."""
 
     layout_name: str
-    family: str = "qubit_projective"
+    family: str = PES_FAMILY
     sign: int = -1
     alpha: float | None = None
     phi: float | None = None
@@ -1007,11 +1008,12 @@ def _record(task: ScanTask, index: int, alpha, phi, model, seed, ev: LeggettEval
     """The row of one point; seed is None for a closed-form family, whose searches take no config.
 
     Under the analytic bound, f_min_corrected is filled only where it is a
-    closed form (seed None) and the layout has one; a searched family leaves
-    it empty rather than run a search that the verdict does not read.
+    closed form (seed None) and the layout has one (STATE_CORRECTED_LAYOUTS);
+    a searched family leaves it empty rather than run a search that the
+    verdict does not read.
     """
     f_corr = ev.bound.f_min if ev.bound.mode == "state_corrected" else None
-    if f_corr is None and seed is None and task.layout_name != "original":
+    if f_corr is None and seed is None and task.layout_name in inequality.STATE_CORRECTED_LAYOUTS:
         f_corr = numeric_fmin(model, ev.layout).f_min
 
     chsh_b = None

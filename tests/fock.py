@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from leggett_lab.errors import LeggettLabError
 from leggett_lab.geometry import Direction
 from leggett_lab.util import log_factorials
 
 TAIL_TOL = 1e-8
 
 
-class TruncationError(LeggettLabError):
+class TruncationError(Exception):
     """Fock-space truncation leaves too much tail probability."""
 
 

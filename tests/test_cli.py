@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import leggett_lab
-from leggett_lab import cli, correlations, optimize
+from leggett_lab import cli, correlations, inequality, optimize
 from leggett_lab.coherent_algebra import _log_even_series
 
 
@@ -621,6 +621,8 @@ def test_every_offered_layout_is_answered(command, layout, tmp_path):
     assert summary["outputs"] == [str(out)]
     if command == "bound":
         assert summary["f_min_analytic"] is not None
+        corrected = cli.LAYOUT_ALIASES[layout] in inequality.STATE_CORRECTED_LAYOUTS
+        assert (summary["f_min_corrected"] is not None) == corrected
 
 
 @pytest.mark.parametrize("command", _LAYOUT_COMMANDS)

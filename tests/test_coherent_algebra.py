@@ -155,10 +155,16 @@ def test_rotation_map_unitary(rng):
 
 
 def test_onoff_elements_alpha5():
-    m = operator_elements("onoff", 5.0)
+    m = operator_elements("on_off", 5.0)
     # 1 - diag = 2 e^{-25} = 2.78e-11 (the quoted 2e-11 rounds this)
     assert abs(m[0, 0] - 1.0) < 3e-11
     assert abs(m[0, 1] - (math.exp(-50.0) - 2 * math.exp(-25.0))) < 1e-15
+
+
+@pytest.mark.parametrize("family", ["onoff", "pseudo_spin"])  # the old spelling; a family without elements
+def test_operator_elements_reject_other_family_names(family):
+    with pytest.raises(ValueError, match=f"unknown operator family '{family}'"):
+        operator_elements(family, 1.0)
 
 
 def test_parity_elements_alpha1():
@@ -170,7 +176,7 @@ def test_parity_elements_alpha1():
 def test_all_families_match_oracle():
     alpha, dim = 1.5, fock.default_dim(1.5)
     kets = (fock.coherent(alpha, dim), fock.coherent(-alpha, dim))
-    ops = {"onoff": fock.on_off_op(dim), "parity": fock.parity_op(dim)}
+    ops = {"on_off": fock.on_off_op(dim), "parity": fock.parity_op(dim)}
     for family in FAMILIES:
         m = operator_elements(family, alpha)
         for i in range(2):
@@ -189,7 +195,7 @@ def _oracle_elements(family, alpha):
     """<x a|O|y a> in the truncated Fock space."""
     dim = fock.default_dim(alpha)
     kets = (fock.coherent(alpha, dim).amplitudes, fock.coherent(-alpha, dim).amplitudes)
-    op = (fock.on_off_op(dim) if family == "onoff" else fock.parity_op(dim)).matrix
+    op = (fock.on_off_op(dim) if family == "on_off" else fock.parity_op(dim)).matrix
     return np.array([[np.vdot(bra, op @ ket) for ket in kets] for bra in kets])
 
 

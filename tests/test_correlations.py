@@ -25,7 +25,7 @@ def _coeff_correlation(spec, family, a, b):
     matrix rotated by rotation_map on both sides, contracted with the
     operator elements and normalized by the Gram matrix, in complex
     arithmetic."""
-    m = operator_elements("onoff" if family == "on_off" else "parity", spec.alpha)
+    m = operator_elements(family, spec.alpha)
     g = gram_matrix(spec.alpha)
     d = rotation_map(a.theta, a.phi) @ coefficient_tensor(spec) @ rotation_map(b.theta, b.phi).T
     num = np.einsum("xy,xu,yv,uv->", d.conj(), m, m, d)
@@ -36,7 +36,7 @@ def _coeff_correlation(spec, family, a, b):
 def _coeff_local_avg(spec, family, u, a, party):
     """Two-ket oracle for the local average of on/off and parity: party A
     rotates |alpha> = e_0, party B rotates |-alpha> = e_1."""
-    m = operator_elements("onoff" if family == "on_off" else "parity", spec.alpha)
+    m = operator_elements(family, spec.alpha)
     start = np.array([1.0, 0.0] if party == "a" else [0.0, 1.0], dtype=complex)
     c = rotation_map(a.theta, a.phi) @ (rotation_map(u.theta, u.phi) @ start)
     return float((c.conj() @ m @ c).real / (c.conj() @ gram_matrix(spec.alpha) @ c).real)
@@ -212,7 +212,7 @@ def test_onoff_local_avg_cases(rng):
         direct = model.local_average_a(fixed, a)
         # <alpha| Pi(a) |alpha> with the same Gram normalization
         c = rotation_map(a.theta, a.phi) @ np.array([1.0, 0.0])
-        num = (c.conj() @ operator_elements("onoff", 1.0) @ c).real
+        num = (c.conj() @ operator_elements("on_off", 1.0) @ c).real
         den = (c.conj() @ gram_matrix(1.0) @ c).real
         assert direct == pytest.approx(num / den, abs=1e-12)
 
@@ -238,7 +238,7 @@ def test_onoff_factorizes_at_large_alpha(rng):
     spec = EcsSpec(alpha, -1)
     model = ecs_model(alpha, -1, "on_off")
     g = gram_matrix(alpha)
-    m = operator_elements("onoff", alpha)
+    m = operator_elements("on_off", alpha)
     c0 = coefficient_tensor(spec)
     for _ in range(10):
         a, b = random_direction(rng), random_direction(rng)

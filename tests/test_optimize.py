@@ -237,7 +237,7 @@ def test_sobol_draw_and_starts_equal_scipy_bit_for_bit(d):
     ranges = _SEARCH_BOXES[d]
     lo, hi = np.array(ranges).T
     for seed in _SOBOL_SEEDS:
-        for n in (8, 16, 32, 64):
+        for n in (5, 8, 12, 16, 32, 33, 64):  # start counts of and between powers of two
             ref = _scipy_sobol(d, n, seed)
             assert np.array_equal(optimize._sobol(d, n, seed), ref), (n, seed)
             starts = optimize._start_points(ranges, _cfg(starts=n, seed=seed))
