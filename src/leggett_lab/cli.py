@@ -412,47 +412,24 @@ def _cmd_reproduce(cfg: RunConfig):
     outdir = cfg.output or "."
     alphas = parse_range(cfg.alpha) if cfg.alpha else None
     sweeps = []  # (CSV name, scan variable, grid, task)
+    # every sweep is pseudo-spin ECS- unless it says otherwise, with the run's rotations, starts and seed
+    base = ScanTask("threeplus7", family="pseudo_spin", sign=-1, shared=cfg.shared, starts=cfg.starts, seed=cfg.seed)
     if cfg.figure in _PHI_SCANS:
         layout, family, optimize, default_phis, prefix = _PHI_SCANS[cfg.figure]
         phis = parse_range(cfg.phi or default_phis)
         for alpha in alphas or [5.0, 50.0]:
-            task = ScanTask(
-                layout,
-                family=family,
-                sign=-1,
-                alpha=alpha,
-                optimize=optimize,
-                shared=cfg.shared,
-                starts=cfg.starts,
-                seed=cfg.seed,
-            )
+            task = dataclasses.replace(base, layout_name=layout, family=family, alpha=alpha, optimize=optimize)
             sweeps.append((f"{prefix}{alpha:g}.csv", "phi", phis, task))
     if cfg.figure == "fig5":
         grid = alphas or parse_range("0.4:10:0.4")
         phi = float(cfg.phi) if cfg.phi else DEFAULT_THRESHOLD_PHI["threeplus7"]
         for sign, tag in ((+1, "plus"), (-1, "minus")):
             for optimize, opt_tag in ((False, "unopt"), (True, "opt")):
-                task = ScanTask(
-                    "threeplus7",
-                    family="pseudo_spin",
-                    sign=sign,
-                    phi=phi,
-                    optimize=optimize,
-                    shared=cfg.shared,
-                    include_chsh=optimize,
-                    starts=cfg.starts,
-                    seed=cfg.seed,
-                )
+                task = dataclasses.replace(base, sign=sign, phi=phi, optimize=optimize, include_chsh=optimize)
                 sweeps.append((f"fig5_{tag}_{opt_tag}.csv", "alpha", grid, task))
     if cfg.figure == "fig6":
-        task = ScanTask(
-            "threeplus6",
-            family="pseudo_spin",
-            sign=-1,
-            phi=DEFAULT_THRESHOLD_PHI["threeplus6"],
-            include_chsh=True,
-            starts=cfg.starts,
-            seed=cfg.seed,
+        task = dataclasses.replace(
+            base, layout_name="threeplus6", phi=DEFAULT_THRESHOLD_PHI["threeplus6"], include_chsh=True
         )
         sweeps.append(("fig6_alphascan.csv", "alpha", alphas or parse_range("0.4:10:0.4"), task))
     os.makedirs(outdir, exist_ok=True)

@@ -229,18 +229,20 @@ def leggett_bound(
         return BoundResult(f, 4.0 - f, "analytic2d")
     if mode != "state_corrected":
         raise ValueError(f"unknown bound mode {mode!r}")
-    if _numeric_fmin_impl is None:  # pragma: no cover - import order guard
-        raise RuntimeError("state-corrected bound unavailable: optimize module not imported")
     return _numeric_fmin_impl(model, layout, config)
 
 
 def evaluate_points(models, layouts, mode: str = "state_corrected", configs=None, values=None) -> list:
     """The LeggettEvaluation of models[g] on layouts[g] at each point g.
 
-    The bounds come first, point by point in order with configs[g] (None,
-    or a None entry, takes the default), so the first point whose bound
-    fails raises.  L of every point is then one :func:`leggett_value` call,
-    unless values gives it.
+    This is where every point of a sweep is bounded and judged: the one
+    caller is :func:`leggett_lab.optimize._evaluate`, for fixed and for
+    optimized settings alike.  The bounds come first, point by point in
+    order with configs[g] (None, or a None entry, takes the default), so the
+    first point whose bound fails raises.  values[g] is L of point g where
+    the caller already holds it (the L that
+    :func:`leggett_lab.optimize.optimize_rigid` returns with its settings);
+    with values None, L of every point is one :func:`leggett_value` call.
     """
     if not models:
         return []

@@ -11,7 +11,7 @@ are not searched there:
   200, 340 (1995)), evaluated at settings that reach it;
 * the rigid-rotation optimum, :func:`optimize_rigid`: one eigenproblem (a
   shared rotation) or one proper-rotation trace maximum (independent
-  rotations) per sign pattern of the term groups, evaluated at rotations
+  rotations) per sign pattern of the term groups, with L read at rotations
   that reach it.
 
 One Nelder-Mead engine serves only the on/off and parity models: their
@@ -46,13 +46,18 @@ start as one more batch and returns the point, value and evaluation count
 of each problem as arrays.  The CHSH search, the triangle bound and the
 rigid search call it; the direct bound reads the engine's arrays itself,
 because it also re-polishes its top decile.  :func:`optimize_rigid`
-searches every point of a sweep as one :func:`_search`, so a scan with
-``optimize`` and the amplitude scan of :func:`threshold_alpha` each make
-one such call; a single point is the batch of one.  The bisection of
-:func:`threshold_alpha` batches too: it evaluates the midpoints it predicts
-it will visit as one call and consumes them in the one-at-a-time order,
-which the determinism contract below makes bit-identical to evaluating
-them one at a time.
+searches every point of a sweep as one :func:`_search` and only rotates:
+it returns the settings it picks and their L.  The points of a sweep
+reach the program through one evaluator, :func:`_evaluate`, which takes
+the sweep's :class:`ScanTask`, makes at most one rigid call and bounds
+every point with one :func:`leggett_lab.inequality.evaluate_points` call;
+a single point is the batch of one.  :func:`scan` evaluates its grid so,
+and :func:`threshold_alpha` its coarse grid and each batch of midpoints.
+The threshold is one bisection, :func:`_bisect`: the walk runs it on the
+signs of known margins, and where a margin is missing, speculation runs
+the same bisection on the sign of a cubic through the known margins and
+evaluates the midpoints it visits as one batch.  The determinism contract
+below makes that bit-identical to evaluating them one at a time.
 
 Determinism contract: identical config and objective give bit-identical
 results.  Start 0 is the range midpoint (the identity rotation for rigid
@@ -676,23 +681,16 @@ def _rigid_optimum(models, layouts, shared: bool) -> tuple[np.ndarray, np.ndarra
     return values[points, best], (ra, rb)
 
 
-def optimize_rigid(
-    models,
-    layouts,
-    configs=None,
-    shared: bool = False,
-    bound_mode: str = "state_corrected",
-    bound_configs=None,
-) -> list[LeggettEvaluation]:
+def optimize_rigid(models, layouts, configs=None, shared: bool = False) -> tuple[list[SettingsLayout], np.ndarray]:
     """Maximize the inequality value over rigid rotations of the settings, at each point.
 
-    Point g is models[g] on layouts[g], bounded with bound_configs[g] (None
-    entries, or a None list, take the default).  shared=False rotates the two
-    parties independently (R_a, R_b); shared=True applies one common rotation
-    R to both.  The optimized value is never below the unrotated one, and the
-    bound is recomputed at the optimal rotated settings before the verdict.
-    The models share one family and the layouts one inequality; otherwise
-    ValueError.
+    Point g is models[g] on layouts[g].  shared=False rotates the two parties
+    independently (R_a, R_b); shared=True applies one common rotation R to
+    both.  Returns the settings picked for each point and L there: a list of
+    P layouts and a (P,) array.  The picked value is never below the
+    unrotated one.  The models share one family and the layouts one
+    inequality; otherwise ValueError.  No bound is computed here: the caller
+    bounds the picked settings (:func:`_evaluate`).
 
     Tensor models (the singlet and pseudo-spin) are solved in closed form,
     and configs is not used.  With E(a, b) = a^T T b and T = diag(t), a
@@ -735,12 +733,11 @@ def optimize_rigid(
     no angles, so on/off and parity read its features from the vectors, as
     the search objective does, and L is the searched optimum bit for bit.
     Where L does not beat the unrotated L (the identity is optimal, up to
-    rounding), the point keeps its unrotated settings; the pick is
-    array-wide.  The layout of each returned evaluation holds the settings
-    it was evaluated at.
+    rounding), the point keeps its unrotated settings and value; the pick is
+    array-wide.
     """
     if not models:
-        return []
+        return [], np.empty(0)
     if models[0].tensor is not None:
         ra, rb = _rigid_optimum(models, layouts, shared)[1]
     else:
@@ -749,13 +746,8 @@ def optimize_rigid(
     unrotated_value = inequality.leggett_value(models, layouts)
     rotated_value = inequality.leggett_value(models, rotated)
     better = rotated_value > unrotated_value
-    return inequality.evaluate_points(
-        models,
-        [r if up else lay for r, lay, up in zip(rotated, layouts, better)],
-        bound_mode,
-        bound_configs,
-        np.where(better, rotated_value, unrotated_value),
-    )
+    picked = [r if up else lay for r, lay, up in zip(rotated, layouts, better)]
+    return picked, np.where(better, rotated_value, unrotated_value)
 
 
 def _searched_angles(models, layouts, configs, shared: bool) -> np.ndarray:
@@ -777,32 +769,6 @@ def _model(family: str, sign: int, alpha: float | None) -> CorrelationModel:
     return pes_model() if family == PES_FAMILY else ecs_model(alpha, sign, family)
 
 
-def _evaluate(models, layouts, seeds, optimize, shared, bound_mode, starts) -> list[LeggettEvaluation]:
-    """The inequality evaluation of models[g] on layouts[g] at each point g.
-
-    Point g bounds with SearchConfig(starts, seeds[g]).  Without optimize the
-    settings are fixed, and L of all points is one array evaluation
-    (:func:`leggett_lab.inequality.evaluate_points`); with it, the rigid
-    rotations of all points are optimized as one batch
-    (:func:`optimize_rigid`), point g searched with
-    SearchConfig(starts, stable_seed(seeds[g], "rigid")).  Points of a
-    closed-form family get no configs, and their seeds are not read.
-    """
-    searched = _searched(models)
-    bcfgs = [SearchConfig(starts, seed) for seed in seeds] if searched else None
-    if not optimize:
-        return inequality.evaluate_points(models, layouts, bound_mode, bcfgs)
-    ocfgs = [SearchConfig(starts, stable_seed(seed, "rigid")) for seed in seeds] if searched else None
-    return optimize_rigid(models, layouts, ocfgs, shared=shared, bound_mode=bound_mode, bound_configs=bcfgs)
-
-
-def _searched(models) -> bool:
-    """Whether the points of models are searched, so draw seeds: on/off and
-    parity are; the singlet and pseudo-spin, whose bound, CHSH maximum and
-    rigid optimum are closed forms, search nothing."""
-    return bool(models) and models[0].tensor is None
-
-
 @dataclass(frozen=True)
 class ScanTask:
     """The question at every grid point of a scan, or the one a threshold bisects."""
@@ -818,6 +784,35 @@ class ScanTask:
     include_chsh: bool = False
     starts: int = 32
     seed: int = 0
+
+
+def _evaluate(task: ScanTask, models, layouts, seeds) -> list[LeggettEvaluation]:
+    """The answer to task at each point g: models[g] on layouts[g].
+
+    The task gives the bound mode, optimize, shared and starts.  With
+    task.optimize, the rigid rotations of all points are optimized first as
+    one batch (:func:`optimize_rigid`), point g searched with
+    SearchConfig(task.starts, stable_seed(seeds[g], "rigid")).  Then one
+    :func:`leggett_lab.inequality.evaluate_points` call bounds every point,
+    with SearchConfig(task.starts, seeds[g]), at the settings its L is read
+    at: the fixed ones, where L of all points is one array evaluation, or
+    the ones optimize_rigid picked, with their L.  Points of a closed-form
+    family get no configs, and their seeds are not read.
+    """
+    searched = _searched(models)
+    values = None
+    if task.optimize:
+        configs = [SearchConfig(task.starts, stable_seed(seed, "rigid")) for seed in seeds] if searched else None
+        layouts, values = optimize_rigid(models, layouts, configs, shared=task.shared)
+    bound_configs = [SearchConfig(task.starts, seed) for seed in seeds] if searched else None
+    return inequality.evaluate_points(models, layouts, task.bound_mode, bound_configs, values)
+
+
+def _searched(models) -> bool:
+    """Whether the points of models are searched, so draw seeds: on/off and
+    parity are; the singlet and pseudo-spin, whose bound, CHSH maximum and
+    rigid optimum are closed forms, search nothing."""
+    return bool(models) and models[0].tensor is None
 
 
 # -- threshold bisection ------------------------------------------------------------------
@@ -845,18 +840,33 @@ THRESHOLD_SCAN_POINTS = 16  # the points of that grid
 THRESHOLD_MIN_TOLERANCE = 2.0 * math.ulp(THRESHOLD_BRACKET[1])
 
 
-def _predict_root(known: dict, lo: float, hi: float) -> float:
-    """Where the margin is guessed to cross zero inside (lo, hi).
+def _bisect(lo: float, hi: float, tolerance: float, positive) -> tuple[list[float], tuple[float, float]]:
+    """Bisect (lo, hi) until it is at most tolerance wide; a midpoint where
+    positive(mid) holds becomes hi, any other lo.  Returns the midpoints in
+    the order visited, ending with the alpha* midpoint of the final bracket,
+    and that bracket."""
+    path = []
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if positive(mid):
+            hi = mid
+        else:
+            lo = mid
+    path.append(0.5 * (lo + hi))
+    return path, (lo, hi)
 
-    The guess is a root of the polynomial through the two known margins at
+
+def _cubic_positive(known: dict, lo: float, hi: float):
+    """Whether the margin is guessed positive at an amplitude inside (lo, hi).
+
+    The guess is the sign of the polynomial through the two known margins at
     or below lo and the two at or above hi (a cubic; a lower degree where
-    fewer are known), found by bisecting that polynomial's sign.  The
-    polynomial takes the margins m(lo) <= 0 < m(hi) exactly, so it always
-    changes sign in (lo, hi) and needs no secant fallback.
+    fewer are known).  It takes the margins m(lo) <= 0 < m(hi) exactly.
     """
     xs = sorted(a for a in known if a <= lo)[-2:] + sorted(a for a in known if a >= hi)[:2]
 
-    def poly(x):
+    def positive(x) -> bool:
         total = 0.0
         for xi in xs:
             term = known[xi]
@@ -864,30 +874,9 @@ def _predict_root(known: dict, lo: float, hi: float) -> float:
                 if xj != xi:
                     term *= (x - xj) / (xi - xj)
             total += term
-        return total
+        return total > 0.0
 
-    for _ in range(50):  # to 2**-50 of (lo, hi), far below any bisection tolerance
-        mid = 0.5 * (lo + hi)
-        if poly(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _bisection_path(lo: float, hi: float, tolerance: float, root: float) -> list[float]:
-    """The midpoints that bisection of (lo, hi) visits when the margin crosses
-    zero at root, ending with the alpha* midpoint of its final interval."""
-    path = []
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        path.append(mid)
-        if mid > root:
-            hi = mid
-        else:
-            lo = mid
-    path.append(0.5 * (lo + hi))
-    return path
+    return positive
 
 
 def threshold_alpha(task: ScanTask, tolerance: float = 1e-3) -> ThresholdResult:
@@ -902,33 +891,32 @@ def threshold_alpha(task: ScanTask, tolerance: float = 1e-3) -> ThresholdResult:
     The margin is scanned first on a fixed coarse grid, THRESHOLD_SCAN_POINTS
     evenly spaced amplitudes spanning THRESHOLD_BRACKET; the last
     sign change from nonpositive to positive (the amplitude beyond which the
-    violation persists) seeds the bisection, which narrows the bracket to
-    the requested width.  Each margin evaluation runs fresh inner
-    optimizations with seeds derived from the amplitude, so a rerun with the
-    same seed reproduces the result bit for bit.  All-positive margins give
-    verdict "always", all-nonpositive "never".  Every bound and rigid search
-    draws task.starts starts.
+    violation persists) seeds the bisection (:func:`_bisect`), which narrows
+    the bracket to the requested width.  Each margin evaluation runs fresh
+    inner optimizations with seeds derived from the amplitude, so a rerun
+    with the same seed reproduces the result bit for bit.  All-positive
+    margins give verdict "always", all-nonpositive "never".  Every bound and
+    rigid search draws task.starts starts.
 
-    The coarse grid is one evaluation (:func:`_evaluate`): its bounds point
-    by point, then L of all its amplitudes as one array, at fixed settings
-    or after one batch of rigid optimizations.  The bisection batches its
-    rigid optimizations too when speculation is safe: the root is predicted from
-    the known margins (:func:`_predict_root`), the midpoints that bisection
-    would visit if that prediction held are evaluated together, down to the
-    alpha* midpoint of the final interval, and the ordinary bisection then
-    walks over them, predicting again from where a prediction failed.  Every
-    midpoint is 0.5 * (lo + hi) of the same interval as in a one-at-a-time
-    bisection, and a margin depends only on its amplitude, never on the
-    batch it is computed in, so alpha*, the bracket and every margin are
-    bit-identical to the one-at-a-time walk.  evaluations counts the margins
-    that walk consumes (the grid, the bisection midpoints and alpha*), not
-    the speculative ones it discards.  Speculation is used only where a
-    margin cannot raise: an optimized threshold with a tensor model (the
-    singlet or pseudo-spin) or with a bound mode other than state_corrected.
-    Elsewhere a raised ConvergenceError of a speculative point could stop a
-    run that bisection finishes, so each batch holds the next midpoint only.
-    A tolerance that is not finite or is below THRESHOLD_MIN_TOLERANCE
-    (3.55e-15) raises ValueError: the bisection could not reach it.
+    Every evaluation of margins is one :func:`_evaluate` of the task, the
+    coarse grid first.  The bisection reads the sign of each known margin;
+    where a midpoint's margin is not known, it evaluates either that
+    midpoint alone or, when speculation is safe, the whole path that the
+    same bisection takes from the current bracket on the sign of the cubic
+    through the nearest known margins (:func:`_cubic_positive`), down to
+    alpha*.  The walk goes on over those margins and evaluates again where
+    it leaves the path.  Every midpoint is 0.5 * (lo + hi) of the same
+    interval as in a one-at-a-time bisection, and a margin depends only on
+    its amplitude, never on the batch it is computed in, so alpha*, the
+    bracket and every margin are bit-identical to the one-at-a-time walk.
+    evaluations counts the grid and the midpoints that walk visits, alpha*
+    included, not the speculative margins it discards.  Speculation is used
+    only where a margin cannot raise: an optimized threshold with a tensor
+    model (the singlet or pseudo-spin) or with a bound mode other than
+    state_corrected.  Elsewhere a raised ConvergenceError of a speculative
+    point could stop a run that bisection finishes.  A tolerance that is
+    not finite or is below THRESHOLD_MIN_TOLERANCE (3.55e-15) raises
+    ValueError: the bisection could not reach it.
     """
     if not (math.isfinite(tolerance) and tolerance >= THRESHOLD_MIN_TOLERANCE):
         raise ValueError(f"tolerance must be finite and at least {THRESHOLD_MIN_TOLERANCE!r}, got {tolerance!r}")
@@ -936,51 +924,45 @@ def threshold_alpha(task: ScanTask, tolerance: float = 1e-3) -> ThresholdResult:
         raise ValueError(f"threshold supports threeplus7/threeplus6, not {task.layout_name!r}")
     phi = DEFAULT_THRESHOLD_PHI[task.layout_name] if task.phi is None else task.phi
     layout = build_layout(task.layout_name, phi)
+    known = {}  # amplitude -> margin
 
-    def margins(alphas) -> list[float]:
-        """The margin at each amplitude; the rigid searches of all of them run as one batch."""
+    def evaluate(alphas) -> None:
+        """Add the margin at each amplitude to known; the rigid searches of all of them run as one batch."""
         models = [_model(task.family, task.sign, alpha) for alpha in alphas]
         seeds = [None] * len(alphas)
         if _searched(models):
             seeds = [stable_seed(task.seed, task.layout_name, task.family, task.sign, round(alpha, 12))
                      for alpha in alphas]
-        evs = _evaluate(models, [layout] * len(alphas), seeds, task.optimize, task.shared, task.bound_mode,
-                        task.starts)
-        return [ev.margin for ev in evs]
+        known.update(zip(alphas, (ev.margin for ev in _evaluate(task, models, [layout] * len(alphas), seeds))))
 
     grid = np.linspace(*THRESHOLD_BRACKET, THRESHOLD_SCAN_POINTS).tolist()  # floats, rounded alike by the seeds
-    margins_grid = margins(grid)
-    evaluations = len(margins_grid)
-    lo = hi = None
-    m_lo = m_hi = 0.0
-    for i in range(len(grid) - 1):
-        if margins_grid[i] <= 0.0 < margins_grid[i + 1]:
-            lo, hi = grid[i], grid[i + 1]
-            m_lo, m_hi = margins_grid[i], margins_grid[i + 1]
-    if lo is None:
-        verdict = "always" if all(m > 0.0 for m in margins_grid) else "never"
-        return ThresholdResult(
-            verdict, None, THRESHOLD_BRACKET, margins_grid[0], margins_grid[-1], None, evaluations
-        )
+    evaluate(grid)
+    crossings = [(a, b) for a, b in zip(grid, grid[1:]) if known[a] <= 0.0 < known[b]]
+    if not crossings:
+        verdict = "always" if all(known[a] > 0.0 for a in grid) else "never"
+        return ThresholdResult(verdict, None, THRESHOLD_BRACKET, known[grid[0]], known[grid[-1]], None, len(grid))
 
+    lo, hi = crossings[-1]
     speculate = task.optimize and (
         task.bound_mode != "state_corrected" or _model(task.family, task.sign, lo).tensor is not None
     )
-    known = dict(zip(grid, margins_grid))
-    while True:
-        mid = 0.5 * (lo + hi)  # a bisection midpoint, or alpha* once the bracket is narrow enough
-        if mid not in known:
-            # no point of the path is known: those of an earlier path that the
-            # walk left lie in the sibling interval, outside (lo, hi)
-            path = _bisection_path(lo, hi, tolerance, _predict_root(known, lo, hi)) if speculate else [mid]
-            known.update(zip(path, margins(path)))
-        evaluations += 1
-        if hi - lo <= tolerance:
-            return ThresholdResult("threshold", mid, (lo, hi), m_lo, m_hi, known[mid], evaluations)
-        if known[mid] > 0.0:
-            hi, m_hi = mid, known[mid]
-        else:
-            lo, m_lo = mid, known[mid]
+
+    def margin(alpha) -> float:
+        if alpha not in known:
+            if speculate:
+                # no known margin lies inside the walk's bracket (the rest of
+                # an earlier path lies in the half the walk left), so the
+                # bracket's ends are alpha's nearest known amplitudes
+                below = max(a for a in known if a < alpha)
+                above = min(a for a in known if a > alpha)
+                evaluate(_bisect(below, above, tolerance, _cubic_positive(known, below, above))[0])
+            else:
+                evaluate([alpha])
+        return known[alpha]
+
+    path, (lo, hi) = _bisect(lo, hi, tolerance, lambda mid: margin(mid) > 0.0)
+    star = path[-1]
+    return ThresholdResult("threshold", star, (lo, hi), known[lo], known[hi], margin(star), len(grid) + len(path))
 
 
 # -- parameter scans --------------------------------------------------------------------------
@@ -1041,13 +1023,12 @@ def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
     """Evaluate the task at every grid point.
 
     Records come back in grid order; each point of a searched family draws
-    its own seed from the task seed and its index.  The whole grid is one
-    evaluation (:func:`_evaluate`): the layouts and models of every point are
-    built first (a phi scan builds its layouts as one array and shares one
-    model, an alpha scan shares one layout), then the bounds point by point,
-    and L of all points as one array.  With task.optimize the rigid
-    rotations of all points are optimized as one batch
-    (:func:`optimize_rigid`).  A point that fails stops the scan with no
+    its own seed from the task seed and its index.  The layouts and models
+    of every point are built first (a phi scan builds its layouts as one
+    array and shares one model, an alpha scan shares one layout), and the
+    whole grid is then one :func:`_evaluate` of the task: with task.optimize
+    one batch of rigid rotations, then the bounds point by point and L of
+    all points as one array.  A point that fails stops the scan with no
     records."""
     grid = [float(g) for g in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
@@ -1067,7 +1048,7 @@ def scan(variable: str, grid, task: ScanTask) -> list[SweepRecord]:
     seeds = [None] * len(grid)
     if _searched(models):
         seeds = [stable_seed(task.seed, task.layout_name, task.family, i) for i in range(len(grid))]
-    evs = _evaluate(models, layouts, seeds, task.optimize, task.shared, task.bound_mode, task.starts)
+    evs = _evaluate(task, models, layouts, seeds)
     return [
         _record(task, i, alpha, phi, model, seed, ev)
         for i, ((alpha, phi), model, seed, ev) in enumerate(zip(coords, models, seeds, evs))

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from dataclasses import replace
@@ -90,29 +91,17 @@ def test_optimize_rigid_identity_floor():
     lay = build_layout("threeplus7", 0.25)
     model = ecs_model(4.0, +1)
     unopt = leggett_value(model, lay)
-    (ev,) = optimize_rigid(
-        [model],
-        [lay],
-        [_cfg(starts=8, seed=6)],
-        shared=True,
-        bound_configs=[_cfg(starts=16, seed=7)],
-    )
-    assert ev.L >= unopt - 1e-9
-    assert _one_rotation(ev.layout, lay)  # shared mode uses one rotation
+    (picked,), (value,) = optimize_rigid([model], [lay], [_cfg(starts=8, seed=6)], shared=True)
+    assert value >= unopt - 1e-9
+    assert _one_rotation(picked, lay)  # shared mode uses one rotation
 
 
 def test_optimize_rigid_pes_threeplus6_no_gain():
     lay = build_layout("threeplus6", 0.65)
     unopt = leggett_value(pes_model(), lay)
-    (ev,) = optimize_rigid(
-        [pes_model()],
-        [lay],
-        [_cfg(starts=24, seed=8)],
-        shared=False,
-        bound_configs=[_cfg(starts=16, seed=9)],
-    )
-    assert ev.L - unopt <= 1e-3
-    assert ev.L >= unopt - 1e-9
+    _, (value,) = optimize_rigid([pes_model()], [lay], [_cfg(starts=24, seed=8)], shared=False)
+    assert value - unopt <= 1e-3
+    assert value >= unopt - 1e-9
 
 
 def test_threshold_pes_always_verdict():
@@ -560,10 +549,11 @@ def test_search_takes_the_first_of_tied_starts():
 def test_optimize_rigid_batch_equals_each_point_alone(name):
     models, layouts, shared, n_starts = _grid_problems()[name]
     configs = _rigid_configs(n_starts)
-    batch = optimize_rigid(models, layouts, configs, shared=shared, bound_mode="analytic2d")
-    for ev, model, layout, config in zip(batch, models, layouts, configs):
-        (alone,) = optimize_rigid([model], [layout], [config], shared=shared, bound_mode="analytic2d")
-        assert ev == alone
+    picked, values = optimize_rigid(models, layouts, configs, shared=shared)
+    for g, (model, layout, config) in enumerate(zip(models, layouts, configs)):
+        (alone,), (value,) = optimize_rigid([model], [layout], [config], shared=shared)
+        assert picked[g] == alone
+        assert values[g] == value
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "independent"])
@@ -574,14 +564,15 @@ def test_coefficient_rigid_optimum_reports_the_searched_value(family, shared):
     models = [ecs_model(alpha, -1, family) for alpha in (1.0, 3.0) for _ in range(4)]
     layouts = [build_layout("threeplus7", phi) for _ in range(2) for phi in (0.1, 0.25, 0.75, 1.5)]
     configs = [_cfg(starts=8, seed=50 + g) for g in range(len(models))]
-    evs = optimize_rigid(models, layouts, configs, shared=shared, bound_mode="analytic2d")
+    _, values = optimize_rigid(models, layouts, configs, shared=shared)
     x = optimize._searched_angles(models, layouts, configs, shared)
-    for g, (model, layout, ev) in enumerate(zip(models, layouts, evs)):
-        assert ev.L == -optimize._make_rigid_objective([model], [layout], shared)(x[g : g + 1])[0]
+    for g, (model, layout) in enumerate(zip(models, layouts)):
+        assert values[g] == -optimize._make_rigid_objective([model], [layout], shared)(x[g : g + 1])[0]
 
 
 def test_rigid_batch_of_no_points_and_of_mixed_problems():
-    assert optimize_rigid([], [], shared=True) == []
+    picked, values = optimize_rigid([], [], shared=True)
+    assert picked == [] and values.shape == (0,)
     lay, lay6 = build_layout("threeplus7", 0.3), build_layout("threeplus6", 0.3)
     parity = ecs_model(3.0, -1, "parity")
     with pytest.raises(ValueError):
@@ -592,10 +583,10 @@ def test_rigid_batch_of_no_points_and_of_mixed_problems():
     for shared in (True, False):
         for models in ([pes_model(), ecs_model(1.0, -1)], [parity, ecs_model(3.0, -1)]):
             with pytest.raises(ValueError, match="one measurement family"):
-                optimize_rigid(models, [lay, lay], shared=shared, bound_mode="analytic2d")
+                optimize_rigid(models, [lay, lay], shared=shared)
         for model in (ecs_model(1.0, -1), parity):
             with pytest.raises(ValueError, match="one layout name"):
-                optimize_rigid([model] * 2, [lay, lay6], shared=shared, bound_mode="analytic2d")
+                optimize_rigid([model] * 2, [lay, lay6], shared=shared)
 
 
 # -- closed-form rigid optimum of the tensor models --------------------------------------
@@ -623,11 +614,11 @@ def test_rigid_closed_form_is_the_maximum(sign, alpha, layout_name, shared):
     assert value >= _rigid_oracle(model, layout, shared, seed=60) - 1e-12
     unrotated = leggett_value(model, layout)
     assert value >= unrotated - 1e-15
-    (ev,) = optimize_rigid([model], [layout], shared=shared)
-    assert abs(ev.L - value) <= 1e-12  # the returned rotation reaches it
-    assert ev.L >= unrotated
+    (picked,), (L,) = optimize_rigid([model], [layout], shared=shared)
+    assert abs(L - value) <= 1e-12  # the returned rotation reaches it
+    assert L >= unrotated
     if shared:
-        assert _one_rotation(ev.layout, layout)
+        assert _one_rotation(picked, layout)
 
 
 def test_rigid_closed_form_shared_rotation_needs_equal_transverse_entries():
@@ -717,10 +708,10 @@ def _sequential_threshold(margin, bracket=(0.5, 10.0), scan_points=16, tolerance
     return res, visited
 
 
-def _stub_rigid(margin, calls):
-    """optimize_rigid with the margin a known function of alpha; records each call's amplitudes."""
+def _stub_evaluate(margin, calls):
+    """_evaluate with the margin a known function of alpha; records each call's amplitudes."""
 
-    def stub(models, *args, **kwargs):
+    def stub(task, models, layouts, seeds):
         calls.append([m.ecs.alpha for m in models])
         return [SimpleNamespace(margin=margin(m.ecs.alpha)) for m in models]
 
@@ -738,10 +729,11 @@ _STUB_MARGINS = {
     "non-monotone-bump": lambda a: (a - 2.7) - 0.05 * math.exp(-(((a - 2.75) / 0.02) ** 2)) + 0.004 * math.sin(300.0 * a),
 }
 
+# the guessed sign of the margin inside (lo, hi): the cubic's, always positive, never positive
 _PREDICTORS = {
     "cubic": None,
-    "always-lo": lambda known, lo, hi: lo,
-    "always-hi": lambda known, lo, hi: hi,
+    "always-positive": lambda known, lo, hi: lambda x: True,
+    "never-positive": lambda known, lo, hi: lambda x: False,
 }
 
 
@@ -750,9 +742,9 @@ _PREDICTORS = {
 def test_speculative_walk_equals_sequential_bisection(name, predictor, monkeypatch):
     margin = _STUB_MARGINS[name]
     calls = []
-    monkeypatch.setattr(optimize, "optimize_rigid", _stub_rigid(margin, calls))
+    monkeypatch.setattr(optimize, "_evaluate", _stub_evaluate(margin, calls))
     if _PREDICTORS[predictor] is not None:
-        monkeypatch.setattr(optimize, "_predict_root", _PREDICTORS[predictor])
+        monkeypatch.setattr(optimize, "_cubic_positive", _PREDICTORS[predictor])
     res = threshold_alpha(ScanTask("threeplus7", "pseudo_spin", -1, optimize=True, seed=0))
     want, visited = _sequential_threshold(margin)
     assert res == want
@@ -764,6 +756,23 @@ def test_speculative_walk_equals_sequential_bisection(name, predictor, monkeypat
         assert len(calls) == 2  # the prediction held: one batch after the scan
 
 
+def test_optimized_threshold_at_the_tolerance_floor_equals_sequential_bisection():
+    # at THRESHOLD_MIN_TOLERANCE the final bracket is a few doubles wide and the
+    # walk leaves the speculated paths many times; the reference evaluates each
+    # real margin alone, as a scan
+    tolerance = optimize.THRESHOLD_MIN_TOLERANCE
+    task = ScanTask("threeplus7", "pseudo_spin", -1, phi=optimize.DEFAULT_THRESHOLD_PHI["threeplus7"], optimize=True)
+
+    @functools.lru_cache(maxsize=None)
+    def margin(alpha):
+        return scan("alpha", [alpha], task)[0].margin
+
+    want, visited = _sequential_threshold(margin, tolerance=tolerance)
+    assert want.verdict == "threshold" and want.bracket[1] - want.bracket[0] <= tolerance
+    assert threshold_alpha(task, tolerance) == want
+    assert threshold_alpha(replace(task, phi=None), tolerance) == want
+
+
 @pytest.mark.parametrize(
     "family, bound_mode, speculates",
     [("parity", "state_corrected", False), ("on_off", "state_corrected", False), ("parity", "analytic2d", True)],
@@ -772,7 +781,7 @@ def test_coefficient_threshold_speculates_only_without_a_searched_bound(family, 
     # a searched bound can raise ConvergenceError, so a speculative point could stop the run
     margin = _STUB_MARGINS["root-at-midpoint"]
     calls = []
-    monkeypatch.setattr(optimize, "optimize_rigid", _stub_rigid(margin, calls))
+    monkeypatch.setattr(optimize, "_evaluate", _stub_evaluate(margin, calls))
     res = threshold_alpha(ScanTask("threeplus7", family, -1, bound_mode=bound_mode, optimize=True, seed=0))
     want, visited = _sequential_threshold(margin)
     assert res == want
